@@ -5,28 +5,37 @@ ancilla measurements) and fixed sequences (corrections frozen, fresh
 measurement outcomes recorded but never used).  Everything the verifier may
 see crosses this module as classical data: bits, counts, hashes, seeds.
 
-Two execution paths are provided.  The per-run path samples one trajectory
-with an explicit RNG and is the reference semantics.  The batch path builds
-the exact joint distribution over all measurement records once (branching at
-each measurement) and then draws a multinomial sample; for fault models whose
-behaviour is identical and independent across repetitions this is
-distribution-equivalent to looping the per-run path and is what makes
-10^5..10^7-repetition test batches affordable.  Per-gate random faults
-(DEPOLARIZING) are not run-homogeneous and always take the per-run path.
+A single run samples one trajectory with an explicit RNG, measuring in place;
+it is the reference semantics.  A batch instead draws one multinomial sample
+from the exact joint distribution over measurement records, the record
+table, built in one pass for every fault model.  Because a measured line is
+never reused, every measurement can be deferred to the end of the unitary
+part (a gadget's "S if the ancilla reads 1" becomes a controlled-S), so one
+statevector pass gives the honest table.  Each fault model then acts as a
+channel on that table: miscalibration changes the inputs of the pass, a liar
+replaces the final bit, a biased coin reweights gadget slots by
+coin(b) / P(b | earlier bits), and depolarizing noise XOR-shifts the table by
+the flip mask each gate error leaves on the record (Pauli-frame propagation,
+as in Stim, Gidney arXiv:2103.02202).  This is what makes
+10^5..10^7-repetition test batches affordable for every fault model.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import statevector as sv
-from .circuit import (AdaptiveCircuit, Circuit, FixedSequence, Instruction,
-                      gadget_label, is_gadget_label, resolve, require_valid,
-                      serialize)
+from .circuit import (MEASURED_LINE_REUSED, AdaptiveCircuit, Circuit,
+                      FixedSequence, Instruction, gadget_label,
+                      is_gadget_label, resolve, require_valid, serialize,
+                      validate)
+from .pauli import PauliOperator, conjugate
 
 PROB_TOL = 1e-12
 
@@ -35,6 +44,9 @@ _PAULIS_2Q = tuple((a, b)
                    for a in ("ID", "X", "Y", "Z")
                    for b in ("ID", "X", "Y", "Z")
                    if (a, b) != ("ID", "ID"))
+
+# controlled-S on (control, target): the deferred form of a gadget correction
+_CS = np.diag([1, 1, 1, 1j]).astype(complex)
 
 
 class FaultModelError(RuntimeError):
@@ -52,6 +64,10 @@ class MagicMiscalibration:
 
     delta_theta: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.delta_theta):
+            raise ValueError("delta_theta must be finite")
+
 
 @dataclass(frozen=True)
 class GadgetCoinBias:
@@ -61,7 +77,7 @@ class GadgetCoinBias:
     bias: float
 
     def __post_init__(self):
-        if abs(self.bias) > 0.5:
+        if not abs(self.bias) <= 0.5:
             raise ValueError("|bias| must be at most 0.5")
 
 
@@ -128,11 +144,6 @@ def parse_fault(text: str) -> FaultModel:
     if len(args) != arity:
         raise ValueError(f"{name} takes {arity} parameter(s), got {len(args)}")
     return cls(*(float(a) for a in args))
-
-
-def is_run_homogeneous(fault: FaultModel) -> bool:
-    """True when repeated runs are i.i.d. draws from one fixed distribution."""
-    return not isinstance(fault, Depolarizing)
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -210,10 +221,6 @@ class BatchResult:
         return ones / self.repetitions
 
 
-def _gadget_events(circuit: AdaptiveCircuit) -> list[Instruction]:
-    return [ins for ins in circuit.instructions if ins.op == "TGADGET"]
-
-
 def _plan_events(instructions, adaptive: bool) -> list[MeasurementEvent]:
     """Measurement slots of an instruction list, expanding gadgets.
 
@@ -245,7 +252,7 @@ def _effective_probs(p_one: float, event: MeasurementEvent, is_final: bool,
 
 
 class _Executor:
-    """Shared gate/measurement mechanics for both execution paths."""
+    """Gate/measurement mechanics of one run that measures in place."""
 
     def __init__(self, inputs, fault: FaultModel, max_lines: int):
         self.fault = fault
@@ -259,8 +266,7 @@ class _Executor:
             return state
         state = sv.apply_gate(state, ins)
         fault = self.fault
-        if isinstance(fault, Depolarizing) and rng is not None \
-                and rng.random() < fault.p_err:
+        if isinstance(fault, Depolarizing) and rng.random() < fault.p_err:
             if len(ins.targets) == 1:
                 pauli = _PAULIS_1Q[rng.integers(3)]
                 state = sv.apply_pauli(state, ins.targets[0], pauli)
@@ -330,88 +336,140 @@ def _run_single(instructions, inputs, fault: FaultModel, seed: int,
     return tuple(record), tuple(events), tuple(gadget_probs)
 
 
-def outcome_distribution(instructions, inputs, fault: FaultModel,
-                         adaptive: bool, max_lines: int = sv.DEFAULT_MAX_LINES,
-                         collect_gadget_probs: bool = False):
-    """Exact joint distribution over measurement records.
+def record_table(circuit: Circuit, fault: FaultModel,
+                 max_lines: int = sv.DEFAULT_MAX_LINES
+                 ) -> tuple[tuple[MeasurementEvent, ...], np.ndarray]:
+    """Exact joint distribution over measurement records under `fault`.
 
-    Returns (events, {record: probability}) and, when requested, the Born
-    P(1) of every gadget measurement in every branch as a third element.
-    Only valid for run-homogeneous fault models.
+    Returns the measurement slots and a table of 2^m probabilities; bit
+    m-1-i of a cell's index is slot i's outcome, so slot 0 is the most
+    significant bit and cells run in lexicographic record order.  Adaptive
+    circuits (gadget corrections applied) are recognised by type.
     """
-    if not is_run_homogeneous(fault):
-        raise ValueError(f"{fault_to_text(fault)} has no fixed per-run "
-                         "distribution")
-    ex = _Executor(inputs, fault, max_lines)
-    events = _plan_events(instructions, adaptive)
-    final_index = len(events) - 1
-    branches: list[tuple[object, float, tuple[int, ...]]] = \
-        [(ex.initial, 1.0, ())]
-    gadget_probs: list[float] = []
-    ev = 0
+    adaptive = isinstance(circuit, AdaptiveCircuit)
+    reused = [v.message for v in validate(circuit)
+              if v.code == MEASURED_LINE_REUSED]
+    if reused:
+        raise ValueError("measurements cannot be deferred: "
+                         + "; ".join(reused))
+    if adaptive and isinstance(fault, Depolarizing):
+        raise ValueError("depolarizing noise has no record table for "
+                         "adaptive circuits (controlled-S is not Clifford)")
+    events = tuple(_plan_events(circuit.instructions, adaptive))
+    if not events:
+        raise ValueError("sequence has no measurements")
+    table = _honest_table(circuit, events, fault, max_lines)
+    final = len(events) - 1
+    if isinstance(fault, GadgetCoinBias):
+        coin = np.array([0.5 - fault.bias, 0.5 + fault.bias])
+        for slot, event in enumerate(events):
+            if event.is_gadget:
+                table = _force_slot(table, slot, final, coin, event.line)
+    elif isinstance(fault, Liar):
+        table = _force_slot(table, final, final,
+                            np.array([fault.q, 1.0 - fault.q]),
+                            events[final].line)
+    elif isinstance(fault, Depolarizing) and fault.p_err:
+        table = _depolarize(table, circuit, events, fault.p_err)
+    return events, table
 
-    def branch_measure(event: MeasurementEvent, correction_target=None):
-        nonlocal branches, ev
-        is_final = ev == final_index
-        children = []
-        for state, prob, record in branches:
-            p_one = sv.probability_of_one(state, event.line)
-            if event.is_gadget and collect_gadget_probs:
-                gadget_probs.append(p_one)
-            p0, p1, overridden = _effective_probs(p_one, event, is_final,
-                                                  fault)
-            for outcome, p_eff in ((0, p0), (1, p1)):
-                if p_eff <= 0.0:
-                    continue
-                true_p = p_one if outcome else 1.0 - p_one
-                if true_p < PROB_TOL:
-                    if not overridden:
-                        continue
-                    if not is_final:
-                        raise FaultModelError(
-                            f"fault model forces outcome {outcome} of "
-                            f"probability zero on line {event.line}")
-                    child_state = state  # terminal lie, state unused
-                else:
-                    child_state = sv.collapse(state, event.line, outcome)
-                if outcome and correction_target is not None:
-                    child_state = sv.apply_gate(
-                        child_state, Instruction("S", (correction_target,)))
-                children.append((child_state, prob * p_eff,
-                                 record + (outcome,)))
-        branches = children
-        ev += 1
 
-    for ins in instructions:
+def _honest_table(circuit: Circuit, events, fault: FaultModel,
+                  max_lines: int) -> np.ndarray:
+    """One unitary pass with every measurement deferred to the end."""
+    shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
+        else 0.0
+    state = sv.init_state(circuit.inputs, magic_phase_shift=shift,
+                          max_lines=max_lines)
+    for ins in circuit.instructions:
         if ins.op == "TGADGET":
-            if not adaptive:
-                raise ValueError("TGADGET in a non-adaptive sequence")
-            cx = Instruction("CX", (ins.targets[0], ins.ancilla))
-            branches = [(sv.apply_gate(state, cx), prob, record)
-                        for state, prob, record in branches]
-            branch_measure(events[ev], correction_target=ins.targets[0])
-        elif ins.op == "MEASURE":
-            branch_measure(events[ev])
-        elif ins.op != "ID":
-            branches = [(sv.apply_gate(state, ins), prob, record)
-                        for state, prob, record in branches]
-
-    dist = {record: prob for _, prob, record in branches}
-    total = sum(dist.values())
-    if abs(total - 1.0) > 1e-9:
-        raise AssertionError(f"branch probabilities sum to {total}")
-    if collect_gadget_probs:
-        return tuple(events), dist, tuple(gadget_probs)
-    return tuple(events), dist
+            target = ins.targets[0]
+            state = sv.apply_gate(state, Instruction("CX",
+                                                     (target, ins.ancilla)))
+            state = sv.apply_matrix_2q(state, _CS, ins.ancilla, target)
+        elif ins.op not in ("MEASURE", "ID"):
+            state = sv.apply_gate(state, ins)
+    m = len(events)
+    probs = np.moveaxis(np.abs(state) ** 2, [ev.line for ev in events],
+                        list(range(m)))
+    table = probs.reshape(1 << m, -1).sum(axis=1)
+    total = float(table.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise AssertionError(f"record probabilities sum to {total}")
+    table[table < PROB_TOL] = 0.0
+    return table
 
 
-def _sample_distribution(events, dist, repetitions: int,
-                         seed: int) -> BatchResult:
+def _force_slot(table: np.ndarray, slot: int, final: int, coin: np.ndarray,
+                line: int) -> np.ndarray:
+    """Replace slot `slot`'s conditional distribution by `coin`, keeping the
+    distribution of earlier bits and of later bits given this one."""
+    view = table.reshape(1 << slot, 2, -1)
+    joint = view.sum(axis=2)
+    prefix = joint.sum(axis=1, keepdims=True)
+    if slot == final:  # a terminal readout may report an impossible bit
+        return (prefix * coin).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = joint / prefix
+        scale = np.where(joint > 0, coin / cond, 0.0)
+    forced = (prefix > 0) & (coin > 0) & ~(cond >= PROB_TOL)
+    if forced.any():
+        outcome = int(np.argwhere(forced)[0][1])
+        raise FaultModelError(f"fault model forces outcome {outcome} of "
+                              f"probability zero on line {line}")
+    return (view * scale[:, :, None]).reshape(-1)
+
+
+def _depolarize(table: np.ndarray, circuit: Circuit, events,
+                p_err: float) -> np.ndarray:
+    """Fold every gate's depolarizing channel into the table.
+
+    Walking backwards, each slot's Z measurement is carried to just after
+    the current gate; an error Pauli there flips slot i exactly when it
+    anticommutes with slot i's carried operator.  Errors at different gates
+    are independent, so their flip-mask distributions XOR-convolve.
+    """
+    m = len(events)
+    operators = [PauliOperator.z_on(circuit.n_lines, ev.line)
+                 for ev in events]
+    cells = np.arange(1 << m)
+    for ins in reversed(circuit.instructions):
+        if ins.op in ("MEASURE", "ID"):
+            continue
+        # per line: the masks flipped by an X error and by a Z error
+        per_line = []
+        for line in ins.targets:
+            x_mask = z_mask = 0
+            for slot, op in enumerate(operators):
+                bit = 1 << (m - 1 - slot)
+                if (op.z >> line) & 1:
+                    x_mask |= bit
+                if (op.x >> line) & 1:
+                    z_mask |= bit
+            per_line.append((x_mask, x_mask ^ z_mask, z_mask))  # X, Y, Z
+        if len(per_line) == 1:
+            masks = list(per_line[0])
+        else:
+            masks = [a ^ b for a in (0,) + per_line[0]
+                     for b in (0,) + per_line[1]][1:]
+        if any(masks):
+            shifted = sum(count * (table[cells ^ mask] if mask else table)
+                          for mask, count in Counter(masks).items())
+            table = (1.0 - p_err) * table + (p_err / len(masks)) * shifted
+        operators = [conjugate(op, ins) for op in operators]
+    return table
+
+
+def _sample_table(events, table: np.ndarray, repetitions: int,
+                  seed: int) -> BatchResult:
     rng = np.random.default_rng(seed)
-    records = list(dist.keys())
-    probs = np.array([dist[r] for r in records], dtype=float)
+    cells = np.flatnonzero(table > 0)
+    probs = table[cells]
     draws = rng.multinomial(repetitions, probs / probs.sum())
-    counts = {rec: int(c) for rec, c in zip(records, draws) if c}
+    m = len(events)
+    drawn = draws > 0
+    counts = {tuple((cell >> (m - 1 - i)) & 1 for i in range(m)): int(c)
+              for cell, c in zip(cells[drawn].tolist(), draws[drawn])}
     return BatchResult(events=events, counts=counts, repetitions=repetitions)
 
 
@@ -453,36 +511,14 @@ class SimulatedDevice:
                         seed: int) -> BatchResult:
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        if is_run_homogeneous(self.fault):
-            events, dist = outcome_distribution(
-                seq.instructions, seq.inputs, self.fault, adaptive=False,
-                max_lines=self.max_lines)
-            return _sample_distribution(events, dist, repetitions, seed)
-        return self._batch_by_loop(seq.instructions, seq.inputs, repetitions,
-                                   seed, False)
+        events, table = record_table(seq, self.fault, self.max_lines)
+        return _sample_table(events, table, repetitions, seed)
 
     def run_adaptive_batch(self, circuit: AdaptiveCircuit, repetitions: int,
                            seed: int) -> BatchResult:
         require_valid(circuit)
-        if is_run_homogeneous(self.fault):
-            events, dist = outcome_distribution(
-                circuit.instructions, circuit.inputs, self.fault,
-                adaptive=True, max_lines=self.max_lines)
-            return _sample_distribution(events, dist, repetitions, seed)
-        return self._batch_by_loop(circuit.instructions, circuit.inputs,
-                                   repetitions, seed, True)
-
-    def _batch_by_loop(self, instructions, inputs, repetitions: int,
-                       seed: int, adaptive: bool) -> BatchResult:
-        counts: dict[tuple[int, ...], int] = {}
-        events = None
-        for rep in range(repetitions):
-            record, events, _ = _run_single(
-                instructions, inputs, self.fault,
-                derive_seed(seed, rep), adaptive, self.max_lines)
-            counts[record] = counts.get(record, 0) + 1
-        return BatchResult(events=tuple(events), counts=counts,
-                           repetitions=repetitions)
+        events, table = record_table(circuit, self.fault, self.max_lines)
+        return _sample_table(events, table, repetitions, seed)
 
 
 def run_adaptive(circuit: AdaptiveCircuit, seed: int,
@@ -495,30 +531,9 @@ def run_fixed(seq: FixedSequence, seed: int,
     return SimulatedDevice(fault).run_fixed(seq, seed)
 
 
-def gadget_born_probabilities(circuit: AdaptiveCircuit,
-                              fault: FaultModel = IDEAL) -> tuple[float, ...]:
-    """Born P(1) of every gadget measurement in every branch of the adaptive
-    execution tree (computed, not sampled)."""
-    require_valid(circuit)
-    _, _, probs = outcome_distribution(
-        circuit.instructions, circuit.inputs, fault, adaptive=True,
-        collect_gadget_probs=True)
-    return probs
-
-
 def final_output_probability(seq: FixedSequence,
                              fault: FaultModel = IDEAL) -> float:
-    """P(final output = 0) of the fixed sequence with all intermediate
-    measurements simulated in place (the device's actual marginal)."""
-    events, dist = outcome_distribution(seq.instructions, seq.inputs, fault,
-                                        adaptive=False)
-    return sum(p for record, p in dist.items() if record[-1] == 0)
-
-
-def final_output_probability_unitary_only(seq: FixedSequence) -> float:
-    """P(final output = 0) with intermediate measurements omitted entirely."""
-    state = sv.init_state(seq.inputs)
-    for ins in seq.instructions:
-        if ins.op not in ("MEASURE", "ID"):
-            state = sv.apply_gate(state, ins)
-    return 1.0 - sv.probability_of_one(state, seq.output_line)
+    """P(final output = 0) of the fixed sequence under `fault`: the
+    final-bit marginal of the device's record table."""
+    _, table = record_table(seq, fault)
+    return float(table[0::2].sum())

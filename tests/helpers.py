@@ -1,4 +1,4 @@
-"""Shared test utilities: seeded circuit generators and dense-matrix oracles."""
+"""Shared test utilities: seeded circuit generators and dense oracles."""
 
 from __future__ import annotations
 
@@ -8,9 +8,15 @@ from pathlib import Path
 
 import numpy as np
 
+from cliffcert import statevector as sv
 from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
-                               FixedSequence, InputState, Instruction)
+                               FixedSequence, InputState, Instruction,
+                               require_valid)
 from cliffcert.pauli import PauliOperator
+from cliffcert.prover import (IDEAL, PROB_TOL, Depolarizing, FaultModel,
+                              FaultModelError, MagicMiscalibration,
+                              _effective_probs, _plan_events, derive_seed,
+                              fault_to_text)
 from cliffcert.statevector import GATES_1Q, GATES_2Q
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -137,3 +143,163 @@ def gate_matrix(ins: Instruction, n: int) -> np.ndarray:
                 row = (row << 1) | bit
             out[row, col] += amp
     return out
+
+
+def outcome_distribution(instructions, inputs, fault: FaultModel,
+                         adaptive: bool, collect_gadget_probs: bool = False):
+    """Exact joint record distribution with measurements made in place.
+
+    Branches a full statevector at every measurement (2^m passes), applying
+    each gadget correction right after its ancilla readout, so it shares no
+    deferral with the device's record table and serves as its oracle.
+    Returns (events, {record: probability}) and, when requested, the Born
+    P(1) of every gadget measurement in every branch as a third element.
+    Depolarizing noise has no fixed per-run tree and is rejected.
+    """
+    if isinstance(fault, Depolarizing):
+        raise ValueError(f"{fault_to_text(fault)} has no fixed per-run "
+                         "distribution")
+    shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
+        else 0.0
+    events = _plan_events(instructions, adaptive)
+    final_index = len(events) - 1
+    branches: list[tuple[object, float, tuple[int, ...]]] = \
+        [(sv.init_state(inputs, magic_phase_shift=shift), 1.0, ())]
+    gadget_probs: list[float] = []
+    ev = 0
+
+    def branch_measure(event, correction_target=None):
+        nonlocal branches, ev
+        is_final = ev == final_index
+        children = []
+        for state, prob, record in branches:
+            p_one = sv.probability_of_one(state, event.line)
+            if event.is_gadget and collect_gadget_probs:
+                gadget_probs.append(p_one)
+            p0, p1, overridden = _effective_probs(p_one, event, is_final,
+                                                  fault)
+            for outcome, p_eff in ((0, p0), (1, p1)):
+                if p_eff <= 0.0:
+                    continue
+                true_p = p_one if outcome else 1.0 - p_one
+                if true_p < PROB_TOL:
+                    if not overridden:
+                        continue
+                    if not is_final:
+                        raise FaultModelError(
+                            f"fault model forces outcome {outcome} of "
+                            f"probability zero on line {event.line}")
+                    child_state = state  # terminal lie, state unused
+                else:
+                    child_state = sv.collapse(state, event.line, outcome)
+                if outcome and correction_target is not None:
+                    child_state = sv.apply_gate(
+                        child_state, Instruction("S", (correction_target,)))
+                children.append((child_state, prob * p_eff,
+                                 record + (outcome,)))
+        branches = children
+        ev += 1
+
+    for ins in instructions:
+        if ins.op == "TGADGET":
+            cx = Instruction("CX", (ins.targets[0], ins.ancilla))
+            branches = [(sv.apply_gate(state, cx), prob, record)
+                        for state, prob, record in branches]
+            branch_measure(events[ev], correction_target=ins.targets[0])
+        elif ins.op == "MEASURE":
+            branch_measure(events[ev])
+        elif ins.op != "ID":
+            branches = [(sv.apply_gate(state, ins), prob, record)
+                        for state, prob, record in branches]
+
+    dist = {record: prob for _, prob, record in branches}
+    total = sum(dist.values())
+    if not abs(total - 1.0) <= 1e-9:
+        raise AssertionError(f"branch probabilities sum to {total}")
+    if collect_gadget_probs:
+        return tuple(events), dist, tuple(gadget_probs)
+    return tuple(events), dist
+
+
+def distribution_table(dist: dict, slots: int) -> np.ndarray:
+    """The oracle's {record: probability} as a 2^slots table with slot 0 as
+    the most significant index bit (the device's record-table layout)."""
+    table = np.zeros(1 << slots)
+    for record, prob in dist.items():
+        table[int("".join(map(str, record)), 2)] = prob
+    return table
+
+
+def gadget_born_probabilities(circuit: AdaptiveCircuit,
+                              fault: FaultModel = IDEAL) -> tuple[float, ...]:
+    """Born P(1) of every gadget measurement in every branch of the adaptive
+    execution tree (computed, not sampled)."""
+    require_valid(circuit)
+    _, _, probs = outcome_distribution(
+        circuit.instructions, circuit.inputs, fault, adaptive=True,
+        collect_gadget_probs=True)
+    return probs
+
+
+def final_output_probability_inplace(seq: FixedSequence,
+                                     fault: FaultModel = IDEAL) -> float:
+    """P(final output = 0) with every intermediate measurement simulated in
+    place, from the branch-tree oracle."""
+    _, dist = outcome_distribution(seq.instructions, seq.inputs, fault,
+                                   adaptive=False)
+    return sum(p for record, p in dist.items() if record[-1] == 0)
+
+
+def final_output_probability_unitary_only(seq: FixedSequence) -> float:
+    """P(final output = 0) with intermediate measurements omitted entirely."""
+    state = sv.init_state(seq.inputs)
+    for ins in seq.instructions:
+        if ins.op not in ("MEASURE", "ID"):
+            state = sv.apply_gate(state, ins)
+    return 1.0 - sv.probability_of_one(state, seq.output_line)
+
+
+def depolarized_distribution(seq: FixedSequence, p_err: float) -> dict:
+    """Exact {record: probability} of a fixed sequence when every non-ID
+    gate is followed by a uniformly random non-identity Pauli on its lines
+    with probability p_err.  Density matrices, one per record prefix, are
+    evolved gate by gate and projected in place at each measurement."""
+    n = seq.n_lines
+    psi = sv.init_state(seq.inputs).reshape(-1)
+    branches = {(): np.outer(psi, psi.conj())}
+    for ins in seq.instructions:
+        if ins.op == "ID":
+            continue
+        if ins.op == "MEASURE":
+            bits = (np.arange(1 << n) >> (n - 1 - ins.targets[0])) & 1
+            projectors = [np.diag((bits == b).astype(float)) for b in (0, 1)]
+            branches = {record + (b,): projectors[b] @ rho @ projectors[b]
+                        for record, rho in branches.items() for b in (0, 1)}
+            continue
+        gate = gate_matrix(ins, n)
+        per_line = [[np.eye(1 << n)] + [gate_matrix(Instruction(p, (line,)), n)
+                                        for p in ("X", "Y", "Z")]
+                    for line in ins.targets]
+        if len(per_line) == 1:
+            errors = per_line[0][1:]
+        else:
+            errors = [a @ b for a in per_line[0] for b in per_line[1]][1:]
+        for record, rho in branches.items():
+            rho = gate @ rho @ gate.conj().T
+            noise = sum(e @ rho @ e.conj().T for e in errors)
+            branches[record] = ((1.0 - p_err) * rho
+                                + (p_err / len(errors)) * noise)
+    return {record: float(np.trace(rho).real)
+            for record, rho in branches.items()}
+
+
+def loop_counts(device, seq: FixedSequence, repetitions: int,
+                seed: int) -> dict[tuple[int, ...], int]:
+    """Record counts of `repetitions` single runs of `seq`, run r seeded
+    with derive_seed(seed, r): the per-run reference for a batch."""
+    counts: dict[tuple[int, ...], int] = {}
+    for rep in range(repetitions):
+        run = device.run_fixed(seq, derive_seed(seed, rep))
+        record = run.outcomes + (run.final_output,)
+        counts[record] = counts.get(record, 0) + 1
+    return counts

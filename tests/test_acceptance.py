@@ -5,22 +5,27 @@ import itertools
 import random
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cliffcert.circuit import (InputState, Instruction, MAGIC, gadgetize,
-                               parse_circuit, resolve)
+from cliffcert.circuit import (InputState, Instruction, MAGIC, gadget_label,
+                               gadgetize, parse_circuit, resolve)
 from cliffcert.pauli import joint_output_probability, single_output_probability
 from cliffcert import prover
-from cliffcert.prover import (GadgetCoinBias, IDEAL, Liar,
-                              MagicMiscalibration, SimulatedDevice)
-from cliffcert.protocol import (GADGET_BIAS, OUTPUT_DEVIATION, plan,
-                                verify_campaign)
+from cliffcert.prover import (Depolarizing, FaultModelError, GadgetCoinBias,
+                              IDEAL, Liar, MagicMiscalibration,
+                              SimulatedDevice)
+from cliffcert.protocol import (GADGET_BIAS, IMPOSSIBLE_OUTCOME,
+                                OUTPUT_DEVIATION, plan, verify_campaign)
 from cliffcert import statevector as sv
 
-from helpers import CIRCUITS, random_fixed_sequence, random_inputs, \
-    random_t_circuit
+from helpers import (CIRCUITS, distribution_table,
+                     final_output_probability_inplace,
+                     final_output_probability_unitary_only,
+                     gadget_born_probabilities, outcome_distribution,
+                     random_fixed_sequence, random_inputs, random_t_circuit)
 
 DET3 = gadgetize(parse_circuit(
     (CIRCUITS / "deterministic_t3.circ").read_text()))
@@ -87,7 +92,7 @@ def test_criterion_3_gadget_outcome_probability():
         circuit = gadgetize(random_t_circuit(rng, rng.randint(1, 4),
                                              rng.randint(1, 12),
                                              rng.randint(1, 3)))
-        for p in prover.gadget_born_probabilities(circuit):
+        for p in gadget_born_probabilities(circuit):
             worst = max(worst, abs(p - 0.5))
     assert worst <= 1e-12
 
@@ -200,6 +205,34 @@ def test_criterion_6_soundness_liar():
     report(6, "soundness: lying device", f"{rejected}/100 campaigns rejected")
 
 
+def _gadget_labelled(seq):
+    """The sequence with its intermediate measurements given reserved
+    gadget labels, so a coin-biased device treats them as gadget readouts."""
+    last = len(seq.instructions) - 1
+    instructions = tuple(
+        replace(ins, label=gadget_label(i + 1))
+        if ins.op == "MEASURE" and i != last else ins
+        for i, ins in enumerate(seq.instructions))
+    return replace(seq, instructions=instructions)
+
+
+def _table_vs_oracle(circuit, fault, adaptive):
+    """(max |table - oracle|, raised) for one circuit; raised is True when
+    both engines raised FaultModelError and fails the test when only one
+    did."""
+    try:
+        events, dist = outcome_distribution(
+            circuit.instructions, circuit.inputs, fault, adaptive=adaptive)
+    except FaultModelError:
+        with pytest.raises(FaultModelError):
+            prover.record_table(circuit, fault)
+        return 0.0, True
+    table_events, table = prover.record_table(circuit, fault)
+    assert table_events == events
+    return float(np.max(np.abs(table - distribution_table(
+        dist, len(events))))), False
+
+
 def test_criterion_7_deferred_measurements():
     rng = random.Random(1007)
     worst = 0.0
@@ -207,12 +240,41 @@ def test_criterion_7_deferred_measurements():
         n = rng.randint(2, 6)
         seq = random_fixed_sequence(rng, n, rng.randint(5, 30),
                                     intermediate=3)
-        inplace = prover.final_output_probability(seq)
-        omitted = prover.final_output_probability_unitary_only(seq)
+        inplace = final_output_probability_inplace(seq)
+        omitted = final_output_probability_unitary_only(seq)
         worst = max(worst, abs(inplace - omitted))
     assert worst <= 1e-10
+
+    faults = (IDEAL, Liar(0.3), MagicMiscalibration(0.3),
+              GadgetCoinBias(0.2), GadgetCoinBias(-0.5))
+    # PROBE's output depends on every gadget correction, so it fails at
+    # once if the controlled-S deferral is wrong
+    subjects = [(PROBE, True), (DET3, True)]
+    for i in range(60):
+        n = rng.randint(2, 6)
+        seq = random_fixed_sequence(rng, n, rng.randint(5, 30),
+                                    intermediate=3)
+        if i % 2:
+            seq = _gadget_labelled(seq)
+        circuit = gadgetize(random_t_circuit(rng, rng.randint(1, 4),
+                                             rng.randint(1, 12),
+                                             rng.randint(1, 3)))
+        subjects += [(seq, False), (circuit, True)]
+    worst_joint = 0.0
+    raised = 0
+    cases = 0
+    for subject, adaptive in subjects:
+        for fault in faults:
+            dev, both_raised = _table_vs_oracle(subject, fault, adaptive)
+            worst_joint = max(worst_joint, dev)
+            raised += both_raised
+            cases += 1
+    assert worst_joint <= 1e-10
+    assert raised > 0  # the coin-bias impossible-outcome path was reached
     report(7, "deferred-measurement equivalence",
-           f"max deviation {worst:.2e} over 100 sequences")
+           f"output bit {worst:.2e} over 100 sequences; joint record "
+           f"{worst_joint:.2e} over {cases} device tables, {raised} "
+           "raising FaultModelError in both engines")
 
 
 def test_criterion_8_joint_outcome_normalisation():
@@ -227,7 +289,7 @@ def test_criterion_8_joint_outcome_normalisation():
                     if i.op == "MEASURE"]
         k = min(4, len(measured))
         lines = tuple(measured[:k])
-        events, dist = prover.outcome_distribution(
+        events, dist = outcome_distribution(
             seq.instructions, seq.inputs, IDEAL, adaptive=False)
         positions = {ev.line: j for j, ev in enumerate(events)}
         total = 0.0
@@ -244,3 +306,24 @@ def test_criterion_8_joint_outcome_normalisation():
     report(8, "joint-outcome normalisation",
            f"max |sum-1| {worst_sum:.2e}, max oracle deviation "
            f"{worst_dev:.2e}")
+
+
+def test_criterion_9_depolarizing_rejected_at_gate_test():
+    test_plan = plan(DET3.gadget_count, 0.005, 0.005, 0.0125)
+    assert test_plan.r_gate == 101_504
+    device = SimulatedDevice(Depolarizing(0.01))
+    rejected = 0
+    start = time.time()
+    for i in range(100):
+        rep = verify_campaign(device, DET3, epsilon=0.005, eta=0.005,
+                              delta=0.0125, seed=9000 + i)
+        if (not rep.accepted and rep.gate.impossible_observed
+                and any(f.kind == IMPOSSIBLE_OUTCOME and f.stage is None
+                        for f in rep.failures)):
+            rejected += 1
+    elapsed = time.time() - start
+    assert rejected == 100
+    assert elapsed < 30.0
+    report(9, "soundness: depolarizing device",
+           f"{rejected}/100 campaigns rejected via impossible outcomes in "
+           f"the gate test, {elapsed:.1f}s")

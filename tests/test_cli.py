@@ -141,6 +141,16 @@ class TestVerify:
                      fault="gremlin 1")
         assert main(["verify", str(cfg)]) == 2
 
+    def test_non_finite_fault_parameter_exits_2(self, tmp_path, capsys):
+        for fault in ("gadget_coin_bias nan", "magic_miscalibration inf",
+                      "magic_miscalibration nan"):
+            cfg = tmp_path / "run.cfg"
+            write_config(cfg, CIRCUITS / "deterministic_t3.circ",
+                         fault=fault, out=tmp_path / "out")
+            assert main(["verify", str(cfg)]) == 2
+            assert str(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("CLIFFCERT_OUTPUT_DIR", str(tmp_path / "envout"))

@@ -13,10 +13,10 @@ from cliffcert.pauli import (PauliOperator, backpropagate, conjugate,
                              expectation, input_expectations,
                              joint_output_probability, multiply,
                              single_output_probability)
-from cliffcert import prover
+from cliffcert.prover import IDEAL
 
-from helpers import (gate_matrix, pauli_matrix, random_fixed_sequence,
-                     random_pauli)
+from helpers import (gate_matrix, outcome_distribution, pauli_matrix,
+                     random_fixed_sequence, random_pauli)
 
 ALL_1Q = [PauliOperator.from_label(l, s)
           for l in ("I", "X", "Y", "Z") for s in (1, -1)]
@@ -291,8 +291,8 @@ class TestJointProbability:
             measured = [i.targets[0] for i in seq.instructions
                         if i.op == "MEASURE"]
             lines = tuple(measured[:min(3, len(measured))])
-            events, dist = prover.outcome_distribution(
-                seq.instructions, seq.inputs, prover.IDEAL, adaptive=False)
+            events, dist = outcome_distribution(
+                seq.instructions, seq.inputs, IDEAL, adaptive=False)
             positions = {ev.line: i for i, ev in enumerate(events)}
             total = 0.0
             for bits in itertools.product((0, 1), repeat=len(lines)):

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from cliffcert.circuit import (InputState, Instruction, MAGIC, gadgetize,
-                               parse_circuit, resolve, serialize)
+from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
+                               ZERO, gadgetize, parse_circuit, resolve,
+                               serialize)
 from cliffcert import prover
 from cliffcert.prover import (Depolarizing, FaultModelError, GadgetCoinBias,
                               IDEAL, Liar, MagicMiscalibration,
@@ -14,7 +15,11 @@ from cliffcert.prover import (Depolarizing, FaultModelError, GadgetCoinBias,
 from cliffcert import statevector as sv
 from cliffcert.pauli import single_output_probability
 
-from helpers import random_fixed_sequence, random_inputs
+from helpers import (depolarized_distribution, distribution_table,
+                     final_output_probability_inplace,
+                     final_output_probability_unitary_only,
+                     gadget_born_probabilities, loop_counts,
+                     random_fixed_sequence, random_inputs)
 
 
 def circuit_from(text):
@@ -101,7 +106,7 @@ class TestGadgetPhysics:
                 assert 1.0 - sv.fidelity(want, post) < 1e-12
 
     def test_gadget_born_probability_exactly_half(self, three_gadget):
-        probs = prover.gadget_born_probabilities(three_gadget)
+        probs = gadget_born_probabilities(three_gadget)
         assert probs  # one entry per gadget per branch
         assert all(abs(p - 0.5) < 1e-12 for p in probs)
 
@@ -183,6 +188,17 @@ class TestFaultModels:
         with pytest.raises(ValueError):
             Liar(-0.1)
 
+    def test_non_finite_parameters_rejected(self):
+        for make, value in ((GadgetCoinBias, float("nan")),
+                            (GadgetCoinBias, float("inf")),
+                            (MagicMiscalibration, float("nan")),
+                            (MagicMiscalibration, float("inf")),
+                            (MagicMiscalibration, float("-inf")),
+                            (Depolarizing, float("nan")),
+                            (Liar, float("nan"))):
+            with pytest.raises(ValueError):
+                make(value)
+
     def test_coin_bias_frequency(self, one_gadget):
         dev = SimulatedDevice(GadgetCoinBias(0.1))
         batch = dev.run_adaptive_batch(one_gadget, 100_000, 13)
@@ -225,7 +241,7 @@ class TestFaultModels:
                                                   MagicMiscalibration(0.3))
         assert abs(honest - shifted) > 0.05
 
-    def test_depolarizing_uses_per_run_path(self):
+    def test_depolarizing_flips_deterministic_readout(self):
         c = circuit_from("qubits 1\nX 0\nMEASURE 0 out\n")
         seq = resolve(c, ())
         dev = SimulatedDevice(Depolarizing(0.5))
@@ -234,10 +250,47 @@ class TestFaultModels:
         # X noise flips the deterministic |1> readout in 1/3 of noisy runs
         assert 0.05 < zeros / 400 < 0.35
 
-    def test_depolarizing_distribution_rejected_by_tree(self):
+    def test_depolarizing_table_matches_loop(self):
+        # chi-squared of per-run records against the exact record table
+        from scipy.stats import chi2
+        c = circuit_from("qubits 3\nH 0\nCX 0 1\nMEASURE 1 x1\nS 0\n"
+                         "CZ 0 2\nH 2\nMEASURE 2 x2\nH 0\nMEASURE 0 out\n")
+        seq = resolve(c, ())
+        dev = SimulatedDevice(Depolarizing(0.2))
+        _, table = prover.record_table(seq, dev.fault)
+        reps = 2000
+        observed = distribution_table(loop_counts(dev, seq, reps, 41), 3)
+        possible = table > 0
+        assert not observed[~possible].any()
+        expected = reps * table[possible]
+        stat = np.sum((observed[possible] - expected) ** 2 / expected)
+        assert stat < chi2.isf(0.001, df=possible.sum() - 1)
+
+    def test_depolarizing_table_matches_density_matrix_oracle(self):
+        rng = random.Random(97)
+        for _ in range(25):
+            seq = random_fixed_sequence(rng, rng.randint(2, 4),
+                                        rng.randint(3, 20), intermediate=2)
+            p_err = rng.uniform(0.0, 1.0)
+            events, table = prover.record_table(seq, Depolarizing(p_err))
+            want = distribution_table(depolarized_distribution(seq, p_err),
+                                      len(events))
+            assert np.max(np.abs(table - want)) < 1e-10
+
+    def test_depolarizing_adaptive_batch_rejected(self, one_gadget):
+        dev = SimulatedDevice(Depolarizing(0.1))
         with pytest.raises(ValueError):
-            prover.outcome_distribution((), (), Depolarizing(0.1),
-                                        adaptive=False)
+            dev.run_adaptive_batch(one_gadget, 100, 1)
+
+    def test_reused_measured_line_rejected(self):
+        zero = InputState(ZERO)
+        seq = FixedSequence(2, (zero, zero), (
+            Instruction("MEASURE", (0,), label="a"),
+            Instruction("H", (0,)),
+            Instruction("MEASURE", (1,), label="out")), 1, ())
+        for fault in (IDEAL, Depolarizing(0.1)):
+            with pytest.raises(ValueError, match="used after"):
+                SimulatedDevice(fault).run_fixed_batch(seq, 10, 1)
 
 
 class TestSeedDerivation:
@@ -255,20 +308,26 @@ class TestDistributionEngine:
         for _ in range(20):
             seq = random_fixed_sequence(rng, rng.randint(1, 5),
                                         rng.randint(0, 20), intermediate=2)
-            _, dist = prover.outcome_distribution(
-                seq.instructions, seq.inputs, IDEAL, adaptive=False)
-            assert abs(sum(dist.values()) - 1.0) < 1e-12
+            _, table = prover.record_table(seq, IDEAL)
+            assert abs(table.sum() - 1.0) < 1e-12
+
+    def test_roundoff_records_have_probability_zero(self):
+        # the unitary pass leaves ~1e-33 on the impossible records 00, 11
+        c = circuit_from("qubits 2\nH 0\nS 0\nH 0\nCX 0 1\nS 1\nH 1\n"
+                         "S 1\nH 1\nMEASURE 1 x\nH 0\nS 0\nH 0\n"
+                         "MEASURE 0 out\n")
+        _, table = prover.record_table(resolve(c, ()), IDEAL)
+        assert table[0] == 0.0 and table[3] == 0.0
+        assert abs(table[1] - 0.5) < 1e-12
 
     def test_batch_agrees_with_loop(self, one_gadget):
         # same distribution whichever execution path produced the counts
         seq = resolve(one_gadget, (1,))
         tree = SimulatedDevice(IDEAL).run_fixed_batch(seq, 4000, 11)
-        loop = SimulatedDevice(IDEAL)._batch_by_loop(
-            seq.instructions, seq.inputs, 4000, 11, False)
-        assert tree.events == loop.events
-        for record in set(tree.counts) | set(loop.counts):
+        loop = loop_counts(SimulatedDevice(IDEAL), seq, 4000, 11)
+        for record in set(tree.counts) | set(loop):
             a = tree.counts.get(record, 0) / 4000
-            b = loop.counts.get(record, 0) / 4000
+            b = loop.get(record, 0) / 4000
             assert abs(a - b) < 0.05
 
     def test_intermediate_measurements_do_not_shift_output(self):
@@ -276,6 +335,6 @@ class TestDistributionEngine:
         for _ in range(30):
             seq = random_fixed_sequence(rng, rng.randint(2, 5),
                                         rng.randint(5, 25), intermediate=2)
-            inplace = prover.final_output_probability(seq, IDEAL)
-            omitted = prover.final_output_probability_unitary_only(seq)
+            inplace = final_output_probability_inplace(seq, IDEAL)
+            omitted = final_output_probability_unitary_only(seq)
             assert abs(inplace - omitted) < 1e-10
