@@ -6,14 +6,17 @@ bit i of x/z encodes line i's factor via (x, z) -> {00: I, 10: X, 11: Y,
 a final-measurement Z operator backwards through a sequence costs O(1) bit
 operations per gate.  Together with per-line input expectations this yields
 output probabilities for non-adaptive sequences on product inputs in time
-linear in circuit size, independent of any statevector.
+linear in circuit size, independent of any statevector.  The joint outcome
+table of k measured lines costs k back-propagations, 2^k Pauli products and
+one Walsh-Hadamard transform: O(k * 2^k) beyond the back-propagations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .circuit import (Circuit, FixedSequence, Instruction, InputState,
                       require_valid)
@@ -227,21 +230,21 @@ def single_output_probability(seq: FixedSequence, outcome: int) -> float:
 
 
 def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
-                             outcomes: Sequence[int],
-                             k_max: int = DEFAULT_K_MAX) -> float:
-    """Joint probability of given bits on up to k_max measured lines.
+                             k_max: int = DEFAULT_K_MAX) -> np.ndarray:
+    """Joint outcome table of up to k_max measured lines, in O(k * 2^k).
 
-    Expands the product of (I + (-1)^m Z'_i)/2 projectors over all 2^k
-    subsets; every Z'_i is the back-propagated measurement operator of line
-    i, and all of them commute because distinct measured lines are never
-    reused.
+    Returns 2^k probabilities; bit k-1-i of a cell's index is the outcome
+    of lines[i], so lines[0] is the most significant bit (the layout of
+    `prover.record_table`).  Each line's measurement operator Z'_i is
+    back-propagated once; all of them commute because distinct measured
+    lines are never reused, so the product of (I + (-1)^m_i Z'_i)/2
+    projectors expands to 2^-k sum_S (-1)^(m.S) <prod_{i in S} Z'_i>.
+    Every subset product is one multiplication away from a smaller subset,
+    and the signed sums for all outcomes at once are an inverse
+    Walsh-Hadamard transform of the subset expectations.
     """
     require_valid(seq, partial=True)
     k = len(lines)
-    if k != len(outcomes):
-        raise ValueError("one outcome bit per line required")
-    if k == 0:
-        return 1.0
     if k > k_max:
         raise ValueError(f"{k} lines exceed k_max={k_max}")
     if len(set(lines)) != k:
@@ -253,19 +256,31 @@ def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
             raise ValueError(f"line {line} is not measured in the sequence")
 
     table = input_expectations(seq.inputs)
-    operators = [backpropagate(seq, line) for line in lines]
-    total = 0.0
-    for subset in itertools.product((0, 1), repeat=k):
-        parity = sum(m for m, used in zip(outcomes, subset) if used) % 2
-        product = PauliOperator.identity(seq.n_lines)
-        phase = complex(1.0)
-        for op, used in zip(operators, subset):
-            if used:
-                step, product = multiply(product, op)
-                phase *= step
+    # subset bit j selects the operator of lines[k-1-j]
+    operators = [backpropagate(seq, line) for line in reversed(lines)]
+    size = 1 << k
+    products = [PauliOperator.identity(seq.n_lines)] * size
+    values = np.empty(size)
+    values[0] = 1.0
+    for subset in range(1, size):
+        low = subset & -subset
+        phase, product = multiply(products[subset ^ low],
+                                  operators[low.bit_length() - 1])
         if abs(phase.imag) > 1e-12:
             raise AssertionError("projector expansion produced a non-"
                                  "Hermitian term")
-        term = phase.real * expectation(product, table)
-        total += -term if parity else term
-    return total / (1 << k)
+        product = PauliOperator(seq.n_lines, product.x, product.z,
+                                1 if phase.real > 0 else -1)
+        products[subset] = product
+        values[subset] = expectation(product, table)
+
+    # Walsh-Hadamard butterflies in place; the inverse only adds the 1/size
+    half = 1
+    while half < size:
+        pairs = values.reshape(-1, 2, half)
+        first = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = first - pairs[:, 1]
+        half <<= 1
+    values /= size
+    return values

@@ -257,10 +257,9 @@ def run_measurement_stage(device, circuit: AdaptiveCircuit,
     joint_lines = (ancilla,) + extras
     indices = (anc_index,) + extra_indices
 
-    theory = {
-        bits: joint_output_probability(prefix, joint_lines, bits)
-        for bits in itertools.product((0, 1), repeat=len(joint_lines))
-    }
+    table = joint_output_probability(prefix, joint_lines)
+    theory = dict(zip(itertools.product((0, 1), repeat=len(joint_lines)),
+                      table.tolist()))
     empirical = batch.marginal(indices)
 
     impossible = any(theory[bits] < PROB_TOL

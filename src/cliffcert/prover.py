@@ -279,8 +279,8 @@ class _Executor:
         return state
 
     def sample_measure(self, state, event: MeasurementEvent, is_final: bool,
-                       rng) -> tuple[int, object, float]:
-        """Sample one outcome; returns (outcome, collapsed state, Born p1)."""
+                       rng) -> tuple[int, object]:
+        """Sample one outcome; returns (outcome, collapsed state)."""
         p_one = sv.probability_of_one(state, event.line)
         p0, p1, overridden = _effective_probs(p_one, event, is_final,
                                               self.fault)
@@ -292,14 +292,14 @@ class _Executor:
                     f"fault model forced outcome {outcome} of probability "
                     f"zero on line {event.line}")
             if overridden:
-                return outcome, state, p_one  # lie about a terminal readout
+                return outcome, state  # lie about a terminal readout
             outcome = 1 - outcome  # numerical guard for honest sampling
-        return outcome, sv.collapse(state, event.line, outcome), p_one
+        return outcome, sv.collapse(state, event.line, outcome)
 
 
 def _run_single(instructions, inputs, fault: FaultModel, seed: int,
                 adaptive: bool, max_lines: int):
-    """One trajectory; returns (record bits, events, gadget Born p1 list)."""
+    """One trajectory; returns (record bits, events)."""
     rng = np.random.default_rng(seed)
     ex = _Executor(inputs, fault, max_lines)
     events = _plan_events(instructions, adaptive)
@@ -308,7 +308,6 @@ def _run_single(instructions, inputs, fault: FaultModel, seed: int,
     final_index = len(events) - 1
     state = ex.initial
     record: list[int] = []
-    gadget_probs: list[float] = []
     ev = 0
     for ins in instructions:
         if ins.op == "TGADGET":
@@ -316,24 +315,21 @@ def _run_single(instructions, inputs, fault: FaultModel, seed: int,
                 raise ValueError("TGADGET in a non-adaptive sequence")
             state = ex.apply_unitary(
                 state, Instruction("CX", (ins.targets[0], ins.ancilla)), rng)
-            outcome, state, p_one = ex.sample_measure(
+            outcome, state = ex.sample_measure(
                 state, events[ev], ev == final_index, rng)
-            gadget_probs.append(p_one)
             record.append(outcome)
             ev += 1
             if outcome:
                 state = ex.apply_unitary(state, Instruction("S", ins.targets),
                                          rng)
         elif ins.op == "MEASURE":
-            outcome, state, p_one = ex.sample_measure(
+            outcome, state = ex.sample_measure(
                 state, events[ev], ev == final_index, rng)
-            if events[ev].is_gadget:
-                gadget_probs.append(p_one)
             record.append(outcome)
             ev += 1
         else:
             state = ex.apply_unitary(state, ins, rng)
-    return tuple(record), tuple(events), tuple(gadget_probs)
+    return tuple(record), tuple(events)
 
 
 def record_table(circuit: Circuit, fault: FaultModel,
@@ -486,7 +482,7 @@ class SimulatedDevice:
         """One adaptive run: gadget corrections applied immediately after
         their ancilla measurements, everything recorded."""
         require_valid(circuit)
-        record, events, _ = _run_single(
+        record, events = _run_single(
             circuit.instructions, circuit.inputs, self.fault, seed,
             adaptive=True, max_lines=self.max_lines)
         gadget_bits = tuple(bit for bit, ev in zip(record, events)
@@ -502,7 +498,7 @@ class SimulatedDevice:
     def run_fixed(self, seq: FixedSequence, seed: int) -> FixedRunResult:
         """One non-adaptive run of a frozen sequence; corrections are applied
         positionally regardless of the fresh measurement outcomes."""
-        record, _, _ = _run_single(
+        record, _ = _run_single(
             seq.instructions, seq.inputs, self.fault, seed,
             adaptive=False, max_lines=self.max_lines)
         return FixedRunResult(outcomes=record[:-1], final_output=record[-1])

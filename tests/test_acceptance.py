@@ -292,9 +292,9 @@ def test_criterion_8_joint_outcome_normalisation():
         events, dist = outcome_distribution(
             seq.instructions, seq.inputs, IDEAL, adaptive=False)
         positions = {ev.line: j for j, ev in enumerate(events)}
+        table = joint_output_probability(seq, lines)
         total = 0.0
-        for bits in itertools.product((0, 1), repeat=k):
-            p = joint_output_probability(seq, lines, bits)
+        for p, bits in zip(table, itertools.product((0, 1), repeat=k)):
             oracle = sum(prob for record, prob in dist.items()
                          if all(record[positions[line]] == bit
                                 for line, bit in zip(lines, bits)))

@@ -13,7 +13,7 @@ from cliffcert.pauli import (PauliOperator, backpropagate, conjugate,
                              expectation, input_expectations,
                              joint_output_probability, multiply,
                              single_output_probability)
-from cliffcert.prover import IDEAL
+from cliffcert.prover import IDEAL, record_table
 
 from helpers import (gate_matrix, outcome_distribution, pauli_matrix,
                      random_fixed_sequence, random_pauli)
@@ -243,16 +243,20 @@ class TestProbabilities:
 
 
 class TestJointProbability:
+    two_measured = FixedSequence(
+        2, (InputState(ZERO), InputState(ZERO)),
+        (Instruction("MEASURE", (0,), label="a"),
+         Instruction("MEASURE", (1,), label="out")), 1, ())
+
     def test_single_line_reduces_to_single_output(self):
         rng = random.Random(41)
         for _ in range(30):
             seq = random_fixed_sequence(rng, rng.randint(1, 4),
                                         rng.randint(0, 15))
+            table = joint_output_probability(seq, (seq.output_line,))
             for outcome in (0, 1):
-                joint = joint_output_probability(seq, (seq.output_line,),
-                                                 (outcome,))
                 single = single_output_probability(seq, outcome)
-                assert abs(joint - single) < 1e-12
+                assert abs(table[outcome] - single) < 1e-12
 
     def test_bell_pair_correlations(self):
         seq = FixedSequence(
@@ -261,26 +265,34 @@ class TestJointProbability:
              Instruction("CX", (0, 1)),
              Instruction("MEASURE", (0,), label="a"),
              Instruction("MEASURE", (1,), label="out")), 1, ())
+        table = joint_output_probability(seq, (0, 1))
         for a, b in itertools.product((0, 1), repeat=2):
             want = 0.5 if a == b else 0.0
-            got = joint_output_probability(seq, (0, 1), (a, b))
-            assert abs(got - want) < 1e-12
+            assert abs(table[2 * a + b] - want) < 1e-12
+
+    def test_no_lines_gives_unit_table(self):
+        seq = FixedSequence(
+            1, (InputState(ZERO),),
+            (Instruction("H", (0,)),
+             Instruction("MEASURE", (0,), label="out")), 0, ())
+        assert joint_output_probability(seq, ()).tolist() == [1.0]
 
     def test_unmeasured_line_rejected(self):
         seq = FixedSequence(
             2, (InputState(ZERO), InputState(ZERO)),
             (Instruction("MEASURE", (1,), label="out"),), 1, ())
         with pytest.raises(ValueError):
-            joint_output_probability(seq, (0,), (0,))
+            joint_output_probability(seq, (0,))
+
+    def test_duplicate_line_rejected(self):
+        with pytest.raises(ValueError):
+            joint_output_probability(self.two_measured, (0, 0))
 
     def test_k_max_enforced(self):
-        rng = random.Random(43)
-        seq = random_fixed_sequence(rng, 3, 5, intermediate=2)
-        measured = [i.targets[0] for i in seq.instructions
-                    if i.op == "MEASURE"]
+        seq = self.two_measured
+        assert len(joint_output_probability(seq, (0, 1), k_max=2)) == 4
         with pytest.raises(ValueError):
-            joint_output_probability(seq, tuple(measured[:2]), (0, 0),
-                                     k_max=1)
+            joint_output_probability(seq, (0, 1), k_max=1)
 
     def test_normalization_and_tree_oracle(self):
         rng = random.Random(47)
@@ -294,15 +306,34 @@ class TestJointProbability:
             events, dist = outcome_distribution(
                 seq.instructions, seq.inputs, IDEAL, adaptive=False)
             positions = {ev.line: i for i, ev in enumerate(events)}
+            table = joint_output_probability(seq, lines)
             total = 0.0
-            for bits in itertools.product((0, 1), repeat=len(lines)):
-                p = joint_output_probability(seq, lines, bits)
+            for p, bits in zip(table,
+                               itertools.product((0, 1), repeat=len(lines))):
                 want = sum(prob for record, prob in dist.items()
                            if all(record[positions[line]] == bit
                                   for line, bit in zip(lines, bits)))
                 assert abs(p - want) < 1e-10
                 total += p
             assert abs(total - 1.0) < 1e-12
+
+    def test_table_matches_record_table(self):
+        # every measured line in slot order: the verifier's Pauli table and
+        # the device's statevector table share one layout and one answer
+        rng = random.Random(59)
+        checked = 0
+        while checked < 60:
+            seq = random_fixed_sequence(rng, rng.randint(2, 6),
+                                        rng.randint(5, 30), intermediate=3)
+            lines = tuple(i.targets[0] for i in seq.instructions
+                          if i.op == "MEASURE")
+            if len(lines) < 2:
+                continue
+            events, want = record_table(seq, IDEAL)
+            assert tuple(ev.line for ev in events) == lines
+            got = joint_output_probability(seq, lines)
+            assert np.max(np.abs(got - want)) <= 1e-10
+            checked += 1
 
 
 class TestPauliOperator:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from cliffcert.circuit import gadgetize, parse_circuit, resolve
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
-from cliffcert import protocol
+from cliffcert import pauli, protocol
 from cliffcert.protocol import (ACCEPT, GADGET_BIAS, IMPOSSIBLE_OUTCOME,
                                 OUTPUT_DEVIATION, REJECT, build_stage_prefix,
                                 compose_error, plan, report_summary,
@@ -169,6 +170,29 @@ class TestMeasurementTests:
         results = run_measurement_tests(dev, DET3, tr, p, 11)
         assert results[-1].impossible_observed
         assert len(results) < DET3.gadget_count
+
+    def test_stage_builds_its_theory_table_in_one_pass(self, monkeypatch):
+        # one joint-table call and one back-propagation per stage line; a
+        # per-cell theory table would make 2^(k+1) and (k+1) * 2^(k+1)
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        dev = SimulatedDevice(IDEAL)
+        tr = run_computational(dev, DET3, 11)
+        p = plan(DET3.gadget_count, 0.05, 0.05, 0.01)
+        count(pauli, "backpropagate")
+        count(protocol, "joint_output_probability")
+        result = protocol.run_measurement_stage(dev, DET3, tr, p, 1, 11)
+        assert len(result.extra_lines) == 2
+        assert calls["joint_output_probability"] == 1
+        assert calls["backpropagate"] == 1 + len(result.extra_lines)
 
 
 class TestComposeError:
