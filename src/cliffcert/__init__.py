@@ -14,10 +14,9 @@ from .circuit import (AdaptiveCircuit, CircuitParseError, FixedSequence,
 from .pauli import (PauliOperator, backpropagate, conjugate, expectation,
                     input_expectations, joint_output_probability, multiply,
                     single_output_probability)
-from .prover import (Depolarizing, FaultModel, FaultModelError,
-                     GadgetCoinBias, IDEAL, Ideal, Liar, MagicMiscalibration,
-                     SimulatedDevice, Transcript, parse_fault, run_adaptive,
-                     run_fixed)
+from .prover import (Depolarizing, FaultModel, GadgetCoinBias, IDEAL, Ideal,
+                     Liar, MagicMiscalibration, SimulatedDevice, Transcript,
+                     parse_fault, run_adaptive, run_fixed)
 from .protocol import (TestPlan, VerdictReport, compose_error, plan,
                        report_summary, report_to_json_dict,
                        run_computational, run_gate_tests,
@@ -32,7 +31,7 @@ __all__ = [
     "PauliOperator", "backpropagate", "conjugate", "expectation",
     "input_expectations", "joint_output_probability", "multiply",
     "single_output_probability",
-    "Depolarizing", "FaultModel", "FaultModelError", "GadgetCoinBias",
+    "Depolarizing", "FaultModel", "GadgetCoinBias",
     "IDEAL", "Ideal", "Liar", "MagicMiscalibration", "SimulatedDevice",
     "Transcript", "parse_fault", "run_adaptive", "run_fixed",
     "TestPlan", "VerdictReport", "compose_error", "plan", "report_summary",

@@ -16,8 +16,10 @@ Text format (UTF-8, line oriented, '#' starts a comment):
     MEASURE <line> <label>
 
 The final instruction of a runnable circuit must be `MEASURE <line> out`.
-Measurement labels of the form m1, m2, ... are reserved for gadget ancilla
-measurements emitted by :func:`resolve`.
+A line is dead once measured, and a gadget's ancilla is fresh: no
+instruction touches it before its TGADGET, so each gadget readout is a fair
+coin whatever the target holds.  Gadget identity lives in the structure (a
+TGADGET, or a fixed sequence's `gadget_slots`), never in a label.
 """
 
 from __future__ import annotations
@@ -38,16 +40,6 @@ TWO_LINE_OPS = frozenset({"CX", "CZ", "SWAP"})
 ALL_OPS = ONE_LINE_OPS | TWO_LINE_OPS | {"MEASURE", "TGADGET"}
 
 OUTPUT_LABEL = "out"
-_GADGET_LABEL_RE = re.compile(r"^m[0-9]+$")
-
-
-def gadget_label(index: int) -> str:
-    """Reserved measurement label for the index-th gadget (1-based)."""
-    return f"m{index}"
-
-
-def is_gadget_label(label: Optional[str]) -> bool:
-    return label is not None and _GADGET_LABEL_RE.match(label) is not None
 
 
 class CircuitParseError(ValueError):
@@ -177,6 +169,9 @@ class FixedSequence:
 
     Gadget corrections are frozen to `frozen_outcomes` (S for 1, ID for 0),
     one entry per gadget of the source circuit, in gadget order.
+    `gadget_slots` holds the instruction index of each gadget's ancilla
+    MEASURE, in increasing order; each must directly follow CX(target,
+    ancilla) on a MAGIC line that no earlier instruction touches.
     """
 
     n_lines: int
@@ -184,11 +179,33 @@ class FixedSequence:
     instructions: tuple[Instruction, ...]
     output_line: int
     frozen_outcomes: tuple[int, ...]
+    gadget_slots: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for ins in self.instructions:
+        first_touch: dict[int, int] = {}
+        for idx, ins in enumerate(self.instructions):
             if ins.op in ("T", "TGADGET"):
                 raise ValueError(f"fixed sequence may not contain {ins.op}")
+            for line in ins.lines:
+                first_touch.setdefault(line, idx)
+        previous = 0
+        for slot in self.gadget_slots:
+            if not previous < slot < len(self.instructions):
+                raise ValueError(f"gadget slot {slot} out of order or range")
+            ins, cx = self.instructions[slot], self.instructions[slot - 1]
+            if ins.op != "MEASURE" or cx.op != "CX" \
+                    or cx.targets[1] != ins.targets[0]:
+                raise ValueError(f"gadget slot {slot} is not a MEASURE of "
+                                 "the line its preceding CX targets")
+            anc = ins.targets[0]
+            if not (0 <= anc < self.n_lines
+                    and self.inputs[anc].kind == MAGIC):
+                raise ValueError(f"gadget slot {slot} measures line {anc}, "
+                                 "which is not a MAGIC line")
+            if first_touch[anc] != slot - 1:
+                raise ValueError(f"gadget ancilla {anc} used before its "
+                                 f"gadget at slot {slot}")
+            previous = slot
 
 
 Circuit = Union[AdaptiveCircuit, FixedSequence]
@@ -205,6 +222,7 @@ class Violation:
 
 MEASURED_LINE_REUSED = "MEASURED_LINE_REUSED"
 ANCILLA_NOT_MAGIC = "ANCILLA_NOT_MAGIC"
+ANCILLA_NOT_FRESH = "ANCILLA_NOT_FRESH"
 OUTPUT_NOT_FINAL_MEASUREMENT = "OUTPUT_NOT_FINAL_MEASUREMENT"
 LINE_OUT_OF_RANGE = "LINE_OUT_OF_RANGE"
 
@@ -214,18 +232,20 @@ def validate(circuit: Circuit) -> list[Violation]:
 
     Checks, in one pass: line indices in range, no line used after being
     measured (gadget ancillas count as measured), every gadget ancilla
-    prepared in MAGIC, and the designated output line measured exactly once
-    as the final instruction.
+    prepared in MAGIC and untouched before its gadget, and the designated
+    output line measured exactly once as the final instruction.
     """
     out: list[Violation] = []
     measured: set[int] = set()
+    touched: set[int] = set()
     for idx, ins in enumerate(circuit.instructions):
-        for line in ins.lines:
+        lines = ins.lines
+        for line in lines:
             if not (0 <= line < circuit.n_lines):
                 out.append(Violation(
                     LINE_OUT_OF_RANGE, idx,
                     f"line {line} outside 0..{circuit.n_lines - 1}"))
-        for line in ins.lines:
+        for line in lines:
             if line in measured:
                 out.append(Violation(
                     MEASURED_LINE_REUSED, idx,
@@ -239,7 +259,12 @@ def validate(circuit: Circuit) -> list[Violation]:
                     ANCILLA_NOT_MAGIC, idx,
                     f"gadget ancilla {anc} has input "
                     f"{circuit.inputs[anc].kind}, expected MAGIC"))
+            if anc in touched:
+                out.append(Violation(
+                    ANCILLA_NOT_FRESH, idx,
+                    f"gadget ancilla {anc} used before its gadget"))
             measured.add(anc)
+        touched.update(lines)
 
     last = circuit.instructions[-1] if circuit.instructions else None
     if (last is None or last.op != "MEASURE"
@@ -306,12 +331,13 @@ def gadgetize(circuit: AdaptiveCircuit) -> AdaptiveCircuit:
 
 def expand_gadget(ins: Instruction, index: int,
                   outcome: Optional[int]) -> tuple[Instruction, ...]:
-    """Expand one TGADGET into CX, labelled ancilla MEASURE, and, when an
-    outcome is given, the frozen S/ID correction on the target."""
+    """Expand the index-th TGADGET (1-based) into CX, ancilla MEASURE
+    labelled m<index>, and, when an outcome is given, the frozen S/ID
+    correction on the target."""
     target, ancilla = ins.targets[0], ins.ancilla
     parts = [
         Instruction("CX", (target, ancilla)),
-        Instruction("MEASURE", (ancilla,), label=gadget_label(index)),
+        Instruction("MEASURE", (ancilla,), label=f"m{index}"),
     ]
     if outcome is not None:
         parts.append(Instruction("S" if outcome else "ID", (target,)))
@@ -324,7 +350,8 @@ def resolve(circuit: AdaptiveCircuit,
 
     The i-th gadget becomes CX(target, ancilla), MEASURE(ancilla, m<i>),
     then S on the target if outcomes[i] else an explicit ID marker, keeping
-    instruction positions identical for every outcome vector.
+    instruction positions identical for every outcome vector.  The MEASURE
+    positions become the sequence's `gadget_slots`.
     """
     outcomes = tuple(int(b) for b in outcomes)
     if any(b not in (0, 1) for b in outcomes):
@@ -335,11 +362,12 @@ def resolve(circuit: AdaptiveCircuit,
     if circuit.t_count:
         raise ValueError("gadgetize the circuit before resolving")
     new_instructions: list[Instruction] = []
-    g = 0
+    slots: list[int] = []
     for ins in circuit.instructions:
         if ins.op == "TGADGET":
-            new_instructions.extend(expand_gadget(ins, g + 1, outcomes[g]))
-            g += 1
+            slots.append(len(new_instructions) + 1)
+            new_instructions.extend(
+                expand_gadget(ins, len(slots), outcomes[len(slots) - 1]))
         else:
             new_instructions.append(ins)
     return FixedSequence(
@@ -348,6 +376,7 @@ def resolve(circuit: AdaptiveCircuit,
         instructions=tuple(new_instructions),
         output_line=circuit.output_line,
         frozen_outcomes=outcomes,
+        gadget_slots=tuple(slots),
     )
 
 
@@ -417,15 +446,16 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
     """Parse circuit text into an AdaptiveCircuit.
 
     Raises CircuitParseError (with 1-based line/column) on syntax errors,
-    references to undeclared lines, arity mismatches, non-MAGIC gadget
-    ancillas, and use of a line after its measurement.  Placement of the
-    final output measurement is left to :func:`validate` so that partial
-    circuits (e.g. headers only) still round-trip through serialize.
+    references to undeclared lines and arity mismatches, and, at the
+    offending instruction, on the first per-instruction violation found by
+    :func:`validate`.  Placement of the final output measurement is left to
+    :func:`validate` so that partial circuits (e.g. headers only) still
+    round-trip through serialize.
     """
     n_lines: Optional[int] = None
     inputs: list[InputState] = []
     instructions: list[Instruction] = []
-    measured: set[int] = set()
+    positions: list[tuple[int, int]] = []
     declared_inputs: set[int] = set()
 
     def check_line(idx: int, col: int, lp: _LineParser) -> None:
@@ -485,10 +515,8 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
         if word in ONE_LINE_OPS:
             idx, col = lp.take_int("target line")
             check_line(idx, col, lp)
-            if idx in measured:
-                raise lp.error(f"line {idx} already measured", col)
             lp.finish()
-            instructions.append(Instruction(word, (idx,)))
+            ins = Instruction(word, (idx,))
         elif word in TWO_LINE_OPS:
             a, acol = lp.take_int("first line")
             check_line(a, acol, lp)
@@ -496,11 +524,8 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
             check_line(b, bcol, lp)
             if a == b:
                 raise lp.error(f"{word} lines must be distinct", bcol)
-            for idx, col in ((a, acol), (b, bcol)):
-                if idx in measured:
-                    raise lp.error(f"line {idx} already measured", col)
             lp.finish()
-            instructions.append(Instruction(word, (a, b)))
+            ins = Instruction(word, (a, b))
         elif word == "TGADGET":
             target, tcol = lp.take_int("target line")
             check_line(target, tcol, lp)
@@ -508,26 +533,16 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
             check_line(ancilla, acol, lp)
             if target == ancilla:
                 raise lp.error("gadget target and ancilla must differ", acol)
-            for idx, col in ((target, tcol), (ancilla, acol)):
-                if idx in measured:
-                    raise lp.error(f"line {idx} already measured", col)
-            if inputs[ancilla].kind != MAGIC:
-                raise lp.error(
-                    f"gadget ancilla {ancilla} has input "
-                    f"{inputs[ancilla].kind}, expected MAGIC", acol)
             lp.finish()
-            instructions.append(Instruction("TGADGET", (target,),
-                                            ancilla=ancilla))
-            measured.add(ancilla)
+            ins = Instruction("TGADGET", (target,), ancilla=ancilla)
         else:  # MEASURE
             idx, col = lp.take_int("target line")
             check_line(idx, col, lp)
-            if idx in measured:
-                raise lp.error(f"line {idx} already measured", col)
             label, _ = lp.take("outcome label")
             lp.finish()
-            instructions.append(Instruction("MEASURE", (idx,), label=label))
-            measured.add(idx)
+            ins = Instruction("MEASURE", (idx,), label=label)
+        instructions.append(ins)
+        positions.append((line_no, col0))
 
     if n_lines is None:
         raise CircuitParseError("empty circuit text", 1, 1)
@@ -537,12 +552,17 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
         output_line = last.targets[0]
     else:
         output_line = n_lines - 1
-    return AdaptiveCircuit(
+    circuit = AdaptiveCircuit(
         n_lines=n_lines,
         inputs=tuple(inputs),
         instructions=tuple(instructions),
         output_line=output_line,
     )
+    for violation in validate(circuit):
+        if violation.index is not None:
+            raise CircuitParseError(violation.message,
+                                    *positions[violation.index])
+    return circuit
 
 
 def structurally_equal(a: Circuit, b: Circuit) -> bool:

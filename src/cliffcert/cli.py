@@ -114,22 +114,25 @@ def parse_config(path: Path) -> CampaignConfig:
 
 
 def _load_circuit(path: Path):
+    """Read, parse and validate a circuit file; any problem is a
+    UsageError."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read circuit {path}: {exc}") from None
     try:
-        return parse_circuit(text)
+        circuit = parse_circuit(text)
     except CircuitParseError as exc:
         raise UsageError(f"{path}: {exc}") from None
+    violations = validate(circuit)
+    if violations:
+        raise UsageError(f"{path}: " +
+                         "; ".join(v.message for v in violations))
+    return circuit
 
 
 def cmd_gadgetize(in_path: str, out_path: str) -> int:
     circuit = _load_circuit(Path(in_path))
-    violations = validate(circuit)
-    if violations:
-        raise UsageError(f"{in_path}: " +
-                         "; ".join(v.message for v in violations))
     compiled = gadgetize(circuit)
     Path(out_path).write_text(serialize(compiled), encoding="utf-8")
     print(f"t={compiled.gadget_count} lines={compiled.n_lines} -> {out_path}")
@@ -138,10 +141,6 @@ def cmd_gadgetize(in_path: str, out_path: str) -> int:
 
 def cmd_probability(circuit_path: str, outcomes: str) -> int:
     circuit = _load_circuit(Path(circuit_path))
-    violations = validate(circuit)
-    if violations:
-        raise UsageError(f"{circuit_path}: " +
-                         "; ".join(v.message for v in violations))
     if circuit.t_count:
         circuit = gadgetize(circuit)
     if any(ch not in "01" for ch in outcomes):
@@ -159,10 +158,6 @@ def cmd_probability(circuit_path: str, outcomes: str) -> int:
 def cmd_verify(config_path: str) -> int:
     config = parse_config(Path(config_path))
     circuit = _load_circuit(config.circuit_path)
-    violations = validate(circuit)
-    if violations:
-        raise UsageError(f"{config.circuit_path}: " +
-                         "; ".join(v.message for v in violations))
     if circuit.t_count:
         circuit = gadgetize(circuit)
     device = SimulatedDevice(config.fault)

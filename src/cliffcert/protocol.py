@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .circuit import (AdaptiveCircuit, FixedSequence, Instruction,
-                      expand_gadget, gadget_label, require_valid)
+                      expand_gadget, require_valid)
 from .pauli import joint_output_probability, single_output_probability
-from .prover import (FaultModelError, PROB_TOL, Transcript, derive_seed)
+from .prover import PROB_TOL, Transcript, derive_seed
 
 OUTPUT_DEVIATION = "OUTPUT_DEVIATION"
 GADGET_BIAS = "GADGET_BIAS"
@@ -206,17 +206,20 @@ def build_stage_prefix(circuit: AdaptiveCircuit, outcomes, stage: int,
 
     Gadgets before the stage are frozen to the recorded outcomes; the stage
     gadget ends with its ancilla measurement, followed by terminal probe
-    measurements on the lowest-index still-unmeasured lines.
+    measurements on the lowest-index still-unmeasured lines.  Every
+    gadget's ancilla MEASURE is a gadget slot of the prefix, the stage's
+    last.
     """
     if not (1 <= stage <= circuit.gadget_count):
         raise ValueError(f"stage {stage} outside 1..{circuit.gadget_count}")
     instructions: list[Instruction] = []
+    slots: list[int] = []
     measured: set[int] = set()
     ancilla = -1
-    g = 0
     for ins in circuit.instructions:
         if ins.op == "TGADGET":
-            g += 1
+            slots.append(len(instructions) + 1)
+            g = len(slots)
             measured.add(ins.ancilla)
             if g < stage:
                 instructions.extend(expand_gadget(ins, g, outcomes[g - 1]))
@@ -238,6 +241,7 @@ def build_stage_prefix(circuit: AdaptiveCircuit, outcomes, stage: int,
         instructions=tuple(instructions),
         output_line=extras[-1] if extras else ancilla,
         frozen_outcomes=tuple(outcomes[:stage - 1]),
+        gadget_slots=tuple(slots),
     )
     return prefix, ancilla, extras
 
@@ -251,11 +255,10 @@ def run_measurement_stage(device, circuit: AdaptiveCircuit,
         circuit, transcript.gadget_outcomes, stage,
         test_plan.extra_check_lines)
     batch = device.run_fixed_batch(prefix, test_plan.r_meas, seed)
-    anc_index = batch.index_of_label(gadget_label(stage), line=ancilla)
-    extra_indices = tuple(batch.index_of_label(f"chk{j}", line=extras[j])
-                          for j in range(len(extras)))
+    # the prefix ends with the stage's ancilla readout, then the probes
     joint_lines = (ancilla,) + extras
-    indices = (anc_index,) + extra_indices
+    indices = tuple(range(len(batch.events) - len(joint_lines),
+                          len(batch.events)))
 
     table = joint_output_probability(prefix, joint_lines)
     theory = dict(zip(itertools.product((0, 1), repeat=len(joint_lines)),
@@ -357,11 +360,9 @@ def _collect_failures(test_plan: TestPlan, gate: Optional[GateTestResult],
 
 
 def verdict(transcript: Transcript, test_plan: TestPlan, p_classical: float,
-            gate: Optional[GateTestResult], stages,
-            extra_failures=()) -> VerdictReport:
+            gate: Optional[GateTestResult], stages) -> VerdictReport:
     """Combine all test results into the final report."""
-    failures = list(extra_failures) + _collect_failures(test_plan, gate,
-                                                        stages)
+    failures = _collect_failures(test_plan, gate, stages)
     complete = gate is not None and len(stages) == test_plan.t
     if not failures and not complete:
         failures.append(FailedCheck(
@@ -477,8 +478,7 @@ def verify_campaign(device, circuit: AdaptiveCircuit, epsilon: float,
     """Run one full verification campaign against `device`.
 
     All randomness derives from `seed`; identical inputs give an identical
-    report.  A fault model that forces a physically impossible measurement
-    aborts the affected batch and is reported as INCOMPLETE.
+    report.
     """
     require_valid(circuit)
     if circuit.t_count:
@@ -488,18 +488,9 @@ def verify_campaign(device, circuit: AdaptiveCircuit, epsilon: float,
     transcript = run_computational(device, circuit, derive_seed(seed, 0))
     p_classical = single_output_probability(transcript.resolved, 0)
 
-    extra_failures: list[FailedCheck] = []
-    gate: Optional[GateTestResult] = None
+    gate = run_gate_tests(device, transcript, test_plan, derive_seed(seed, 1))
     stages: list[MeasurementStageResult] = []
-    try:
-        gate = run_gate_tests(device, transcript, test_plan,
-                              derive_seed(seed, 1))
-        if not gate.impossible_observed:
-            stages = run_measurement_tests(device, circuit, transcript,
-                                           test_plan, seed)
-    except FaultModelError as exc:
-        extra_failures.append(FailedCheck(
-            INCOMPLETE, None, None, None, None,
-            f"device failure mid-batch: {exc}"))
-    return verdict(transcript, test_plan, p_classical, gate, stages,
-                   extra_failures)
+    if not gate.impossible_observed:
+        stages = run_measurement_tests(device, circuit, transcript, test_plan,
+                                       seed)
+    return verdict(transcript, test_plan, p_classical, gate, stages)

@@ -26,15 +26,14 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from . import statevector as sv
 from .circuit import (MEASURED_LINE_REUSED, AdaptiveCircuit, Circuit,
-                      FixedSequence, Instruction, gadget_label,
-                      is_gadget_label, resolve, require_valid, serialize,
-                      validate)
+                      FixedSequence, Instruction, resolve, require_valid,
+                      serialize, validate)
 from .pauli import PauliOperator, conjugate
 
 PROB_TOL = 1e-12
@@ -47,10 +46,6 @@ _PAULIS_2Q = tuple((a, b)
 
 # controlled-S on (control, target): the deferred form of a gadget correction
 _CS = np.diag([1, 1, 1, 1j]).astype(complex)
-
-
-class FaultModelError(RuntimeError):
-    """A fault model forced a physically impossible event."""
 
 
 @dataclass(frozen=True)
@@ -181,7 +176,6 @@ class MeasurementEvent:
     """One measurement slot of a sequence, in execution order."""
 
     line: int
-    label: Optional[str]
     is_gadget: bool
 
 
@@ -201,14 +195,6 @@ class BatchResult:
     counts: dict[tuple[int, ...], int]
     repetitions: int
 
-    def index_of_label(self, label: str, line: Optional[int] = None) -> int:
-        """Index of the measurement slot with this label; pass `line` to
-        disambiguate should a user label collide with a reserved one."""
-        for i, ev in enumerate(self.events):
-            if ev.label == label and (line is None or ev.line == line):
-                return i
-        raise KeyError(f"no measurement labelled {label!r}")
-
     def marginal(self, indices: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         out: dict[tuple[int, ...], int] = {}
         for record, count in self.counts.items():
@@ -221,23 +207,20 @@ class BatchResult:
         return ones / self.repetitions
 
 
-def _plan_events(instructions, adaptive: bool) -> list[MeasurementEvent]:
-    """Measurement slots of an instruction list, expanding gadgets.
+def _plan_events(circuit: Circuit) -> list[MeasurementEvent]:
+    """Measurement slots of a circuit in execution order.
 
-    In adaptive circuits gadget measurements are exactly the TGADGET
-    ancilla readouts.  In resolved sequences gadgets are already expanded,
-    so the reserved m<i> labels emitted by resolve() identify them.
+    The gadget readouts are the TGADGET ancilla readouts of an adaptive
+    circuit and the `gadget_slots` of a fixed sequence.
     """
+    slots = () if isinstance(circuit, AdaptiveCircuit) \
+        else circuit.gadget_slots
     events = []
-    gadgets = 0
-    for ins in instructions:
+    for idx, ins in enumerate(circuit.instructions):
         if ins.op == "TGADGET":
-            gadgets += 1
-            events.append(MeasurementEvent(ins.ancilla,
-                                           gadget_label(gadgets), True))
+            events.append(MeasurementEvent(ins.ancilla, True))
         elif ins.op == "MEASURE":
-            gadget = not adaptive and is_gadget_label(ins.label)
-            events.append(MeasurementEvent(ins.targets[0], ins.label, gadget))
+            events.append(MeasurementEvent(ins.targets[0], idx in slots))
     return events
 
 
@@ -287,32 +270,28 @@ class _Executor:
         outcome = 1 if rng.random() < p1 else 0
         true_p = p_one if outcome else 1.0 - p_one
         if true_p < PROB_TOL:
-            if overridden and not is_final:
-                raise FaultModelError(
-                    f"fault model forced outcome {outcome} of probability "
-                    f"zero on line {event.line}")
+            # a gadget readout is a fair coin, so only a terminal readout
+            # can be forced onto an impossible bit: a lie, state unused
             if overridden:
-                return outcome, state  # lie about a terminal readout
+                return outcome, state
             outcome = 1 - outcome  # numerical guard for honest sampling
         return outcome, sv.collapse(state, event.line, outcome)
 
 
-def _run_single(instructions, inputs, fault: FaultModel, seed: int,
-                adaptive: bool, max_lines: int):
+def _run_single(circuit: Circuit, fault: FaultModel, seed: int,
+                max_lines: int):
     """One trajectory; returns (record bits, events)."""
     rng = np.random.default_rng(seed)
-    ex = _Executor(inputs, fault, max_lines)
-    events = _plan_events(instructions, adaptive)
+    ex = _Executor(circuit.inputs, fault, max_lines)
+    events = _plan_events(circuit)
     if not events:
         raise ValueError("sequence has no measurements")
     final_index = len(events) - 1
     state = ex.initial
     record: list[int] = []
     ev = 0
-    for ins in instructions:
+    for ins in circuit.instructions:
         if ins.op == "TGADGET":
-            if not adaptive:
-                raise ValueError("TGADGET in a non-adaptive sequence")
             state = ex.apply_unitary(
                 state, Instruction("CX", (ins.targets[0], ins.ancilla)), rng)
             outcome, state = ex.sample_measure(
@@ -351,7 +330,7 @@ def record_table(circuit: Circuit, fault: FaultModel,
     if adaptive and isinstance(fault, Depolarizing):
         raise ValueError("depolarizing noise has no record table for "
                          "adaptive circuits (controlled-S is not Clifford)")
-    events = tuple(_plan_events(circuit.instructions, adaptive))
+    events = tuple(_plan_events(circuit))
     if not events:
         raise ValueError("sequence has no measurements")
     table = _honest_table(circuit, events, fault, max_lines)
@@ -360,11 +339,10 @@ def record_table(circuit: Circuit, fault: FaultModel,
         coin = np.array([0.5 - fault.bias, 0.5 + fault.bias])
         for slot, event in enumerate(events):
             if event.is_gadget:
-                table = _force_slot(table, slot, final, coin, event.line)
+                table = _force_slot(table, slot, final, coin)
     elif isinstance(fault, Liar):
         table = _force_slot(table, final, final,
-                            np.array([fault.q, 1.0 - fault.q]),
-                            events[final].line)
+                            np.array([fault.q, 1.0 - fault.q]))
     elif isinstance(fault, Depolarizing) and fault.p_err:
         table = _depolarize(table, circuit, events, fault.p_err)
     return events, table
@@ -396,23 +374,19 @@ def _honest_table(circuit: Circuit, events, fault: FaultModel,
     return table
 
 
-def _force_slot(table: np.ndarray, slot: int, final: int, coin: np.ndarray,
-                line: int) -> np.ndarray:
+def _force_slot(table: np.ndarray, slot: int, final: int,
+                coin: np.ndarray) -> np.ndarray:
     """Replace slot `slot`'s conditional distribution by `coin`, keeping the
-    distribution of earlier bits and of later bits given this one."""
+    distribution of earlier bits and of later bits given this one.  Only a
+    terminal readout can be forced onto an impossible bit; a gadget readout
+    is a fair coin given any earlier record."""
     view = table.reshape(1 << slot, 2, -1)
     joint = view.sum(axis=2)
     prefix = joint.sum(axis=1, keepdims=True)
-    if slot == final:  # a terminal readout may report an impossible bit
+    if slot == final:
         return (prefix * coin).reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = joint / prefix
-        scale = np.where(joint > 0, coin / cond, 0.0)
-    forced = (prefix > 0) & (coin > 0) & ~(cond >= PROB_TOL)
-    if forced.any():
-        outcome = int(np.argwhere(forced)[0][1])
-        raise FaultModelError(f"fault model forces outcome {outcome} of "
-                              f"probability zero on line {line}")
+        scale = np.where(joint > 0, coin / (joint / prefix), 0.0)
     return (view * scale[:, :, None]).reshape(-1)
 
 
@@ -482,9 +456,8 @@ class SimulatedDevice:
         """One adaptive run: gadget corrections applied immediately after
         their ancilla measurements, everything recorded."""
         require_valid(circuit)
-        record, events = _run_single(
-            circuit.instructions, circuit.inputs, self.fault, seed,
-            adaptive=True, max_lines=self.max_lines)
+        record, events = _run_single(circuit, self.fault, seed,
+                                     self.max_lines)
         gadget_bits = tuple(bit for bit, ev in zip(record, events)
                             if ev.is_gadget)
         return Transcript(
@@ -498,9 +471,7 @@ class SimulatedDevice:
     def run_fixed(self, seq: FixedSequence, seed: int) -> FixedRunResult:
         """One non-adaptive run of a frozen sequence; corrections are applied
         positionally regardless of the fresh measurement outcomes."""
-        record, _ = _run_single(
-            seq.instructions, seq.inputs, self.fault, seed,
-            adaptive=False, max_lines=self.max_lines)
+        record, _ = _run_single(seq, self.fault, seed, self.max_lines)
         return FixedRunResult(outcomes=record[:-1], final_output=record[-1])
 
     def run_fixed_batch(self, seq: FixedSequence, repetitions: int,

@@ -14,9 +14,8 @@ from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                require_valid)
 from cliffcert.pauli import PauliOperator
 from cliffcert.prover import (IDEAL, PROB_TOL, Depolarizing, FaultModel,
-                              FaultModelError, MagicMiscalibration,
-                              _effective_probs, _plan_events, derive_seed,
-                              fault_to_text)
+                              MagicMiscalibration, _effective_probs,
+                              _plan_events, derive_seed, fault_to_text)
 from cliffcert.statevector import GATES_1Q, GATES_2Q
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -145,8 +144,8 @@ def gate_matrix(ins: Instruction, n: int) -> np.ndarray:
     return out
 
 
-def outcome_distribution(instructions, inputs, fault: FaultModel,
-                         adaptive: bool, collect_gadget_probs: bool = False):
+def outcome_distribution(circuit, fault: FaultModel,
+                         collect_gadget_probs: bool = False):
     """Exact joint record distribution with measurements made in place.
 
     Branches a full statevector at every measurement (2^m passes), applying
@@ -154,17 +153,20 @@ def outcome_distribution(instructions, inputs, fault: FaultModel,
     deferral with the device's record table and serves as its oracle.
     Returns (events, {record: probability}) and, when requested, the Born
     P(1) of every gadget measurement in every branch as a third element.
-    Depolarizing noise has no fixed per-run tree and is rejected.
+    Depolarizing noise has no fixed per-run tree and is rejected.  A fault
+    that forces a non-terminal readout onto a bit of probability zero fails
+    with AssertionError: a gadget readout is a fair coin, so no fault model
+    can do that.
     """
     if isinstance(fault, Depolarizing):
         raise ValueError(f"{fault_to_text(fault)} has no fixed per-run "
                          "distribution")
     shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
         else 0.0
-    events = _plan_events(instructions, adaptive)
+    events = _plan_events(circuit)
     final_index = len(events) - 1
     branches: list[tuple[object, float, tuple[int, ...]]] = \
-        [(sv.init_state(inputs, magic_phase_shift=shift), 1.0, ())]
+        [(sv.init_state(circuit.inputs, magic_phase_shift=shift), 1.0, ())]
     gadget_probs: list[float] = []
     ev = 0
 
@@ -186,7 +188,7 @@ def outcome_distribution(instructions, inputs, fault: FaultModel,
                     if not overridden:
                         continue
                     if not is_final:
-                        raise FaultModelError(
+                        raise AssertionError(
                             f"fault model forces outcome {outcome} of "
                             f"probability zero on line {event.line}")
                     child_state = state  # terminal lie, state unused
@@ -200,7 +202,7 @@ def outcome_distribution(instructions, inputs, fault: FaultModel,
         branches = children
         ev += 1
 
-    for ins in instructions:
+    for ins in circuit.instructions:
         if ins.op == "TGADGET":
             cx = Instruction("CX", (ins.targets[0], ins.ancilla))
             branches = [(sv.apply_gate(state, cx), prob, record)
@@ -235,9 +237,8 @@ def gadget_born_probabilities(circuit: AdaptiveCircuit,
     """Born P(1) of every gadget measurement in every branch of the adaptive
     execution tree (computed, not sampled)."""
     require_valid(circuit)
-    _, _, probs = outcome_distribution(
-        circuit.instructions, circuit.inputs, fault, adaptive=True,
-        collect_gadget_probs=True)
+    _, _, probs = outcome_distribution(circuit, fault,
+                                       collect_gadget_probs=True)
     return probs
 
 
@@ -245,8 +246,7 @@ def final_output_probability_inplace(seq: FixedSequence,
                                      fault: FaultModel = IDEAL) -> float:
     """P(final output = 0) with every intermediate measurement simulated in
     place, from the branch-tree oracle."""
-    _, dist = outcome_distribution(seq.instructions, seq.inputs, fault,
-                                   adaptive=False)
+    _, dist = outcome_distribution(seq, fault)
     return sum(p for record, p in dist.items() if record[-1] == 0)
 
 

@@ -5,20 +5,19 @@ import itertools
 import random
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cliffcert.circuit import (InputState, Instruction, MAGIC, gadget_label,
-                               gadgetize, parse_circuit, resolve)
+from cliffcert.circuit import (InputState, Instruction, MAGIC, gadgetize,
+                               parse_circuit, resolve)
 from cliffcert.pauli import joint_output_probability, single_output_probability
 from cliffcert import prover
-from cliffcert.prover import (Depolarizing, FaultModelError, GadgetCoinBias,
-                              IDEAL, Liar, MagicMiscalibration,
-                              SimulatedDevice)
+from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
+                              MagicMiscalibration, SimulatedDevice)
 from cliffcert.protocol import (GADGET_BIAS, IMPOSSIBLE_OUTCOME,
-                                OUTPUT_DEVIATION, plan, verify_campaign)
+                                OUTPUT_DEVIATION, build_stage_prefix, plan,
+                                verify_campaign)
 from cliffcert import statevector as sv
 
 from helpers import (CIRCUITS, distribution_table,
@@ -98,9 +97,11 @@ def test_criterion_3_gadget_outcome_probability():
 
     reps = 100_000
     batch = SimulatedDevice(IDEAL).run_adaptive_batch(DET3, reps, 4242)
+    gadget_slots = [i for i, ev in enumerate(batch.events) if ev.is_gadget]
+    assert len(gadget_slots) == 3
     worst_emp = 0.0
-    for stage in (1, 2, 3):
-        freq = batch.frequency_of_one(batch.index_of_label(f"m{stage}"))
+    for slot in gadget_slots:
+        freq = batch.frequency_of_one(slot)
         worst_emp = max(worst_emp, abs(freq - 0.5))
     assert worst_emp <= 0.005
     report(3, "gadget outcome probability",
@@ -205,32 +206,13 @@ def test_criterion_6_soundness_liar():
     report(6, "soundness: lying device", f"{rejected}/100 campaigns rejected")
 
 
-def _gadget_labelled(seq):
-    """The sequence with its intermediate measurements given reserved
-    gadget labels, so a coin-biased device treats them as gadget readouts."""
-    last = len(seq.instructions) - 1
-    instructions = tuple(
-        replace(ins, label=gadget_label(i + 1))
-        if ins.op == "MEASURE" and i != last else ins
-        for i, ins in enumerate(seq.instructions))
-    return replace(seq, instructions=instructions)
-
-
-def _table_vs_oracle(circuit, fault, adaptive):
-    """(max |table - oracle|, raised) for one circuit; raised is True when
-    both engines raised FaultModelError and fails the test when only one
-    did."""
-    try:
-        events, dist = outcome_distribution(
-            circuit.instructions, circuit.inputs, fault, adaptive=adaptive)
-    except FaultModelError:
-        with pytest.raises(FaultModelError):
-            prover.record_table(circuit, fault)
-        return 0.0, True
+def _table_vs_oracle(circuit, fault):
+    """(max |table - oracle|, |sum of table - 1|) for one circuit."""
+    events, dist = outcome_distribution(circuit, fault)
     table_events, table = prover.record_table(circuit, fault)
     assert table_events == events
-    return float(np.max(np.abs(table - distribution_table(
-        dist, len(events))))), False
+    return (float(np.max(np.abs(table - distribution_table(
+        dist, len(events))))), abs(float(table.sum()) - 1.0))
 
 
 def test_criterion_7_deferred_measurements():
@@ -249,32 +231,39 @@ def test_criterion_7_deferred_measurements():
               GadgetCoinBias(0.2), GadgetCoinBias(-0.5))
     # PROBE's output depends on every gadget correction, so it fails at
     # once if the controlled-S deferral is wrong
-    subjects = [(PROBE, True), (DET3, True)]
+    subjects = [PROBE, DET3]
     for i in range(60):
         n = rng.randint(2, 6)
         seq = random_fixed_sequence(rng, n, rng.randint(5, 30),
                                     intermediate=3)
-        if i % 2:
-            seq = _gadget_labelled(seq)
         circuit = gadgetize(random_t_circuit(rng, rng.randint(1, 4),
                                              rng.randint(1, 12),
                                              rng.randint(1, 3)))
-        subjects += [(seq, False), (circuit, True)]
+        # fixed sequences whose gadget slots a biased coin acts on
+        outcomes = tuple(rng.randint(0, 1)
+                         for _ in range(circuit.gadget_count))
+        if i % 2:
+            gadgeted, _, _ = build_stage_prefix(
+                circuit, outcomes, rng.randint(1, circuit.gadget_count), 2)
+        else:
+            gadgeted = resolve(circuit, outcomes)
+        assert gadgeted.gadget_slots
+        subjects += [seq, circuit, gadgeted]
     worst_joint = 0.0
-    raised = 0
+    worst_sum = 0.0
     cases = 0
-    for subject, adaptive in subjects:
+    for subject in subjects:
         for fault in faults:
-            dev, both_raised = _table_vs_oracle(subject, fault, adaptive)
+            dev, off_one = _table_vs_oracle(subject, fault)
             worst_joint = max(worst_joint, dev)
-            raised += both_raised
+            worst_sum = max(worst_sum, off_one)
             cases += 1
     assert worst_joint <= 1e-10
-    assert raised > 0  # the coin-bias impossible-outcome path was reached
+    assert worst_sum <= 1e-12  # no fault model dropped or forced mass
     report(7, "deferred-measurement equivalence",
            f"output bit {worst:.2e} over 100 sequences; joint record "
-           f"{worst_joint:.2e} over {cases} device tables, {raised} "
-           "raising FaultModelError in both engines")
+           f"{worst_joint:.2e} over {cases} device tables, each summing to "
+           f"1 within {worst_sum:.2e}")
 
 
 def test_criterion_8_joint_outcome_normalisation():
@@ -289,8 +278,7 @@ def test_criterion_8_joint_outcome_normalisation():
                     if i.op == "MEASURE"]
         k = min(4, len(measured))
         lines = tuple(measured[:k])
-        events, dist = outcome_distribution(
-            seq.instructions, seq.inputs, IDEAL, adaptive=False)
+        events, dist = outcome_distribution(seq, IDEAL)
         positions = {ev.line: j for j, ev in enumerate(events)}
         table = joint_output_probability(seq, lines)
         total = 0.0

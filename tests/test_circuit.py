@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcert.circuit import (AdaptiveCircuit, CircuitParseError, GENERAL,
+from cliffcert.circuit import (ANCILLA_NOT_FRESH, AdaptiveCircuit,
+                               CircuitParseError, FixedSequence, GENERAL,
                                InputState, Instruction, MAGIC,
                                MEASURED_LINE_REUSED,
                                OUTPUT_NOT_FINAL_MEASUREMENT, ZERO, gadgetize,
@@ -63,7 +64,19 @@ class TestParser:
     def test_measured_line_reuse_rejected(self):
         with pytest.raises(CircuitParseError) as err:
             simple("qubits 2\nMEASURE 0 a\nH 0\nMEASURE 1 out\n")
-        assert "already measured" in err.value.reason
+        assert "used after its measurement" in err.value.reason
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("text, line", [
+        ("qubits 3\ninput 1 MAGIC\nCX 1 2\nMEASURE 2 a\nTGADGET 0 1\n"
+         "MEASURE 0 out\n", 5),
+        ("qubits 3\ninput 1 MAGIC\nH 1\nTGADGET 0 1\nMEASURE 0 out\n", 4),
+    ], ids=["measured", "gate"])
+    def test_used_gadget_ancilla_rejected(self, text, line):
+        with pytest.raises(CircuitParseError) as err:
+            simple(text)
+        assert err.value.line == line
+        assert "used before its gadget" in err.value.reason
 
     def test_error_positions_are_one_based(self):
         with pytest.raises(CircuitParseError) as err:
@@ -133,6 +146,16 @@ class TestValidate:
         codes = [v.code for v in validate(c)]
         assert MEASURED_LINE_REUSED in codes
 
+    def test_gadget_ancilla_touched_before_its_gadget(self):
+        c = AdaptiveCircuit(
+            3, (InputState(ZERO), InputState(MAGIC), InputState(ZERO)),
+            (Instruction("CX", (1, 2)),
+             Instruction("MEASURE", (2,), label="a"),
+             Instruction("TGADGET", (0,), ancilla=1),
+             Instruction("MEASURE", (0,), label="out")), 0)
+        assert [(v.code, v.index) for v in validate(c)] == \
+            [(ANCILLA_NOT_FRESH, 2)]
+
     def test_missing_output_measurement(self):
         c = AdaptiveCircuit(1, (InputState(ZERO),),
                             (Instruction("H", (0,)),), 0)
@@ -152,6 +175,36 @@ class TestValidate:
                     seen.add(ins.targets[0])
                 elif ins.op == "TGADGET":
                     seen.add(ins.ancilla)
+
+
+def _slotted(ops, slots):
+    """Fixed sequence on lines (ZERO, MAGIC, ZERO) running `ops`, then
+    MEASURE 0 out, with the given gadget slots."""
+    instructions = tuple(
+        Instruction(op, lines, label="g" if op == "MEASURE" else None)
+        for op, *lines in ops) + (Instruction("MEASURE", (0,), label="out"),)
+    inputs = (InputState(ZERO), InputState(MAGIC), InputState(ZERO))
+    return FixedSequence(3, inputs, instructions, 0, (0,) * len(slots),
+                         slots)
+
+
+class TestGadgetSlots:
+    def test_well_formed_slot_accepted(self):
+        seq = _slotted((("H", 0), ("CX", 0, 1), ("MEASURE", 1)), (2,))
+        assert seq.gadget_slots == (2,)
+
+    @pytest.mark.parametrize("ops, slots, reason", [
+        ((("H", 0), ("CX", 0, 1), ("MEASURE", 1)), (4,), "order or range"),
+        ((("H", 0), ("CX", 0, 1), ("MEASURE", 1)), (1,), "not a MEASURE"),
+        ((("CX", 0, 1), ("MEASURE", 1)), (1, 1), "order or range"),
+        ((("CX", 0, 2), ("MEASURE", 2)), (1,), "not a MAGIC line"),
+        ((("H", 1), ("CX", 0, 1), ("MEASURE", 1)), (2,),
+         "used before its gadget"),
+    ], ids=["out_of_range", "not_measure", "repeated", "not_magic",
+            "ancilla_touched_earlier"])
+    def test_malformed_slots_rejected(self, ops, slots, reason):
+        with pytest.raises(ValueError, match=reason):
+            _slotted(ops, slots)
 
 
 class TestGadgetize:
@@ -225,6 +278,15 @@ class TestResolve:
         seq = resolve(two_gadget, (0, 1))
         labels = [i.label for i in seq.instructions if i.op == "MEASURE"]
         assert labels == ["m1", "m2", "out"]
+
+    def test_gadget_slots_mark_ancilla_measurements(self, two_gadget):
+        seq = resolve(two_gadget, (0, 1))
+        ancillas = [i.ancilla for i in two_gadget.instructions
+                    if i.op == "TGADGET"]
+        assert [seq.instructions[s].targets for s in seq.gadget_slots] == \
+            [(a,) for a in ancillas]
+        assert resolve(simple("qubits 1\nH 0\nMEASURE 0 out\n"),
+                       ()).gadget_slots == ()
 
     def test_outcome_length_mismatch(self, two_gadget):
         with pytest.raises(ValueError):

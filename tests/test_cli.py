@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cliffcert.cli import main
 
 from helpers import CIRCUITS
@@ -149,6 +151,24 @@ class TestVerify:
                          fault=fault, out=tmp_path / "out")
             assert main(["verify", str(cfg)]) == 2
             assert str(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body, line, fault", [
+        ("CX 1 2\nMEASURE 2 a\n", 5, "gadget_coin_bias 0.1"),
+        ("H 1\n", 4, "ideal"),
+    ], ids=["measured_coin_bias", "gate_ideal"])
+    def test_used_gadget_ancilla_exits_2_with_position(
+            self, tmp_path, capsys, body, line, fault):
+        src = tmp_path / "c.circ"
+        src.write_text("qubits 3\ninput 1 MAGIC\n" + body +
+                       "TGADGET 0 1\nMEASURE 0 out\n")
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, src, fault=fault, out=tmp_path / "out")
+        assert main(["verify", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}: line {line}, column 1: gadget ancilla 1 used " \
+               "before its gadget" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):

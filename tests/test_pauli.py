@@ -303,8 +303,7 @@ class TestJointProbability:
             measured = [i.targets[0] for i in seq.instructions
                         if i.op == "MEASURE"]
             lines = tuple(measured[:min(3, len(measured))])
-            events, dist = outcome_distribution(
-                seq.instructions, seq.inputs, IDEAL, adaptive=False)
+            events, dist = outcome_distribution(seq, IDEAL)
             positions = {ev.line: i for i, ev in enumerate(events)}
             table = joint_output_probability(seq, lines)
             total = 0.0

@@ -111,6 +111,8 @@ class TestStagePrefix:
             DET3, tr.gadget_outcomes, 2, 2)
         labels = [i.label for i in prefix.instructions if i.op == "MEASURE"]
         assert labels == ["m1", "m2", "chk0", "chk1"]
+        assert [prefix.instructions[s].label
+                for s in prefix.gadget_slots] == ["m1", "m2"]
         assert prefix.frozen_outcomes == tr.gadget_outcomes[:1]
         # second gadget of the bundled circuit sits on line 1, ancilla 6
         assert ancilla == 6
@@ -273,15 +275,18 @@ class TestVerdict:
             verify_campaign(SimulatedDevice(IDEAL), raw, 0.05, 0.05, 0.01,
                             seed=1)
 
-    def test_device_failure_mid_batch_reported_incomplete(self):
-        # a reserved-style user label makes the biased device attempt a
-        # probability-zero collapse, which must surface as INCOMPLETE
-        c = parse_circuit(
-            "qubits 2\nCX 0 1\nMEASURE 1 m1\nH 0\nMEASURE 0 out\n")
-        report = verify_campaign(SimulatedDevice(GadgetCoinBias(0.0)), c,
+    def test_user_m1_label_is_not_a_gadget_readout(self):
+        # a user measurement labelled m1 keeps its Born statistics, so the
+        # coin acts only on the gadget and the stage catches it
+        c = gadgetize(parse_circuit(
+            "qubits 3\nX 1\nMEASURE 1 m1\nH 0\nT 0\nH 0\n"
+            "MEASURE 0 out\n"))
+        report = verify_campaign(SimulatedDevice(GadgetCoinBias(-0.5)), c,
                                  0.05, 0.05, 0.01, seed=2)
         assert report.decision == REJECT
-        assert any(f.kind == protocol.INCOMPLETE for f in report.failures)
+        assert (GADGET_BIAS, 1) in [(f.kind, f.stage)
+                                    for f in report.failures]
+        assert all(f.kind != protocol.INCOMPLETE for f in report.failures)
 
 
 class TestStatisticalProperties:
