@@ -1,5 +1,6 @@
 """Device behaviour: transcripts, determinism, fault models, batches."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -219,6 +220,16 @@ class TestFaultModels:
                 batch = SimulatedDevice(fault).run_fixed_batch(seq, 2000, 3)
                 assert not batch.events[0].is_gadget
                 assert batch.frequency_of_one(0) == ones
+
+    def test_coin_bias_impossible_outcome_raises(self):
+        # ancilla deterministically |0>: the coin would demand 1 half the
+        # time, so the sequence refuses to call that readout a gadget slot
+        c = parse_circuit(
+            "qubits 2\ninput 1 ZERO\nCX 0 1\nMEASURE 1 m1\nH 0\n"
+            "MEASURE 0 out\n")
+        seq = resolve(c, ())
+        with pytest.raises(ValueError, match="not a MAGIC line"):
+            dataclasses.replace(seq, gadget_slots=(1,))
 
     def test_liar_forces_final_output(self, one_gadget):
         dev = SimulatedDevice(Liar(1.0))
