@@ -9,14 +9,14 @@ ideal fair coin.
 """
 
 from .circuit import (AdaptiveCircuit, CircuitParseError, FixedSequence,
-                      InputState, Instruction, Violation, gadgetize,
-                      parse_circuit, resolve, serialize, validate)
+                      InputState, Instruction, InvalidCircuitError, Violation,
+                      gadgetize, parse_circuit, resolve, serialize, validate)
 from .pauli import (PauliOperator, backpropagate, conjugate, expectation,
                     input_expectations, joint_output_probability, multiply,
                     single_output_probability)
 from .prover import (Depolarizing, FaultModel, GadgetCoinBias, IDEAL, Ideal,
                      Liar, MagicMiscalibration, SimulatedDevice, Transcript,
-                     parse_fault, run_adaptive, run_fixed)
+                     parse_fault)
 from .protocol import (TestPlan, VerdictReport, compose_error, plan,
                        report_summary, report_to_json_dict,
                        run_computational, run_gate_tests,
@@ -26,14 +26,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveCircuit", "CircuitParseError", "FixedSequence", "InputState",
-    "Instruction", "Violation", "gadgetize", "parse_circuit", "resolve",
-    "serialize", "validate",
+    "Instruction", "InvalidCircuitError", "Violation", "gadgetize",
+    "parse_circuit", "resolve", "serialize", "validate",
     "PauliOperator", "backpropagate", "conjugate", "expectation",
     "input_expectations", "joint_output_probability", "multiply",
     "single_output_probability",
     "Depolarizing", "FaultModel", "GadgetCoinBias",
     "IDEAL", "Ideal", "Liar", "MagicMiscalibration", "SimulatedDevice",
-    "Transcript", "parse_fault", "run_adaptive", "run_fixed",
+    "Transcript", "parse_fault",
     "TestPlan", "VerdictReport", "compose_error", "plan", "report_summary",
     "report_to_json_dict", "run_computational", "run_gate_tests",
     "run_measurement_tests", "verdict", "verify_campaign",

@@ -15,11 +15,14 @@ Text format (UTF-8, line oriented, '#' starts a comment):
     TGADGET <target> <ancilla>
     MEASURE <line> <label>
 
-The final instruction of a runnable circuit must be `MEASURE <line> out`.
-A line is dead once measured, and a gadget's ancilla is fresh: no
-instruction touches it before its TGADGET, so each gadget readout is a fair
-coin whatever the target holds.  Gadget identity lives in the structure (a
-TGADGET, or a fixed sequence's `gadget_slots`), never in a label.
+A circuit is valid by construction: both circuit types run :func:`validate`
+once when built and raise InvalidCircuitError on any violation.  The output
+is the line of the last instruction, which must be a MEASURE; the text
+format also wants that MEASURE labelled `out`.  A line is dead once
+measured, and a gadget's ancilla is fresh: no instruction touches it before
+its TGADGET, so each gadget readout is a fair coin whatever the target
+holds.  Gadget identity lives in the structure (a TGADGET, or a fixed
+sequence's `gadget_slots`), never in a label.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ TWO_LINE_OPS = frozenset({"CX", "CZ", "SWAP"})
 ALL_OPS = ONE_LINE_OPS | TWO_LINE_OPS | {"MEASURE", "TGADGET"}
 
 OUTPUT_LABEL = "out"
+
+# widest circuit the text format may declare; `qubits` above it is refused
+# before any per-line state is allocated
+MAX_DECLARED_LINES = 1 << 16
 
 
 class CircuitParseError(ValueError):
@@ -139,20 +146,27 @@ class Instruction:
         return self.op not in ("MEASURE", "TGADGET")
 
 
+class _ValidCircuit:
+    """What both circuit types share: validated once, when built."""
+
+    def __post_init__(self):
+        violations = validate(self)
+        if violations:
+            raise InvalidCircuitError(violations)
+
+    @property
+    def output_line(self) -> int:
+        """The line read by the final MEASURE."""
+        return self.instructions[-1].targets[0]
+
+
 @dataclass(frozen=True)
-class AdaptiveCircuit:
+class AdaptiveCircuit(_ValidCircuit):
     """Circuit that may contain TGADGET (and, pre-compilation, raw T) ops."""
 
     n_lines: int
     inputs: tuple[InputState, ...]
     instructions: tuple[Instruction, ...]
-    output_line: int
-
-    def __post_init__(self):
-        if self.n_lines <= 0:
-            raise ValueError("n_lines must be positive")
-        if len(self.inputs) != self.n_lines:
-            raise ValueError("one input state per line required")
 
     @property
     def gadget_count(self) -> int:
@@ -164,7 +178,7 @@ class AdaptiveCircuit:
 
 
 @dataclass(frozen=True)
-class FixedSequence:
+class FixedSequence(_ValidCircuit):
     """Fully resolved non-adaptive sequence: Clifford gates + measurements.
 
     Gadget corrections are frozen to `frozen_outcomes` (S for 1, ID for 0),
@@ -177,35 +191,8 @@ class FixedSequence:
     n_lines: int
     inputs: tuple[InputState, ...]
     instructions: tuple[Instruction, ...]
-    output_line: int
     frozen_outcomes: tuple[int, ...]
     gadget_slots: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        first_touch: dict[int, int] = {}
-        for idx, ins in enumerate(self.instructions):
-            if ins.op in ("T", "TGADGET"):
-                raise ValueError(f"fixed sequence may not contain {ins.op}")
-            for line in ins.lines:
-                first_touch.setdefault(line, idx)
-        previous = 0
-        for slot in self.gadget_slots:
-            if not previous < slot < len(self.instructions):
-                raise ValueError(f"gadget slot {slot} out of order or range")
-            ins, cx = self.instructions[slot], self.instructions[slot - 1]
-            if ins.op != "MEASURE" or cx.op != "CX" \
-                    or cx.targets[1] != ins.targets[0]:
-                raise ValueError(f"gadget slot {slot} is not a MEASURE of "
-                                 "the line its preceding CX targets")
-            anc = ins.targets[0]
-            if not (0 <= anc < self.n_lines
-                    and self.inputs[anc].kind == MAGIC):
-                raise ValueError(f"gadget slot {slot} measures line {anc}, "
-                                 "which is not a MAGIC line")
-            if first_touch[anc] != slot - 1:
-                raise ValueError(f"gadget ancilla {anc} used before its "
-                                 f"gadget at slot {slot}")
-            previous = slot
 
 
 Circuit = Union[AdaptiveCircuit, FixedSequence]
@@ -220,84 +207,115 @@ class Violation:
     message: str
 
 
+class InvalidCircuitError(ValueError):
+    """A circuit broke structural rules; `violations` lists every one."""
+
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        super().__init__("invalid circuit: " +
+                         "; ".join(v.message for v in self.violations))
+
+
+BAD_INPUTS = "BAD_INPUTS"
 MEASURED_LINE_REUSED = "MEASURED_LINE_REUSED"
 ANCILLA_NOT_MAGIC = "ANCILLA_NOT_MAGIC"
 ANCILLA_NOT_FRESH = "ANCILLA_NOT_FRESH"
 OUTPUT_NOT_FINAL_MEASUREMENT = "OUTPUT_NOT_FINAL_MEASUREMENT"
 LINE_OUT_OF_RANGE = "LINE_OUT_OF_RANGE"
+UNRESOLVED_GADGET = "UNRESOLVED_GADGET"
+BAD_GADGET_SLOT = "BAD_GADGET_SLOT"
 
 
 def validate(circuit: Circuit) -> list[Violation]:
-    """Scan a circuit for structural violations; empty list means valid.
+    """Every structural violation of a circuit; an empty list means valid.
 
-    Checks, in one pass: line indices in range, no line used after being
-    measured (gadget ancillas count as measured), every gadget ancilla
-    prepared in MAGIC and untouched before its gadget, and the designated
-    output line measured exactly once as the final instruction.
+    One pass checks: one input per line on at least one line; line indices
+    in range; no line used after being measured (gadget ancillas count as
+    measured); every gadget ancilla prepared in MAGIC and untouched before
+    its gadget; and a MEASURE as the last instruction (its line is the
+    output).  A fixed sequence also holds no T or TGADGET, and each of its
+    `gadget_slots` is, in increasing order, a MEASURE right after CX(target,
+    ancilla) on a MAGIC line that no earlier instruction touches.  Both
+    circuit types call this once at construction, so code holding a
+    circuit never validates it again.
     """
+    n = circuit.n_lines
+    if n <= 0 or len(circuit.inputs) != n:
+        return [Violation(BAD_INPUTS, None,
+                          f"{len(circuit.inputs)} input states for "
+                          f"{n} lines; need one per line and n_lines >= 1")]
     out: list[Violation] = []
+    fixed = isinstance(circuit, FixedSequence)
+    slots: set[int] = set()
+    previous = 0
+    for slot in circuit.gadget_slots if fixed else ():
+        if previous < slot < len(circuit.instructions):
+            slots.add(slot)
+            previous = slot
+        else:
+            out.append(Violation(BAD_GADGET_SLOT, None, f"gadget slot {slot} "
+                                 "out of order or range"))
     measured: set[int] = set()
-    touched: set[int] = set()
+    first_touch: dict[int, int] = {}
     for idx, ins in enumerate(circuit.instructions):
         lines = ins.lines
         for line in lines:
-            if not (0 <= line < circuit.n_lines):
+            if not 0 <= line < n:
                 out.append(Violation(
                     LINE_OUT_OF_RANGE, idx,
-                    f"line {line} outside 0..{circuit.n_lines - 1}"))
-        for line in lines:
-            if line in measured:
+                    f"line {line} not declared (lines 0..{n - 1})"))
+            elif line in measured:
                 out.append(Violation(
                     MEASURED_LINE_REUSED, idx,
                     f"line {line} used after its measurement"))
+        if fixed and ins.op in ("T", "TGADGET"):
+            out.append(Violation(UNRESOLVED_GADGET, idx,
+                                 f"fixed sequence may not contain {ins.op}"))
+        if idx in slots:
+            out.extend(_slot_violations(circuit, idx, first_touch))
         if ins.op == "MEASURE":
             measured.add(ins.targets[0])
         elif ins.op == "TGADGET":
             anc = ins.ancilla
-            if 0 <= anc < circuit.n_lines and circuit.inputs[anc].kind != MAGIC:
+            if 0 <= anc < n and circuit.inputs[anc].kind != MAGIC:
                 out.append(Violation(
                     ANCILLA_NOT_MAGIC, idx,
                     f"gadget ancilla {anc} has input "
                     f"{circuit.inputs[anc].kind}, expected MAGIC"))
-            if anc in touched:
+            if anc in first_touch:
                 out.append(Violation(
                     ANCILLA_NOT_FRESH, idx,
                     f"gadget ancilla {anc} used before its gadget"))
             measured.add(anc)
-        touched.update(lines)
+        for line in lines:
+            first_touch.setdefault(line, idx)
 
-    last = circuit.instructions[-1] if circuit.instructions else None
-    if (last is None or last.op != "MEASURE"
-            or last.targets[0] != circuit.output_line
-            or last.label != OUTPUT_LABEL):
+    count = len(circuit.instructions)
+    if not count or circuit.instructions[-1].op != "MEASURE":
         out.append(Violation(
-            OUTPUT_NOT_FINAL_MEASUREMENT, None,
-            f"final instruction must be MEASURE {circuit.output_line} "
-            f"{OUTPUT_LABEL}"))
-    else:
-        for ins in circuit.instructions[:-1]:
-            if ins.op == "MEASURE" and ins.targets[0] == circuit.output_line:
-                out.append(Violation(
-                    OUTPUT_NOT_FINAL_MEASUREMENT, None,
-                    "output line measured before the final instruction"))
-                break
+            OUTPUT_NOT_FINAL_MEASUREMENT, count - 1 if count else None,
+            "the final instruction must be a MEASURE of the output line"))
     return out
 
 
-def require_valid(circuit: Circuit, partial: bool = False) -> None:
-    """Raise ValueError listing all violations if the circuit is invalid.
-
-    With partial=True the output-measurement placement rule is waived; this
-    admits prefix sequences whose terminal measurements are test probes
-    rather than the designated output.
-    """
-    violations = validate(circuit)
-    if partial:
-        violations = [v for v in violations
-                      if v.code != OUTPUT_NOT_FINAL_MEASUREMENT]
-    if violations:
-        lines = "; ".join(v.message for v in violations)
-        raise ValueError(f"invalid circuit: {lines}")
+def _slot_violations(seq: FixedSequence, slot: int,
+                     first_touch: dict[int, int]) -> list[Violation]:
+    """The gadget-slot rules of :func:`validate` at instruction `slot`."""
+    ins, cx = seq.instructions[slot], seq.instructions[slot - 1]
+    if ins.op != "MEASURE" or cx.op != "CX" \
+            or cx.targets[1] != ins.targets[0]:
+        message = (f"gadget slot {slot} is not a MEASURE of the line its "
+                   "preceding CX targets")
+    elif not (0 <= ins.targets[0] < seq.n_lines
+              and seq.inputs[ins.targets[0]].kind == MAGIC):
+        message = (f"gadget slot {slot} measures line {ins.targets[0]}, "
+                   "which is not a MAGIC line")
+    elif first_touch[ins.targets[0]] != slot - 1:
+        message = (f"gadget ancilla {ins.targets[0]} used before its "
+                   f"gadget at slot {slot}")
+    else:
+        return []
+    return [Violation(BAD_GADGET_SLOT, slot, message)]
 
 
 def gadgetize(circuit: AdaptiveCircuit) -> AdaptiveCircuit:
@@ -325,7 +343,6 @@ def gadgetize(circuit: AdaptiveCircuit) -> AdaptiveCircuit:
         n_lines=circuit.n_lines + t_count,
         inputs=circuit.inputs + (InputState(MAGIC),) * t_count,
         instructions=tuple(new_instructions),
-        output_line=circuit.output_line,
     )
 
 
@@ -374,7 +391,6 @@ def resolve(circuit: AdaptiveCircuit,
         n_lines=circuit.n_lines,
         inputs=circuit.inputs,
         instructions=tuple(new_instructions),
-        output_line=circuit.output_line,
         frozen_outcomes=outcomes,
         gadget_slots=tuple(slots),
     )
@@ -414,10 +430,14 @@ class _LineParser:
     def error(self, message: str, column: int = 1) -> CircuitParseError:
         return CircuitParseError(message, self.line_no, column)
 
+    def end(self) -> int:
+        """Column just past the last token."""
+        return self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens \
+            else 1
+
     def take(self, what: str) -> tuple[str, int]:
         if self.pos >= len(self.tokens):
-            col = self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
-            raise self.error(f"expected {what}", col)
+            raise self.error(f"expected {what}", self.end())
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -445,22 +465,21 @@ class _LineParser:
 def parse_circuit(text: str) -> AdaptiveCircuit:
     """Parse circuit text into an AdaptiveCircuit.
 
-    Raises CircuitParseError (with 1-based line/column) on syntax errors,
-    references to undeclared lines and arity mismatches, and, at the
-    offending instruction, on the first per-instruction violation found by
-    :func:`validate`.  Placement of the final output measurement is left to
-    :func:`validate` so that partial circuits (e.g. headers only) still
-    round-trip through serialize.
+    The parser checks syntax only: tokens and numbers, directive order,
+    input declarations, a declared width of at most MAX_DECLARED_LINES, and
+    the text format's `out` label on the final MEASURE.  Every structural
+    rule (operand count and distinctness, line range, reuse, fresh MAGIC
+    ancillas, the final measurement) comes from building the circuit; the
+    first violation is raised at its instruction's source line, or at the
+    end of the text when there is no instruction.  Every error is a
+    CircuitParseError with a 1-based line and column.
     """
     n_lines: Optional[int] = None
     inputs: list[InputState] = []
     instructions: list[Instruction] = []
     positions: list[tuple[int, int]] = []
     declared_inputs: set[int] = set()
-
-    def check_line(idx: int, col: int, lp: _LineParser) -> None:
-        if not (0 <= idx < n_lines):
-            raise lp.error(f"line {idx} not declared (qubits {n_lines})", col)
+    label_at = (1, 1)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -473,8 +492,9 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
             if word != "qubits":
                 raise lp.error("circuit must start with 'qubits <n>'", col0)
             count, col = lp.take_int("line count")
-            if count <= 0:
-                raise lp.error("line count must be positive", col)
+            if not 0 < count <= MAX_DECLARED_LINES:
+                raise lp.error("line count must lie in 1.."
+                               f"{MAX_DECLARED_LINES}", col)
             lp.finish()
             n_lines = count
             inputs = [InputState(ZERO)] * n_lines
@@ -488,7 +508,9 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
                 raise lp.error("input declarations must precede instructions",
                                col0)
             idx, col = lp.take_int("line index")
-            check_line(idx, col, lp)
+            if not 0 <= idx < n_lines:
+                raise lp.error(f"line {idx} not declared (qubits {n_lines})",
+                               col)
             if idx in declared_inputs:
                 raise lp.error(f"duplicate input declaration for line {idx}",
                                col)
@@ -511,62 +533,36 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
 
         if word not in ALL_OPS:
             raise lp.error(f"unknown instruction {word!r}", col0)
-
-        if word in ONE_LINE_OPS:
-            idx, col = lp.take_int("target line")
-            check_line(idx, col, lp)
-            lp.finish()
-            ins = Instruction(word, (idx,))
-        elif word in TWO_LINE_OPS:
-            a, acol = lp.take_int("first line")
-            check_line(a, acol, lp)
-            b, bcol = lp.take_int("second line")
-            check_line(b, bcol, lp)
-            if a == b:
-                raise lp.error(f"{word} lines must be distinct", bcol)
-            lp.finish()
-            ins = Instruction(word, (a, b))
-        elif word == "TGADGET":
-            target, tcol = lp.take_int("target line")
-            check_line(target, tcol, lp)
-            ancilla, acol = lp.take_int("ancilla line")
-            check_line(ancilla, acol, lp)
-            if target == ancilla:
-                raise lp.error("gadget target and ancilla must differ", acol)
-            lp.finish()
-            ins = Instruction("TGADGET", (target,), ancilla=ancilla)
-        else:  # MEASURE
-            idx, col = lp.take_int("target line")
-            check_line(idx, col, lp)
-            label, _ = lp.take("outcome label")
-            lp.finish()
-            ins = Instruction("MEASURE", (idx,), label=label)
+        names = ("target line", "ancilla line") if word == "TGADGET" \
+            else ("first line", "second line") if word in TWO_LINE_OPS \
+            else ("target line",)
+        operands = tuple(lp.take_int(name)[0] for name in names)
+        label = None
+        if word == "MEASURE":
+            label, label_col = lp.take("outcome label")
+            label_at = (line_no, label_col)
+        lp.finish()
+        try:
+            if word == "TGADGET":
+                ins = Instruction(word, operands[:1], ancilla=operands[1])
+            else:
+                ins = Instruction(word, operands, label=label)
+        except ValueError as exc:
+            raise lp.error(str(exc), col0) from None
         instructions.append(ins)
         positions.append((line_no, col0))
 
     if n_lines is None:
         raise CircuitParseError("empty circuit text", 1, 1)
-
-    last = instructions[-1] if instructions else None
-    if last is not None and last.op == "MEASURE" and last.label == OUTPUT_LABEL:
-        output_line = last.targets[0]
-    else:
-        output_line = n_lines - 1
-    circuit = AdaptiveCircuit(
-        n_lines=n_lines,
-        inputs=tuple(inputs),
-        instructions=tuple(instructions),
-        output_line=output_line,
-    )
-    for violation in validate(circuit):
-        if violation.index is not None:
-            raise CircuitParseError(violation.message,
-                                    *positions[violation.index])
+    try:
+        circuit = AdaptiveCircuit(n_lines, tuple(inputs), tuple(instructions))
+    except InvalidCircuitError as exc:
+        first = next((v for v in exc.violations if v.index is not None),
+                     exc.violations[0])
+        where = (lp.line_no, lp.end()) if first.index is None \
+            else positions[first.index]
+        raise CircuitParseError(first.message, *where) from None
+    if instructions[-1].label != OUTPUT_LABEL:
+        raise CircuitParseError(
+            f"the final MEASURE must be labelled {OUTPUT_LABEL!r}", *label_at)
     return circuit
-
-
-def structurally_equal(a: Circuit, b: Circuit) -> bool:
-    """Field-wise equality ignoring the AdaptiveCircuit/FixedSequence split."""
-    return (a.n_lines == b.n_lines and a.inputs == b.inputs
-            and a.instructions == b.instructions
-            and a.output_line == b.output_line)

@@ -18,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import (Circuit, FixedSequence, Instruction, InputState,
-                      require_valid)
+from .circuit import Circuit, FixedSequence, Instruction, InputState
 
 DEFAULT_K_MAX = 10
 
@@ -221,7 +220,6 @@ def single_output_probability(seq: FixedSequence, outcome: int) -> float:
     Intermediate measurements are omitted outright; on no-reuse sequences
     they cannot influence the reduced state of the remaining lines.
     """
-    require_valid(seq)
     table = input_expectations(seq.inputs)
     value = expectation(backpropagate(seq, seq.output_line), table)
     if outcome:
@@ -243,7 +241,6 @@ def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
     and the signed sums for all outcomes at once are an inverse
     Walsh-Hadamard transform of the subset expectations.
     """
-    require_valid(seq, partial=True)
     k = len(lines)
     if k > k_max:
         raise ValueError(f"{k} lines exceed k_max={k_max}")

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuit import (AdaptiveCircuit, FixedSequence, Instruction,
-                      expand_gadget, require_valid)
+from .circuit import AdaptiveCircuit, FixedSequence, Instruction, expand_gadget
 from .pauli import joint_output_probability, single_output_probability
 from .prover import PROB_TOL, Transcript, derive_seed
 
@@ -169,7 +168,6 @@ class VerdictReport:
 def run_computational(device, circuit: AdaptiveCircuit,
                       seed: int) -> Transcript:
     """The single adaptive run whose output is to be certified."""
-    require_valid(circuit)
     if circuit.t_count:
         raise ValueError("circuit contains raw T gates; gadgetize it first")
     return device.run_adaptive(circuit, seed)
@@ -239,7 +237,6 @@ def build_stage_prefix(circuit: AdaptiveCircuit, outcomes, stage: int,
         n_lines=circuit.n_lines,
         inputs=circuit.inputs,
         instructions=tuple(instructions),
-        output_line=extras[-1] if extras else ancilla,
         frozen_outcomes=tuple(outcomes[:stage - 1]),
         gadget_slots=tuple(slots),
     )
@@ -480,9 +477,6 @@ def verify_campaign(device, circuit: AdaptiveCircuit, epsilon: float,
     All randomness derives from `seed`; identical inputs give an identical
     report.
     """
-    require_valid(circuit)
-    if circuit.t_count:
-        raise ValueError("circuit contains raw T gates; gadgetize it first")
     test_plan = plan(circuit.gadget_count, epsilon, eta, delta,
                      extra_check_lines)
     transcript = run_computational(device, circuit, derive_seed(seed, 0))

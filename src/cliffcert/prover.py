@@ -31,9 +31,8 @@ from typing import Union
 import numpy as np
 
 from . import statevector as sv
-from .circuit import (MEASURED_LINE_REUSED, AdaptiveCircuit, Circuit,
-                      FixedSequence, Instruction, resolve, require_valid,
-                      serialize, validate)
+from .circuit import (AdaptiveCircuit, Circuit, FixedSequence, Instruction,
+                      resolve, serialize)
 from .pauli import PauliOperator, conjugate
 
 PROB_TOL = 1e-12
@@ -180,14 +179,6 @@ class MeasurementEvent:
 
 
 @dataclass(frozen=True)
-class FixedRunResult:
-    """All measurement outcomes of one non-adaptive run, in order."""
-
-    outcomes: tuple[int, ...]
-    final_output: int
-
-
-@dataclass(frozen=True)
 class BatchResult:
     """Outcome-record counts for a batch of identically prepared runs."""
 
@@ -284,8 +275,6 @@ def _run_single(circuit: Circuit, fault: FaultModel, seed: int,
     rng = np.random.default_rng(seed)
     ex = _Executor(circuit.inputs, fault, max_lines)
     events = _plan_events(circuit)
-    if not events:
-        raise ValueError("sequence has no measurements")
     final_index = len(events) - 1
     state = ex.initial
     record: list[int] = []
@@ -319,20 +308,14 @@ def record_table(circuit: Circuit, fault: FaultModel,
     Returns the measurement slots and a table of 2^m probabilities; bit
     m-1-i of a cell's index is slot i's outcome, so slot 0 is the most
     significant bit and cells run in lexicographic record order.  Adaptive
-    circuits (gadget corrections applied) are recognised by type.
+    circuits (gadget corrections applied) are recognised by type.  A
+    circuit never reuses a measured line, so every measurement defers.
     """
-    adaptive = isinstance(circuit, AdaptiveCircuit)
-    reused = [v.message for v in validate(circuit)
-              if v.code == MEASURED_LINE_REUSED]
-    if reused:
-        raise ValueError("measurements cannot be deferred: "
-                         + "; ".join(reused))
-    if adaptive and isinstance(fault, Depolarizing):
+    if isinstance(circuit, AdaptiveCircuit) \
+            and isinstance(fault, Depolarizing):
         raise ValueError("depolarizing noise has no record table for "
                          "adaptive circuits (controlled-S is not Clifford)")
     events = tuple(_plan_events(circuit))
-    if not events:
-        raise ValueError("sequence has no measurements")
     table = _honest_table(circuit, events, fault, max_lines)
     final = len(events) - 1
     if isinstance(fault, GadgetCoinBias):
@@ -455,7 +438,6 @@ class SimulatedDevice:
     def run_adaptive(self, circuit: AdaptiveCircuit, seed: int) -> Transcript:
         """One adaptive run: gadget corrections applied immediately after
         their ancilla measurements, everything recorded."""
-        require_valid(circuit)
         record, events = _run_single(circuit, self.fault, seed,
                                      self.max_lines)
         gadget_bits = tuple(bit for bit, ev in zip(record, events)
@@ -468,39 +450,9 @@ class SimulatedDevice:
             resolved=resolve(circuit, gadget_bits),
         )
 
-    def run_fixed(self, seq: FixedSequence, seed: int) -> FixedRunResult:
-        """One non-adaptive run of a frozen sequence; corrections are applied
-        positionally regardless of the fresh measurement outcomes."""
-        record, _ = _run_single(seq, self.fault, seed, self.max_lines)
-        return FixedRunResult(outcomes=record[:-1], final_output=record[-1])
-
     def run_fixed_batch(self, seq: FixedSequence, repetitions: int,
                         seed: int) -> BatchResult:
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
         events, table = record_table(seq, self.fault, self.max_lines)
         return _sample_table(events, table, repetitions, seed)
-
-    def run_adaptive_batch(self, circuit: AdaptiveCircuit, repetitions: int,
-                           seed: int) -> BatchResult:
-        require_valid(circuit)
-        events, table = record_table(circuit, self.fault, self.max_lines)
-        return _sample_table(events, table, repetitions, seed)
-
-
-def run_adaptive(circuit: AdaptiveCircuit, seed: int,
-                 fault: FaultModel = IDEAL) -> Transcript:
-    return SimulatedDevice(fault).run_adaptive(circuit, seed)
-
-
-def run_fixed(seq: FixedSequence, seed: int,
-              fault: FaultModel = IDEAL) -> FixedRunResult:
-    return SimulatedDevice(fault).run_fixed(seq, seed)
-
-
-def final_output_probability(seq: FixedSequence,
-                             fault: FaultModel = IDEAL) -> float:
-    """P(final output = 0) of the fixed sequence under `fault`: the
-    final-bit marginal of the device's record table."""
-    _, table = record_table(seq, fault)
-    return float(table[0::2].sum())

@@ -122,31 +122,3 @@ def collapse(state: np.ndarray, line: int, outcome: int) -> np.ndarray:
         raise ValueError(f"cannot collapse line {line} onto outcome {outcome} "
                          "of probability zero")
     return np.moveaxis(moved / norm, 0, line)
-
-
-def measure(state: np.ndarray, line: int, rng) -> tuple[int, np.ndarray]:
-    """Born-sample a computational-basis measurement of `line`.
-
-    Returns the outcome bit and the collapsed, renormalised state.
-    """
-    p_one = probability_of_one(state, line)
-    outcome = 1 if rng.random() < p_one else 0
-    true_p = p_one if outcome else 1.0 - p_one
-    if true_p < 1e-15:
-        outcome = 1 - outcome  # guard against float roundoff at 0/1
-    return outcome, collapse(state, line, outcome)
-
-
-def norm(state: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(np.abs(state) ** 2)))
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 for normalised states (global phase irrelevant)."""
-    return float(abs(np.vdot(a, b)) ** 2)
-
-
-def remove_line(state: np.ndarray, line: int, outcome: int) -> np.ndarray:
-    """Collapse `line` onto `outcome`, then drop that axis entirely."""
-    collapsed = collapse(state, line, outcome)
-    return np.moveaxis(collapsed, line, 0)[outcome]

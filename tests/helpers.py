@@ -1,21 +1,24 @@
-"""Shared test utilities: seeded circuit generators and dense oracles."""
+"""Shared test utilities: seeded circuit generators, dense oracles, and the
+test-only device and statevector API."""
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from cliffcert import statevector as sv
 from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
-                               FixedSequence, InputState, Instruction,
-                               require_valid)
+                               Circuit, FixedSequence, InputState, Instruction)
 from cliffcert.pauli import PauliOperator
-from cliffcert.prover import (IDEAL, PROB_TOL, Depolarizing, FaultModel,
-                              MagicMiscalibration, _effective_probs,
-                              _plan_events, derive_seed, fault_to_text)
+from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
+                              FaultModel, MagicMiscalibration,
+                              SimulatedDevice, _effective_probs, _plan_events,
+                              _run_single, _sample_table, derive_seed,
+                              fault_to_text, record_table)
 from cliffcert.statevector import GATES_1Q, GATES_2Q
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,10 +65,9 @@ def random_fixed_sequence(rng: random.Random, n: int, depth: int,
             instructions.append(Instruction("MEASURE", (line,),
                                             label=f"x{line}"))
             budget -= 1
-    output = rng.choice(alive)
-    instructions.append(Instruction("MEASURE", (output,), label="out"))
-    return FixedSequence(n, random_inputs(rng, n), tuple(instructions),
-                         output, ())
+    instructions.append(Instruction("MEASURE", (rng.choice(alive),),
+                                    label="out"))
+    return FixedSequence(n, random_inputs(rng, n), tuple(instructions), ())
 
 
 def random_t_circuit(rng: random.Random, n: int, depth: int,
@@ -83,10 +85,9 @@ def random_t_circuit(rng: random.Random, n: int, depth: int,
         else:
             instructions.append(Instruction(rng.choice(CLIFFORD_1Q),
                                             (rng.randrange(n),)))
-    output = rng.randrange(n)
-    instructions.append(Instruction("MEASURE", (output,), label="out"))
-    return AdaptiveCircuit(n, random_inputs(rng, n), tuple(instructions),
-                           output)
+    instructions.append(Instruction("MEASURE", (rng.randrange(n),),
+                                    label="out"))
+    return AdaptiveCircuit(n, random_inputs(rng, n), tuple(instructions))
 
 
 def random_pauli(rng: random.Random, n: int) -> PauliOperator:
@@ -236,7 +237,6 @@ def gadget_born_probabilities(circuit: AdaptiveCircuit,
                               fault: FaultModel = IDEAL) -> tuple[float, ...]:
     """Born P(1) of every gadget measurement in every branch of the adaptive
     execution tree (computed, not sampled)."""
-    require_valid(circuit)
     _, _, probs = outcome_distribution(circuit, fault,
                                        collect_gadget_probs=True)
     return probs
@@ -299,7 +299,79 @@ def loop_counts(device, seq: FixedSequence, repetitions: int,
     with derive_seed(seed, r): the per-run reference for a batch."""
     counts: dict[tuple[int, ...], int] = {}
     for rep in range(repetitions):
-        run = device.run_fixed(seq, derive_seed(seed, rep))
+        run = run_fixed(device, seq, derive_seed(seed, rep))
         record = run.outcomes + (run.final_output,)
         counts[record] = counts.get(record, 0) + 1
     return counts
+
+
+def structurally_equal(a: Circuit, b: Circuit) -> bool:
+    """Field-wise equality ignoring the AdaptiveCircuit/FixedSequence split."""
+    return (a.n_lines == b.n_lines and a.inputs == b.inputs
+            and a.instructions == b.instructions)
+
+
+# -- device runs the verifier never makes --------------------------------
+
+
+@dataclass(frozen=True)
+class FixedRunResult:
+    """All measurement outcomes of one non-adaptive run, in order."""
+
+    outcomes: tuple[int, ...]
+    final_output: int
+
+
+def run_fixed(device: SimulatedDevice, seq: FixedSequence,
+              seed: int) -> FixedRunResult:
+    """One non-adaptive run of a frozen sequence on `device`; corrections
+    are applied positionally regardless of the fresh measurement
+    outcomes."""
+    record, _ = _run_single(seq, device.fault, seed, device.max_lines)
+    return FixedRunResult(outcomes=record[:-1], final_output=record[-1])
+
+
+def run_adaptive_batch(device: SimulatedDevice, circuit: AdaptiveCircuit,
+                       repetitions: int, seed: int) -> BatchResult:
+    """A batch of adaptive runs on `device`, drawn from its record table."""
+    events, table = record_table(circuit, device.fault, device.max_lines)
+    return _sample_table(events, table, repetitions, seed)
+
+
+def final_output_probability(seq: FixedSequence,
+                             fault: FaultModel = IDEAL) -> float:
+    """P(final output = 0) of the fixed sequence under `fault`: the
+    final-bit marginal of the device's record table."""
+    _, table = record_table(seq, fault)
+    return float(table[0::2].sum())
+
+
+# -- statevector operations only the tests use ----------------------------
+
+
+def sv_measure(state: np.ndarray, line: int, rng) -> tuple[int, np.ndarray]:
+    """Born-sample a computational-basis measurement of `line`.
+
+    Returns the outcome bit and the collapsed, renormalised state.
+    """
+    p_one = sv.probability_of_one(state, line)
+    outcome = 1 if rng.random() < p_one else 0
+    true_p = p_one if outcome else 1.0 - p_one
+    if true_p < 1e-15:
+        outcome = 1 - outcome  # guard against float roundoff at 0/1
+    return outcome, sv.collapse(state, line, outcome)
+
+
+def sv_norm(state: np.ndarray) -> float:
+    return math.sqrt(float(np.sum(np.abs(state) ** 2)))
+
+
+def sv_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 for normalised states (global phase irrelevant)."""
+    return float(abs(np.vdot(a, b)) ** 2)
+
+
+def sv_remove_line(state: np.ndarray, line: int, outcome: int) -> np.ndarray:
+    """Collapse `line` onto `outcome`, then drop that axis entirely."""
+    collapsed = sv.collapse(state, line, outcome)
+    return np.moveaxis(collapsed, line, 0)[outcome]

@@ -20,11 +20,12 @@ from cliffcert.protocol import (GADGET_BIAS, IMPOSSIBLE_OUTCOME,
                                 verify_campaign)
 from cliffcert import statevector as sv
 
-from helpers import (CIRCUITS, distribution_table,
+from helpers import (CIRCUITS, distribution_table, final_output_probability,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
                      gadget_born_probabilities, outcome_distribution,
-                     random_fixed_sequence, random_inputs, random_t_circuit)
+                     random_fixed_sequence, random_inputs, random_t_circuit,
+                     run_adaptive_batch, sv_fidelity, sv_norm, sv_remove_line)
 
 DET3 = gadgetize(parse_circuit(
     (CIRCUITS / "deterministic_t3.circ").read_text()))
@@ -46,7 +47,7 @@ def test_criterion_1_cross_engine_equivalence():
         seq = random_fixed_sequence(rng, n, rng.randint(0, 40),
                                     intermediate=3 if i % 2 else 0)
         p_poly = single_output_probability(seq, 0)
-        p_dense = prover.final_output_probability(seq)
+        p_dense = final_output_probability(seq)
         worst = max(worst, abs(p_poly - p_dense))
     elapsed = time.time() - start
     assert worst <= 1e-10
@@ -75,11 +76,11 @@ def test_criterion_2_gadget_identity():
                              axes=0)
         joint = sv.apply_gate(joint, Instruction("CX", (target, n)))
         for branch in (0, 1):
-            post = sv.remove_line(joint, n, branch)
-            post = post / sv.norm(post)
+            post = sv_remove_line(joint, n, branch)
+            post = post / sv_norm(post)
             if branch:
                 post = sv.apply_gate(post, Instruction("S", (target,)))
-            worst = max(worst, 1.0 - sv.fidelity(want, post))
+            worst = max(worst, 1.0 - sv_fidelity(want, post))
     assert worst <= 1e-12
     report(2, "T-gadget identity", f"max infidelity {worst:.2e}")
 
@@ -96,7 +97,7 @@ def test_criterion_3_gadget_outcome_probability():
     assert worst <= 1e-12
 
     reps = 100_000
-    batch = SimulatedDevice(IDEAL).run_adaptive_batch(DET3, reps, 4242)
+    batch = run_adaptive_batch(SimulatedDevice(IDEAL), DET3, reps, 4242)
     gadget_slots = [i for i, ev in enumerate(batch.events) if ev.is_gadget]
     assert len(gadget_slots) == 3
     worst_emp = 0.0
@@ -180,8 +181,7 @@ def test_criterion_6_soundness_magic_miscalibration():
                               delta=0.025, seed=7000 + i)
         # admission precondition: the fault must shift this transcript's
         # output probability by at least 3*eta per the dense oracle
-        shifted = prover.final_output_probability(rep.transcript.resolved,
-                                                  fault)
+        shifted = final_output_probability(rep.transcript.resolved, fault)
         assert abs(shifted - rep.p_classical) >= 3 * eta
         if not rep.accepted and any(f.kind == OUTPUT_DEVIATION
                                     for f in rep.failures):

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcert.circuit import (ANCILLA_NOT_FRESH, AdaptiveCircuit,
-                               CircuitParseError, FixedSequence, GENERAL,
-                               InputState, Instruction, MAGIC,
+from cliffcert.circuit import (ANCILLA_NOT_FRESH, MAX_DECLARED_LINES,
+                               AdaptiveCircuit, CircuitParseError,
+                               FixedSequence, GENERAL, InputState,
+                               Instruction, InvalidCircuitError, MAGIC,
                                MEASURED_LINE_REUSED,
                                OUTPUT_NOT_FINAL_MEASUREMENT, ZERO, gadgetize,
-                               parse_circuit, resolve, serialize,
-                               structurally_equal, validate)
+                               parse_circuit, resolve, serialize, validate)
 
-from helpers import CIRCUITS, random_t_circuit
+from helpers import CIRCUITS, random_t_circuit, structurally_equal
 
 
 def simple(text):
@@ -54,6 +54,39 @@ class TestParser:
             simple("qubits 2\nH 5\nMEASURE 0 out\n")
         assert err.value.line == 2
         assert "not declared" in err.value.reason
+
+    def test_header_only_text_rejected(self):
+        # no instruction, so no final MEASURE: the error sits at the end
+        with pytest.raises(CircuitParseError) as err:
+            simple("qubits 2\ninput 1 MAGIC\n")
+        assert (err.value.line, err.value.column) == (2, 14)
+        assert "final instruction must be a MEASURE" in err.value.reason
+
+    @pytest.mark.parametrize("text, line, column, reason", [
+        ("qubits 1\nH 0\n", 2, 1, "final instruction must be a MEASURE"),
+        ("qubits 2\nMEASURE 0 a\nMEASURE 1 result\n", 3, 11,
+         "labelled 'out'"),
+        ("qubits 2\nCX 1 1\nMEASURE 0 out\n", 2, 1, "distinct"),
+        ("qubits 3\ninput 2 MAGIC\nTGADGET 2 2\nMEASURE 0 out\n", 3, 1,
+         "must differ"),
+        ("qubits 2\nMEASURE 0 a\nH 0\nH 5\nH 1\n", 3, 1,
+         "used after its measurement"),
+    ], ids=["final_not_measure", "final_label", "cx_repeated_line",
+            "gadget_on_itself", "first_of_several"])
+    def test_structural_errors_positioned(self, text, line, column, reason):
+        with pytest.raises(CircuitParseError) as err:
+            simple(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert reason in err.value.reason
+
+    def test_declared_width_capped(self):
+        assert simple(f"qubits {MAX_DECLARED_LINES}\n"
+                      "MEASURE 0 out\n").n_lines == MAX_DECLARED_LINES
+        for count in (MAX_DECLARED_LINES + 1, 100_000_000_000):
+            with pytest.raises(CircuitParseError) as err:
+                simple(f"qubits {count}\nMEASURE 0 out\n")
+            assert (err.value.line, err.value.column) == (1, 8)
+            assert str(MAX_DECLARED_LINES) in err.value.reason
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(CircuitParseError):
@@ -100,12 +133,6 @@ class TestParser:
 
 
 class TestSerialize:
-    def test_header_only_round_trip(self):
-        c = AdaptiveCircuit(2, (InputState(ZERO), InputState(MAGIC)), (), 1)
-        text = serialize(c)
-        assert text == "qubits 2\ninput 1 MAGIC\n"
-        assert parse_circuit(text).inputs == c.inputs
-
     def test_corpus_file_round_trip(self):
         source = (CIRCUITS / "roundtrip_corpus.circ").read_text()
         c = parse_circuit(source)
@@ -132,35 +159,39 @@ class TestSerialize:
         assert structurally_equal(parsed, seq)
 
 
+def violations_at_construction(*args):
+    """(code, index) of each violation that stops AdaptiveCircuit(*args)."""
+    with pytest.raises(InvalidCircuitError) as err:
+        AdaptiveCircuit(*args)
+    return [(v.code, v.index) for v in err.value.violations]
+
+
 class TestValidate:
     def test_well_formed_gadgetized_circuit(self):
         c = gadgetize(simple("qubits 2\nT 0\nCX 0 1\nMEASURE 1 out\n"))
         assert validate(c) == []
 
     def test_measured_line_reuse_detected(self):
-        c = AdaptiveCircuit(
+        found = violations_at_construction(
             2, (InputState(ZERO), InputState(MAGIC)),
             (Instruction("TGADGET", (0,), ancilla=1),
              Instruction("CX", (0, 1)),
-             Instruction("MEASURE", (0,), label="out")), 0)
-        codes = [v.code for v in validate(c)]
-        assert MEASURED_LINE_REUSED in codes
+             Instruction("MEASURE", (0,), label="out")))
+        assert (MEASURED_LINE_REUSED, 1) in found
 
     def test_gadget_ancilla_touched_before_its_gadget(self):
-        c = AdaptiveCircuit(
+        assert violations_at_construction(
             3, (InputState(ZERO), InputState(MAGIC), InputState(ZERO)),
             (Instruction("CX", (1, 2)),
              Instruction("MEASURE", (2,), label="a"),
              Instruction("TGADGET", (0,), ancilla=1),
-             Instruction("MEASURE", (0,), label="out")), 0)
-        assert [(v.code, v.index) for v in validate(c)] == \
+             Instruction("MEASURE", (0,), label="out"))) == \
             [(ANCILLA_NOT_FRESH, 2)]
 
     def test_missing_output_measurement(self):
-        c = AdaptiveCircuit(1, (InputState(ZERO),),
-                            (Instruction("H", (0,)),), 0)
-        codes = [v.code for v in validate(c)]
-        assert codes == [OUTPUT_NOT_FINAL_MEASUREMENT]
+        assert violations_at_construction(
+            1, (InputState(ZERO),), (Instruction("H", (0,)),)) == \
+            [(OUTPUT_NOT_FINAL_MEASUREMENT, 0)]
 
     def test_no_line_use_after_measurement_scan(self):
         rng = random.Random(5)
@@ -184,8 +215,7 @@ def _slotted(ops, slots):
         Instruction(op, lines, label="g" if op == "MEASURE" else None)
         for op, *lines in ops) + (Instruction("MEASURE", (0,), label="out"),)
     inputs = (InputState(ZERO), InputState(MAGIC), InputState(ZERO))
-    return FixedSequence(3, inputs, instructions, 0, (0,) * len(slots),
-                         slots)
+    return FixedSequence(3, inputs, instructions, (0,) * len(slots), slots)
 
 
 class TestGadgetSlots:
@@ -238,7 +268,7 @@ class TestGadgetize:
             2, (InputState(ZERO), InputState(MAGIC)),
             (Instruction("T", (0,)),
              Instruction("TGADGET", (0,), ancilla=1),
-             Instruction("MEASURE", (0,), label="out")), 0)
+             Instruction("MEASURE", (0,), label="out")))
         with pytest.raises(ValueError):
             gadgetize(c)
 

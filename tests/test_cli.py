@@ -24,7 +24,7 @@ MEASURE 0 out
 
 
 def write_config(path, circuit, seed=7, fault="ideal", out="out",
-                 epsilon=0.05, eta=0.05, delta=0.01):
+                 epsilon=0.05, eta=0.05, delta=0.01, extra_check_lines=2):
     path.write_text(
         f"circuit = {circuit}\n"
         f"seed = {seed}\n"
@@ -32,7 +32,7 @@ def write_config(path, circuit, seed=7, fault="ideal", out="out",
         f"eta = {eta}\n"
         f"delta = {delta}\n"
         f"fault = {fault}\n"
-        f"extra_check_lines = 2\n"
+        f"extra_check_lines = {extra_check_lines}\n"
         f"output_dir = {out}\n")
 
 
@@ -170,6 +170,36 @@ class TestVerify:
                "before its gadget" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "-1"), ("epsilon", "0"), ("eta", "1.5"), ("delta", "nan"),
+        ("extra_check_lines", "-1"),
+    ])
+    def test_out_of_range_config_value_exits_2(self, tmp_path, capsys,
+                                                key, value):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, CIRCUITS / "deterministic_t3.circ",
+                     out=tmp_path / "out", **{key: value})
+        assert main(["verify", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: bad value for {key!r}: {value!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, position", [
+        ("qubits 100000000000\nMEASURE 0 out\n", "line 1, column 8"),
+        ("qubits 2\ninput 1 MAGIC\n", "line 2, column 14"),
+        ("qubits 1\nH 0\nMEASURE 0 result\n", "line 3, column 11"),
+    ], ids=["width_over_cap", "header_only", "final_label_not_out"])
+    def test_circuit_error_exits_2_with_position(self, tmp_path, capsys,
+                                                 text, position):
+        src = tmp_path / "c.circ"
+        src.write_text(text)
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, src, out=tmp_path / "out")
+        assert main(["verify", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}: {position}: " in err
+        assert "Traceback" not in err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

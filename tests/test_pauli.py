@@ -171,7 +171,7 @@ class TestBackpropagate:
     def setup_method(self):
         self.empty = FixedSequence(
             2, (InputState(ZERO), InputState(ZERO)),
-            (Instruction("MEASURE", (1,), label="out"),), 1, ())
+            (Instruction("MEASURE", (1,), label="out"),), ())
 
     def test_identity_circuit(self):
         assert backpropagate(self.empty, 1, 0) == PauliOperator.z_on(2, 1)
@@ -180,7 +180,7 @@ class TestBackpropagate:
         seq = FixedSequence(
             1, (InputState(ZERO),),
             (Instruction("H", (0,)),
-             Instruction("MEASURE", (0,), label="out")), 0, ())
+             Instruction("MEASURE", (0,), label="out")), ())
         assert backpropagate(seq, 0).label() == "+X"
 
     def test_position_out_of_range(self):
@@ -206,7 +206,7 @@ class TestProbabilities:
     def test_measure_zero_input(self):
         seq = FixedSequence(
             1, (InputState(ZERO),),
-            (Instruction("MEASURE", (0,), label="out"),), 0, ())
+            (Instruction("MEASURE", (0,), label="out"),), ())
         assert single_output_probability(seq, 0) == 1.0
         assert single_output_probability(seq, 1) == 0.0
 
@@ -214,7 +214,7 @@ class TestProbabilities:
         seq = FixedSequence(
             1, (InputState(ZERO),),
             (Instruction("H", (0,)),
-             Instruction("MEASURE", (0,), label="out")), 0, ())
+             Instruction("MEASURE", (0,), label="out")), ())
         assert abs(single_output_probability(seq, 0) - 0.5) < 1e-15
 
     def test_gadget_shape_prefix_is_fair_coin(self):
@@ -227,7 +227,7 @@ class TestProbabilities:
             seq = FixedSequence(
                 2, (InputState("GENERAL", theta, phi), InputState(MAGIC)),
                 (Instruction("CX", (0, 1)),
-                 Instruction("MEASURE", (1,), label="out")), 1, ())
+                 Instruction("MEASURE", (1,), label="out")), ())
             for outcome in (0, 1):
                 assert abs(single_output_probability(seq, outcome) - 0.5) \
                     < 1e-12
@@ -246,7 +246,7 @@ class TestJointProbability:
     two_measured = FixedSequence(
         2, (InputState(ZERO), InputState(ZERO)),
         (Instruction("MEASURE", (0,), label="a"),
-         Instruction("MEASURE", (1,), label="out")), 1, ())
+         Instruction("MEASURE", (1,), label="out")), ())
 
     def test_single_line_reduces_to_single_output(self):
         rng = random.Random(41)
@@ -264,7 +264,7 @@ class TestJointProbability:
             (Instruction("H", (0,)),
              Instruction("CX", (0, 1)),
              Instruction("MEASURE", (0,), label="a"),
-             Instruction("MEASURE", (1,), label="out")), 1, ())
+             Instruction("MEASURE", (1,), label="out")), ())
         table = joint_output_probability(seq, (0, 1))
         for a, b in itertools.product((0, 1), repeat=2):
             want = 0.5 if a == b else 0.0
@@ -274,13 +274,13 @@ class TestJointProbability:
         seq = FixedSequence(
             1, (InputState(ZERO),),
             (Instruction("H", (0,)),
-             Instruction("MEASURE", (0,), label="out")), 0, ())
+             Instruction("MEASURE", (0,), label="out")), ())
         assert joint_output_probability(seq, ()).tolist() == [1.0]
 
     def test_unmeasured_line_rejected(self):
         seq = FixedSequence(
             2, (InputState(ZERO), InputState(ZERO)),
-            (Instruction("MEASURE", (1,), label="out"),), 1, ())
+            (Instruction("MEASURE", (1,), label="out"),), ())
         with pytest.raises(ValueError):
             joint_output_probability(seq, (0,))
 

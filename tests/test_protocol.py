@@ -18,7 +18,7 @@ from cliffcert.protocol import (ACCEPT, GADGET_BIAS, IMPOSSIBLE_OUTCOME,
                                 run_gate_tests, run_measurement_tests,
                                 verify_campaign)
 
-from helpers import CIRCUITS
+from helpers import CIRCUITS, run_adaptive_batch, run_fixed
 
 
 PROBE = gadgetize(parse_circuit((CIRCUITS / "phase_probe.circ").read_text()))
@@ -376,6 +376,6 @@ class TestVerifierClassicality:
         tr = dev.run_adaptive(PROBE, 1)
         _audit_classical(tr)
         seq = resolve(PROBE, tr.gadget_outcomes)
-        _audit_classical(dev.run_fixed(seq, 2))
+        _audit_classical(run_fixed(dev, seq, 2))
         _audit_classical(dev.run_fixed_batch(seq, 50, 3))
-        _audit_classical(dev.run_adaptive_batch(PROBE, 50, 4))
+        _audit_classical(run_adaptive_batch(dev, PROBE, 50, 4))

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
-                               ZERO, gadgetize, parse_circuit, resolve,
+from cliffcert.circuit import (MEASURED_LINE_REUSED, FixedSequence,
+                               InputState, Instruction, InvalidCircuitError,
+                               MAGIC, ZERO, gadgetize, parse_circuit, resolve,
                                serialize)
 from cliffcert import prover
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
@@ -17,10 +18,12 @@ from cliffcert import statevector as sv
 from cliffcert.pauli import single_output_probability
 
 from helpers import (depolarized_distribution, distribution_table,
+                     final_output_probability,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
                      gadget_born_probabilities, loop_counts,
-                     random_fixed_sequence, random_inputs)
+                     random_fixed_sequence, random_inputs, run_adaptive_batch,
+                     run_fixed, sv_fidelity, sv_norm, sv_remove_line)
 
 
 def circuit_from(text):
@@ -100,11 +103,11 @@ class TestGadgetPhysics:
                                  axes=0)
             joint = sv.apply_gate(joint, Instruction("CX", (0, 2)))
             for m in (0, 1):
-                post = sv.remove_line(joint, 2, m)
-                post = post / sv.norm(post)
+                post = sv_remove_line(joint, 2, m)
+                post = post / sv_norm(post)
                 if m:
                     post = sv.apply_gate(post, Instruction("S", (0,)))
-                assert 1.0 - sv.fidelity(want, post) < 1e-12
+                assert 1.0 - sv_fidelity(want, post) < 1e-12
 
     def test_gadget_born_probability_exactly_half(self, three_gadget):
         probs = gadget_born_probabilities(three_gadget)
@@ -115,8 +118,8 @@ class TestGadgetPhysics:
         # chi-squared over the 8 outcome patterns of 3 gadgets
         from scipy.stats import chi2
         reps = 100_000
-        batch = SimulatedDevice(IDEAL).run_adaptive_batch(three_gadget, reps,
-                                                          777)
+        batch = run_adaptive_batch(SimulatedDevice(IDEAL), three_gadget,
+                                   reps, 777)
         idx = [i for i, ev in enumerate(batch.events) if ev.is_gadget]
         counts = batch.marginal(tuple(idx))
         expected = reps / 8.0
@@ -125,8 +128,8 @@ class TestGadgetPhysics:
         assert stat < chi2.isf(0.001, df=7)
 
     def test_empirical_gadget_frequency(self, one_gadget):
-        batch = SimulatedDevice(IDEAL).run_adaptive_batch(one_gadget,
-                                                          100_000, 31)
+        batch = run_adaptive_batch(SimulatedDevice(IDEAL), one_gadget,
+                                   100_000, 31)
         assert [ev.is_gadget for ev in batch.events] == [True, False]
         assert abs(batch.frequency_of_one(0) - 0.5) < 0.005
 
@@ -138,7 +141,7 @@ class TestRunFixed:
         dev = SimulatedDevice(IDEAL)
         for seed in range(5):
             assert dev.run_adaptive(c, seed).final_output == \
-                dev.run_fixed(seq, seed).final_output
+                run_fixed(dev, seq, seed).final_output
 
     def test_frozen_corrections_applied_positionally(self, one_gadget):
         # frozen outcome 1: S applied no matter what the fresh outcome is
@@ -146,7 +149,7 @@ class TestRunFixed:
         dev = SimulatedDevice(IDEAL)
         seen_fresh = set()
         for seed in range(40):
-            res = dev.run_fixed(seq, seed)
+            res = run_fixed(dev, seq, seed)
             seen_fresh.add(res.outcomes[0])
         assert seen_fresh == {0, 1}
         ops = [i.op for i in seq.instructions]
@@ -202,7 +205,7 @@ class TestFaultModels:
 
     def test_coin_bias_frequency(self, one_gadget):
         dev = SimulatedDevice(GadgetCoinBias(0.1))
-        batch = dev.run_adaptive_batch(one_gadget, 100_000, 13)
+        batch = run_adaptive_batch(dev, one_gadget, 100_000, 13)
         assert batch.events[0].is_gadget
         assert abs(batch.frequency_of_one(0) - 0.6) < 0.005
 
@@ -242,9 +245,8 @@ class TestFaultModels:
     def test_miscalibration_shifts_magic_phase(self):
         c = gadgetize(circuit_from(ONE_GADGET))
         seq = resolve(c, (0,))
-        honest = prover.final_output_probability(seq, IDEAL)
-        shifted = prover.final_output_probability(seq,
-                                                  MagicMiscalibration(0.3))
+        honest = final_output_probability(seq, IDEAL)
+        shifted = final_output_probability(seq, MagicMiscalibration(0.3))
         assert abs(honest - shifted) > 0.05
 
     def test_depolarizing_flips_deterministic_readout(self):
@@ -286,17 +288,18 @@ class TestFaultModels:
     def test_depolarizing_adaptive_batch_rejected(self, one_gadget):
         dev = SimulatedDevice(Depolarizing(0.1))
         with pytest.raises(ValueError):
-            dev.run_adaptive_batch(one_gadget, 100, 1)
+            run_adaptive_batch(dev, one_gadget, 100, 1)
 
     def test_reused_measured_line_rejected(self):
+        # refused when built, so no device batch can be asked to defer it
         zero = InputState(ZERO)
-        seq = FixedSequence(2, (zero, zero), (
-            Instruction("MEASURE", (0,), label="a"),
-            Instruction("H", (0,)),
-            Instruction("MEASURE", (1,), label="out")), 1, ())
-        for fault in (IDEAL, Depolarizing(0.1)):
-            with pytest.raises(ValueError, match="used after"):
-                SimulatedDevice(fault).run_fixed_batch(seq, 10, 1)
+        with pytest.raises(InvalidCircuitError, match="used after") as err:
+            FixedSequence(2, (zero, zero), (
+                Instruction("MEASURE", (0,), label="a"),
+                Instruction("H", (0,)),
+                Instruction("MEASURE", (1,), label="out")), ())
+        assert [(v.code, v.index) for v in err.value.violations] == \
+            [(MEASURED_LINE_REUSED, 1)]
 
 
 class TestSeedDerivation:
