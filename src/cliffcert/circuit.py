@@ -44,8 +44,8 @@ ALL_OPS = ONE_LINE_OPS | TWO_LINE_OPS | {"MEASURE", "TGADGET"}
 
 OUTPUT_LABEL = "out"
 
-# widest circuit the text format may declare; `qubits` above it is refused
-# before any per-line state is allocated
+# widest circuit: `validate` refuses a wider one, and the parser refuses a
+# wider `qubits` before it allocates any per-line state
 MAX_DECLARED_LINES = 1 << 16
 
 
@@ -216,6 +216,7 @@ class InvalidCircuitError(ValueError):
                          "; ".join(v.message for v in self.violations))
 
 
+BAD_WIDTH = "BAD_WIDTH"
 BAD_INPUTS = "BAD_INPUTS"
 MEASURED_LINE_REUSED = "MEASURED_LINE_REUSED"
 ANCILLA_NOT_MAGIC = "ANCILLA_NOT_MAGIC"
@@ -226,24 +227,34 @@ UNRESOLVED_GADGET = "UNRESOLVED_GADGET"
 BAD_GADGET_SLOT = "BAD_GADGET_SLOT"
 
 
+def _width_error(n_lines: int) -> Optional[str]:
+    """Why no circuit has `n_lines` lines, or None if one may."""
+    if 0 < n_lines <= MAX_DECLARED_LINES:
+        return None
+    return f"line count {n_lines} outside 1..{MAX_DECLARED_LINES}"
+
+
 def validate(circuit: Circuit) -> list[Violation]:
     """Every structural violation of a circuit; an empty list means valid.
 
-    One pass checks: one input per line on at least one line; line indices
-    in range; no line used after being measured (gadget ancillas count as
-    measured); every gadget ancilla prepared in MAGIC and untouched before
-    its gadget; and a MEASURE as the last instruction (its line is the
-    output).  A fixed sequence also holds no T or TGADGET, and each of its
-    `gadget_slots` is, in increasing order, a MEASURE right after CX(target,
-    ancilla) on a MAGIC line that no earlier instruction touches.  Both
-    circuit types call this once at construction, so code holding a
-    circuit never validates it again.
+    One pass checks: 1..MAX_DECLARED_LINES lines with one input each; line
+    indices in range; no line used after being measured (gadget ancillas
+    count as measured); every gadget ancilla prepared in MAGIC and
+    untouched before its gadget; and a MEASURE as the last instruction (its
+    line is the output).  A fixed sequence also holds no T or TGADGET, and
+    each of its `gadget_slots` is, in increasing order, a MEASURE right
+    after CX(target, ancilla) on a MAGIC line that no earlier instruction
+    touches.  Both circuit types call this once at construction, so code
+    holding a circuit never validates it again.
     """
     n = circuit.n_lines
-    if n <= 0 or len(circuit.inputs) != n:
+    width = _width_error(n)
+    if width:
+        return [Violation(BAD_WIDTH, None, width)]
+    if len(circuit.inputs) != n:
         return [Violation(BAD_INPUTS, None,
                           f"{len(circuit.inputs)} input states for "
-                          f"{n} lines; need one per line and n_lines >= 1")]
+                          f"{n} lines; need one per line")]
     out: list[Violation] = []
     fixed = isinstance(circuit, FixedSequence)
     slots: set[int] = set()
@@ -466,13 +477,14 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
     """Parse circuit text into an AdaptiveCircuit.
 
     The parser checks syntax only: tokens and numbers, directive order,
-    input declarations, a declared width of at most MAX_DECLARED_LINES, and
-    the text format's `out` label on the final MEASURE.  Every structural
-    rule (operand count and distinctness, line range, reuse, fresh MAGIC
-    ancillas, the final measurement) comes from building the circuit; the
-    first violation is raised at its instruction's source line, or at the
-    end of the text when there is no instruction.  Every error is a
-    CircuitParseError with a 1-based line and column.
+    input declarations, and the text format's `out` label on the final
+    MEASURE; it applies `validate`'s width rule to `qubits` before it
+    allocates the lines.  Every structural rule (operand count and
+    distinctness, line range, reuse, fresh MAGIC ancillas, the final
+    measurement) comes from building the circuit; the first violation is
+    raised at its instruction's source line, or at the end of the text when
+    there is no instruction.  Every error is a CircuitParseError with a
+    1-based line and column.
     """
     n_lines: Optional[int] = None
     inputs: list[InputState] = []
@@ -492,9 +504,9 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
             if word != "qubits":
                 raise lp.error("circuit must start with 'qubits <n>'", col0)
             count, col = lp.take_int("line count")
-            if not 0 < count <= MAX_DECLARED_LINES:
-                raise lp.error("line count must lie in 1.."
-                               f"{MAX_DECLARED_LINES}", col)
+            width = _width_error(count)
+            if width:
+                raise lp.error(width, col)
             lp.finish()
             n_lines = count
             inputs = [InputState(ZERO)] * n_lines

@@ -32,13 +32,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .circuit import (CircuitParseError, gadgetize, parse_circuit, resolve,
-                      serialize)
+from .circuit import gadgetize, parse_circuit, resolve, serialize
 # kept importable: perfbench/tracing.py wraps cli.validate in traced runs
 from .circuit import validate  # noqa: F401
-from .pauli import single_output_probability
-from .prover import FaultModel, SimulatedDevice, parse_fault
-from .protocol import report_summary, report_to_json_dict, verify_campaign
+from .pauli import DEFAULT_K_MAX, single_output_probability
+from .prover import (MAX_RECORD_SLOTS, FaultModel, SimulatedDevice,
+                     parse_fault)
+from .protocol import (campaign_table_sizes, report_summary,
+                       report_to_json_dict, verify_campaign)
 
 ENV_OUTPUT_DIR = "CLIFFCERT_OUTPUT_DIR"
 
@@ -126,29 +127,28 @@ def parse_config(path: Path) -> CampaignConfig:
     )
 
 
-def _load_circuit(path: Path):
-    """Read and parse a circuit file; any problem is a UsageError."""
+def _load_gadgetized(path: Path):
+    """Read, parse and gadgetize a circuit file; any problem is a
+    UsageError naming the file."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read circuit {path}: {exc}") from None
     try:
-        circuit = parse_circuit(text)
-    except CircuitParseError as exc:
+        return gadgetize(parse_circuit(text))
+    except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    return circuit
 
 
 def cmd_gadgetize(in_path: str, out_path: str) -> int:
-    circuit = _load_circuit(Path(in_path))
-    compiled = gadgetize(circuit)
+    compiled = _load_gadgetized(Path(in_path))
     Path(out_path).write_text(serialize(compiled), encoding="utf-8")
     print(f"t={compiled.gadget_count} lines={compiled.n_lines} -> {out_path}")
     return 0
 
 
 def cmd_probability(circuit_path: str, outcomes: str) -> int:
-    circuit = gadgetize(_load_circuit(Path(circuit_path)))
+    circuit = _load_gadgetized(Path(circuit_path))
     if any(ch not in "01" for ch in outcomes):
         raise UsageError(f"outcomes must be a bit string, got {outcomes!r}")
     try:
@@ -163,7 +163,20 @@ def cmd_probability(circuit_path: str, outcomes: str) -> int:
 
 def cmd_verify(config_path: str) -> int:
     config = parse_config(Path(config_path))
-    circuit = gadgetize(_load_circuit(config.circuit_path))
+    circuit = _load_gadgetized(config.circuit_path)
+    slots, probe_lines = campaign_table_sizes(circuit,
+                                              config.extra_check_lines)
+    if probe_lines > DEFAULT_K_MAX:
+        raise UsageError(
+            f"{config_path}: bad value for 'extra_check_lines': "
+            f"{config.extra_check_lines} probes make a {probe_lines}-line "
+            f"probe table at stage 1 of {config.circuit_path}; the verifier "
+            f"computes at most k_max={DEFAULT_K_MAX} lines")
+    if slots > MAX_RECORD_SLOTS:
+        raise UsageError(
+            f"{config_path}: {config.circuit_path} with extra_check_lines = "
+            f"{config.extra_check_lines} needs a {slots}-slot record table; "
+            f"the simulated device builds at most {MAX_RECORD_SLOTS} slots")
     device = SimulatedDevice(config.fault)
     report = verify_campaign(
         device, circuit, epsilon=config.epsilon, eta=config.eta,

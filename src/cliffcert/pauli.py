@@ -7,8 +7,10 @@ a final-measurement Z operator backwards through a sequence costs O(1) bit
 operations per gate.  Together with per-line input expectations this yields
 output probabilities for non-adaptive sequences on product inputs in time
 linear in circuit size, independent of any statevector.  The joint outcome
-table of k measured lines costs k back-propagations, 2^k Pauli products and
-one Walsh-Hadamard transform: O(k * 2^k) beyond the back-propagations.
+table of k commuting operators (:func:`outcome_table`, shared by the
+verifier and the simulated device) costs 2^k Pauli products, one lookup per
+support line each, and one Walsh-Hadamard transform: O(|U| * 2^k + k * 2^k)
+for a union support of |U| lines, beyond the back-propagations.
 """
 
 from __future__ import annotations
@@ -92,15 +94,20 @@ def conjugate(p: PauliOperator, gate: Instruction) -> PauliOperator:
     This is the inverse-image orientation: folding it over a circuit's gates
     in reverse order yields U^dagger p U for the whole unitary U.
     """
+    return PauliOperator(p.n, *_conjugate_bits(p.x, p.z, p.sign, gate))
+
+
+def _conjugate_bits(x: int, z: int, sign: int,
+                    gate: Instruction) -> tuple[int, int, int]:
+    """:func:`conjugate` on the (x, z, sign) of a Pauli."""
     if not gate.is_unitary:
         raise ValueError(f"{gate.op} is not unitary")
     op = gate.op
-    x, z, sign = p.x, p.z, p.sign
 
     if op in ("ID", "T"):
         if op == "T":
             raise ValueError("T is not a Clifford gate")
-        return p
+        return x, z, sign
 
     if op in ("CX", "CZ", "SWAP"):
         a, b = gate.targets
@@ -119,7 +126,7 @@ def conjugate(p: PauliOperator, gate: Instruction) -> PauliOperator:
         else:  # SWAP
             x = (x & ~(ma | mb)) | (xa << b) | (xb << a)
             z = (z & ~(ma | mb)) | (za << b) | (zb << a)
-        return PauliOperator(p.n, x, z, sign)
+        return x, z, sign
 
     t = gate.targets[0]
     m = 1 << t
@@ -150,7 +157,7 @@ def conjugate(p: PauliOperator, gate: Instruction) -> PauliOperator:
             sign = -sign
     else:
         raise ValueError(f"no conjugation rule for {op}")
-    return PauliOperator(p.n, x, z, sign)
+    return x, z, sign
 
 
 def multiply(p: PauliOperator,
@@ -206,12 +213,19 @@ def backpropagate(seq: Circuit, line: int,
         at = count
     if not (0 <= at <= count):
         raise ValueError(f"position {at} outside 0..{count}")
-    p = PauliOperator.z_on(seq.n_lines, line)
-    for ins in reversed(seq.instructions[:at]):
-        if ins.op in ("MEASURE", "ID"):
-            continue
-        p = conjugate(p, ins)
-    return p
+    return pull_back(PauliOperator.z_on(seq.n_lines, line),
+                     seq.instructions[:at])
+
+
+def pull_back(p: PauliOperator,
+              instructions: Sequence[Instruction]) -> PauliOperator:
+    """U^dagger p U for the unitary part U of `instructions`; MEASURE and
+    ID are skipped."""
+    x, z, sign = p.x, p.z, p.sign
+    for ins in reversed(instructions):
+        if ins.op not in ("MEASURE", "ID"):
+            x, z, sign = _conjugate_bits(x, z, sign, ins)
+    return PauliOperator(p.n, x, z, sign)
 
 
 def single_output_probability(seq: FixedSequence, outcome: int) -> float:
@@ -229,17 +243,13 @@ def single_output_probability(seq: FixedSequence, outcome: int) -> float:
 
 def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
                              k_max: int = DEFAULT_K_MAX) -> np.ndarray:
-    """Joint outcome table of up to k_max measured lines, in O(k * 2^k).
+    """Joint outcome table of up to k_max measured lines.
 
     Returns 2^k probabilities; bit k-1-i of a cell's index is the outcome
     of lines[i], so lines[0] is the most significant bit (the layout of
-    `prover.record_table`).  Each line's measurement operator Z'_i is
+    `prover.record_table`).  Each line's measurement operator is
     back-propagated once; all of them commute because distinct measured
-    lines are never reused, so the product of (I + (-1)^m_i Z'_i)/2
-    projectors expands to 2^-k sum_S (-1)^(m.S) <prod_{i in S} Z'_i>.
-    Every subset product is one multiplication away from a smaller subset,
-    and the signed sums for all outcomes at once are an inverse
-    Walsh-Hadamard transform of the subset expectations.
+    lines are never reused, so :func:`outcome_table` applies.
     """
     k = len(lines)
     if k > k_max:
@@ -251,25 +261,87 @@ def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
     for line in lines:
         if line not in measured:
             raise ValueError(f"line {line} is not measured in the sequence")
+    return outcome_table([backpropagate(seq, line) for line in lines],
+                         input_expectations(seq.inputs))
 
-    table = input_expectations(seq.inputs)
-    # subset bit j selects the operator of lines[k-1-j]
-    operators = [backpropagate(seq, line) for line in reversed(lines)]
+
+def _packed(masks: Sequence[int], n: int, lines: np.ndarray,
+            words: int) -> np.ndarray:
+    """Bits `lines` of each n-bit mask, packed into `words` uint64 words."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
+                                 for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1,
+                         bitorder="little")[:, lines]
+    padded = np.zeros((len(masks), 64 * words), np.uint8)
+    padded[:, :len(lines)] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def outcome_table(operators: Sequence[PauliOperator],
+                  bloch) -> np.ndarray:
+    """Joint outcome table of commuting signed Paulis on a product state.
+
+    `bloch[line]` is line's (<X>, <Y>, <Z>).  Returns 2^k probabilities;
+    bit k-1-i of a cell's index is the +1/-1 (0/1) outcome of
+    operators[i].  The product of the (I + (-1)^m_i P_i)/2 projectors
+    expands to 2^-k sum_S (-1)^(m.S) <prod_{i in S} P_i>.  Every subset
+    product comes from a smaller subset by one XOR on x/z bits packed
+    over the union support; with P = i^|x&z| X^x Z^z, P1 P2 = i^e P3 for
+    e = |x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|.  Each expectation is one
+    lookup per support line, and the signed sums for all outcomes at once
+    are an inverse Walsh-Hadamard transform of the expectations.
+    """
+    k = len(operators)
     size = 1 << k
-    products = [PauliOperator.identity(seq.n_lines)] * size
-    values = np.empty(size)
-    values[0] = 1.0
-    for subset in range(1, size):
-        low = subset & -subset
-        phase, product = multiply(products[subset ^ low],
-                                  operators[low.bit_length() - 1])
-        if abs(phase.imag) > 1e-12:
-            raise AssertionError("projector expansion produced a non-"
-                                 "Hermitian term")
-        product = PauliOperator(seq.n_lines, product.x, product.z,
-                                1 if phase.real > 0 else -1)
-        products[subset] = product
-        values[subset] = expectation(product, table)
+    support = 0
+    for p in operators:
+        support |= p.support
+    lines = np.fromiter(_bits(support), np.int64)
+    words = max(1, -(-len(lines) // 64))
+    # subset bit j selects operators[k-1-j]; xz[subset] holds its x words
+    # then its z words
+    ordered = operators[::-1]
+    n = ordered[0].n if k else 0
+    op_xz = _packed([m for p in ordered for m in (p.x, p.z)], n, lines,
+                    words).reshape(k, 2 * words)
+    op_e = np.array([0 if p.sign > 0 else 2 for p in ordered], np.int64) \
+        + _popcount(op_xz[:, :words] & op_xz[:, words:])
+
+    xz = np.zeros((size, 2 * words), "<u8")
+    exponent = np.zeros(size, np.int64)  # of i, as in i^e X^x Z^z
+    for j in range(k):
+        half = 1 << j
+        xz[half:2 * half] = xz[:half] ^ op_xz[j]
+        exponent[half:2 * half] = exponent[:half] + op_e[j] \
+            + 2 * _popcount(xz[:half, words:] & op_xz[j, :words])
+    # back from i^e X^x Z^z to a sign times the Hermitian Pauli
+    exponent -= _popcount(xz[:, :words] & xz[:, words:])
+    if np.any(exponent & 1):
+        raise AssertionError("projector expansion produced a non-"
+                             "Hermitian term")
+    values = np.where(exponent & 2, -1.0, 1.0)
+
+    # factors[4u + 2x + z]: support line u's factor for I/Z/X/Y
+    count = len(lines)
+    factors = np.array([(1.0, ez, ex, ey) for ex, ey, ez in
+                        (bloch[line] for line in lines.tolist())]).ravel()
+    offsets = np.arange(0, 4 * count, 4,
+                        dtype=np.min_scalar_type(4 * count))[:, None]
+    bits = xz.view(np.uint8)
+    # a block's factor array holds at most 2^18 entries; its product runs
+    # over the lines in order, as one scalar expectation would
+    block = max(1, (1 << 18) // max(count, 1))
+    for start in range(0, size, block):
+        x, z = (np.unpackbits(bits[start:start + block, first_byte:],
+                              axis=1, count=count, bitorder="little").T
+                for first_byte in (0, 8 * words))
+        values[start:start + block] *= np.multiply.reduce(
+            factors[offsets + ((x << 1) | z)], axis=0)
 
     # Walsh-Hadamard butterflies in place; the inverse only adds the 1/size
     half = 1

@@ -243,6 +243,32 @@ def build_stage_prefix(circuit: AdaptiveCircuit, outcomes, stage: int,
     return prefix, ancilla, extras
 
 
+def campaign_table_sizes(circuit: AdaptiveCircuit,
+                         extra_check_lines: int) -> tuple[int, int]:
+    """(record slots of the largest device table, lines of the largest
+    probe table) a campaign on `circuit` asks for, from its structure alone.
+
+    The computational run and the gate test have one slot per MEASURE and
+    gadget; stage s's prefix has the MEASUREs before gadget s, s gadget
+    readouts and its probes, as `build_stage_prefix` lays them out.  Stage
+    1 leaves the most lines unmeasured, so its probe table is the largest.
+    """
+    measured: set[int] = set()
+    measures = gadgets = largest = probe_lines = 0
+    for ins in circuit.instructions:
+        if ins.op == "MEASURE":
+            measures += 1
+            measured.add(ins.targets[0])
+        elif ins.op == "TGADGET":
+            gadgets += 1
+            measured.add(ins.ancilla)
+            probes = min(extra_check_lines,
+                         circuit.n_lines - len(measured))
+            largest = max(largest, measures + gadgets + probes)
+            probe_lines = max(probe_lines, 1 + probes)
+    return max(largest, measures + gadgets), probe_lines
+
+
 def run_measurement_stage(device, circuit: AdaptiveCircuit,
                           transcript: Transcript, test_plan: TestPlan,
                           stage: int, seed: int) -> MeasurementStageResult:

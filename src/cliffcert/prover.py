@@ -5,19 +5,27 @@ ancilla measurements) and fixed sequences (corrections frozen, fresh
 measurement outcomes recorded but never used).  Everything the verifier may
 see crosses this module as classical data: bits, counts, hashes, seeds.
 
-A single run samples one trajectory with an explicit RNG, measuring in place;
-it is the reference semantics.  A batch instead draws one multinomial sample
-from the exact joint distribution over measurement records, the record
-table, built in one pass for every fault model.  Because a measured line is
-never reused, every measurement can be deferred to the end of the unitary
-part (a gadget's "S if the ancilla reads 1" becomes a controlled-S), so one
-statevector pass gives the honest table.  Each fault model then acts as a
-channel on that table: miscalibration changes the inputs of the pass, a liar
-replaces the final bit, a biased coin reweights gadget slots by
-coin(b) / P(b | earlier bits), and depolarizing noise XOR-shifts the table by
-the flip mask each gate error leaves on the record (Pauli-frame propagation,
-as in Stim, Gidney arXiv:2103.02202).  This is what makes
-10^5..10^7-repetition test batches affordable for every fault model.
+The device holds no amplitudes.  A measured line is never reused and every
+gadget ancilla is fresh, so the measurements of a run are commuting Z
+operators pulled back through the gates before them, on a product input,
+and `pauli.outcome_table` gives their exact joint distribution in
+O(|U| * 2^m) for m record slots on |U| support lines (at most
+MAX_RECORD_SLOTS slots).
+
+A batch draws one multinomial sample from the record table of a fixed
+sequence.  Each fault model acts as a channel on that table: miscalibration
+changes the prepared inputs, a liar replaces the final bit, a biased coin
+reweights gadget slots by coin(b) / P(b | earlier bits), and depolarizing
+noise XOR-shifts the table by the flip mask each gate error leaves on the
+record (Pauli-frame propagation, as in Stim, Gidney arXiv:2103.02202).  This
+is what makes 10^5..10^7-repetition test batches affordable for every fault
+model.
+
+The one adaptive run samples its record by sequential conditional
+sampling: each measurement draws from P(1 | record so far), computed on the
+gates realised so far, so a gadget correction follows its sampled bit and a
+depolarizing gate error, drawn as its gate runs, becomes a Pauli gate of
+the realised sequence.
 """
 
 from __future__ import annotations
@@ -30,21 +38,21 @@ from typing import Union
 
 import numpy as np
 
-from . import statevector as sv
-from .circuit import (AdaptiveCircuit, Circuit, FixedSequence, Instruction,
-                      resolve, serialize)
-from .pauli import PauliOperator, conjugate
+from .circuit import (MAGIC, AdaptiveCircuit, Circuit, FixedSequence,
+                      Instruction, resolve, serialize)
+from .pauli import (PauliOperator, backpropagate, conjugate,
+                    input_expectations, outcome_table, pull_back)
 
 PROB_TOL = 1e-12
+
+# widest record table the device builds: 2^20 cells
+MAX_RECORD_SLOTS = 20
 
 _PAULIS_1Q = ("X", "Y", "Z")
 _PAULIS_2Q = tuple((a, b)
                    for a in ("ID", "X", "Y", "Z")
                    for b in ("ID", "X", "Y", "Z")
                    if (a, b) != ("ID", "ID"))
-
-# controlled-S on (control, target): the deferred form of a gadget correction
-_CS = np.diag([1, 1, 1, 1j]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -206,12 +214,15 @@ def _plan_events(circuit: Circuit) -> list[MeasurementEvent]:
     """
     slots = () if isinstance(circuit, AdaptiveCircuit) \
         else circuit.gadget_slots
-    events = []
+    events: list[MeasurementEvent] = []
     for idx, ins in enumerate(circuit.instructions):
         if ins.op == "TGADGET":
             events.append(MeasurementEvent(ins.ancilla, True))
         elif ins.op == "MEASURE":
             events.append(MeasurementEvent(ins.targets[0], idx in slots))
+    if len(events) > MAX_RECORD_SLOTS:
+        raise ValueError(f"{len(events)} measurement slots exceed the "
+                         f"device's maximum {MAX_RECORD_SLOTS}")
     return events
 
 
@@ -225,98 +236,102 @@ def _effective_probs(p_one: float, event: MeasurementEvent, is_final: bool,
     return 1.0 - p_one, p_one, False
 
 
-class _Executor:
-    """Gate/measurement mechanics of one run that measures in place."""
-
-    def __init__(self, inputs, fault: FaultModel, max_lines: int):
-        self.fault = fault
-        shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
-            else 0.0
-        self.initial = sv.init_state(inputs, magic_phase_shift=shift,
-                                     max_lines=max_lines)
-
-    def apply_unitary(self, state, ins: Instruction, rng):
-        if ins.op == "ID":
-            return state
-        state = sv.apply_gate(state, ins)
-        fault = self.fault
-        if isinstance(fault, Depolarizing) and rng.random() < fault.p_err:
-            if len(ins.targets) == 1:
-                pauli = _PAULIS_1Q[rng.integers(3)]
-                state = sv.apply_pauli(state, ins.targets[0], pauli)
-            else:
-                pa, pb = _PAULIS_2Q[rng.integers(15)]
-                if pa != "ID":
-                    state = sv.apply_pauli(state, ins.targets[0], pa)
-                if pb != "ID":
-                    state = sv.apply_pauli(state, ins.targets[1], pb)
-        return state
-
-    def sample_measure(self, state, event: MeasurementEvent, is_final: bool,
-                       rng) -> tuple[int, object]:
-        """Sample one outcome; returns (outcome, collapsed state)."""
-        p_one = sv.probability_of_one(state, event.line)
-        p0, p1, overridden = _effective_probs(p_one, event, is_final,
-                                              self.fault)
-        outcome = 1 if rng.random() < p1 else 0
-        true_p = p_one if outcome else 1.0 - p_one
-        if true_p < PROB_TOL:
-            # a gadget readout is a fair coin, so only a terminal readout
-            # can be forced onto an impossible bit: a lie, state unused
-            if overridden:
-                return outcome, state
-            outcome = 1 - outcome  # numerical guard for honest sampling
-        return outcome, sv.collapse(state, event.line, outcome)
+def _bloch_table(inputs, fault: FaultModel):
+    """Per-line (<X>, <Y>, <Z>) of the inputs the device prepares: a
+    miscalibrated source puts MAGIC lines at phase pi/4 + delta_theta."""
+    shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
+        else 0.0
+    if not shift:
+        return input_expectations(inputs)
+    phase = math.pi / 4 + shift
+    magic = (math.cos(phase), math.sin(phase), 0.0)
+    return tuple(magic if inp.kind == MAGIC else inp.bloch()
+                 for inp in inputs)
 
 
-def _run_single(circuit: Circuit, fault: FaultModel, seed: int,
-                max_lines: int):
-    """One trajectory; returns (record bits, events)."""
+def _run_single(circuit: Circuit, fault: FaultModel, seed: int):
+    """One trajectory; returns (record bits, events).
+
+    Each measurement samples its outcome from P(1 | record so far): the
+    record table of the slots so far, each slot's Z pulled back through
+    the gates realised before it.  Under depolarizing noise each gate's
+    error Pauli is drawn when the gate runs and becomes a gate of the
+    realised sequence.
+    """
     rng = np.random.default_rng(seed)
-    ex = _Executor(circuit.inputs, fault, max_lines)
     events = _plan_events(circuit)
     final_index = len(events) - 1
-    state = ex.initial
+    bloch = _bloch_table(circuit.inputs, fault)
+    noisy = isinstance(fault, Depolarizing)
+    gates: list[Instruction] = []
+    operators: list[PauliOperator] = []
     record: list[int] = []
-    ev = 0
+    cell = 0  # the record so far as a table index
+
+    def apply(ins: Instruction) -> None:
+        if ins.op == "ID":
+            return
+        gates.append(ins)
+        if noisy and rng.random() < fault.p_err:
+            if len(ins.targets) == 1:
+                errors = (_PAULIS_1Q[rng.integers(3)],)
+            else:
+                errors = _PAULIS_2Q[rng.integers(15)]
+            gates.extend(Instruction(pauli, (line,))
+                         for line, pauli in zip(ins.targets, errors)
+                         if pauli != "ID")
+
+    def measure(line: int) -> int:
+        nonlocal cell
+        slot = len(record)
+        operators.append(pull_back(PauliOperator.z_on(circuit.n_lines, line),
+                                   gates))
+        zero, one = outcome_table(operators, bloch)[2 * cell:2 * cell + 2]
+        p_one = one / (zero + one)
+        _, p1, overridden = _effective_probs(p_one, events[slot],
+                                             slot == final_index, fault)
+        outcome = 1 if rng.random() < p1 else 0
+        true_p = p_one if outcome else 1.0 - p_one
+        # a gadget readout is a fair coin, so only a terminal readout can
+        # be forced onto an impossible bit: a lie, nothing measured after
+        if true_p < PROB_TOL and not overridden:
+            outcome = 1 - outcome  # numerical guard for honest sampling
+        record.append(outcome)
+        cell = 2 * cell + outcome
+        return outcome
+
     for ins in circuit.instructions:
         if ins.op == "TGADGET":
-            state = ex.apply_unitary(
-                state, Instruction("CX", (ins.targets[0], ins.ancilla)), rng)
-            outcome, state = ex.sample_measure(
-                state, events[ev], ev == final_index, rng)
-            record.append(outcome)
-            ev += 1
-            if outcome:
-                state = ex.apply_unitary(state, Instruction("S", ins.targets),
-                                         rng)
+            apply(Instruction("CX", (ins.targets[0], ins.ancilla)))
+            if measure(ins.ancilla):
+                apply(Instruction("S", ins.targets))
         elif ins.op == "MEASURE":
-            outcome, state = ex.sample_measure(
-                state, events[ev], ev == final_index, rng)
-            record.append(outcome)
-            ev += 1
+            measure(ins.targets[0])
         else:
-            state = ex.apply_unitary(state, ins, rng)
+            apply(ins)
     return tuple(record), tuple(events)
 
 
-def record_table(circuit: Circuit, fault: FaultModel,
-                 max_lines: int = sv.DEFAULT_MAX_LINES
+def record_table(seq: FixedSequence, fault: FaultModel
                  ) -> tuple[tuple[MeasurementEvent, ...], np.ndarray]:
     """Exact joint distribution over measurement records under `fault`.
 
     Returns the measurement slots and a table of 2^m probabilities; bit
     m-1-i of a cell's index is slot i's outcome, so slot 0 is the most
-    significant bit and cells run in lexicographic record order.  Adaptive
-    circuits (gadget corrections applied) are recognised by type.  A
-    circuit never reuses a measured line, so every measurement defers.
+    significant bit and cells run in lexicographic record order.  Each
+    slot's Z is pulled back from its own MEASURE (a measured line is never
+    reused, so later gates cannot change it); the honest table is the
+    outcome table of those commuting operators on the prepared inputs.
     """
-    if isinstance(circuit, AdaptiveCircuit) \
-            and isinstance(fault, Depolarizing):
-        raise ValueError("depolarizing noise has no record table for "
-                         "adaptive circuits (controlled-S is not Clifford)")
-    events = tuple(_plan_events(circuit))
-    table = _honest_table(circuit, events, fault, max_lines)
+    events = tuple(_plan_events(seq))
+    operators = [backpropagate(seq, ins.targets[0], at=idx)
+                 for idx, ins in enumerate(seq.instructions)
+                 if ins.op == "MEASURE"]
+    table = outcome_table(operators, _bloch_table(seq.inputs, fault))
+    total = float(table.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise AssertionError(f"record probabilities sum to {total}")
+    table[table < PROB_TOL] = 0.0
     final = len(events) - 1
     if isinstance(fault, GadgetCoinBias):
         coin = np.array([0.5 - fault.bias, 0.5 + fault.bias])
@@ -327,34 +342,8 @@ def record_table(circuit: Circuit, fault: FaultModel,
         table = _force_slot(table, final, final,
                             np.array([fault.q, 1.0 - fault.q]))
     elif isinstance(fault, Depolarizing) and fault.p_err:
-        table = _depolarize(table, circuit, events, fault.p_err)
+        table = _depolarize(table, seq, events, fault.p_err)
     return events, table
-
-
-def _honest_table(circuit: Circuit, events, fault: FaultModel,
-                  max_lines: int) -> np.ndarray:
-    """One unitary pass with every measurement deferred to the end."""
-    shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
-        else 0.0
-    state = sv.init_state(circuit.inputs, magic_phase_shift=shift,
-                          max_lines=max_lines)
-    for ins in circuit.instructions:
-        if ins.op == "TGADGET":
-            target = ins.targets[0]
-            state = sv.apply_gate(state, Instruction("CX",
-                                                     (target, ins.ancilla)))
-            state = sv.apply_matrix_2q(state, _CS, ins.ancilla, target)
-        elif ins.op not in ("MEASURE", "ID"):
-            state = sv.apply_gate(state, ins)
-    m = len(events)
-    probs = np.moveaxis(np.abs(state) ** 2, [ev.line for ev in events],
-                        list(range(m)))
-    table = probs.reshape(1 << m, -1).sum(axis=1)
-    total = float(table.sum())
-    if not abs(total - 1.0) <= 1e-9:
-        raise AssertionError(f"record probabilities sum to {total}")
-    table[table < PROB_TOL] = 0.0
-    return table
 
 
 def _force_slot(table: np.ndarray, slot: int, final: int,
@@ -430,16 +419,13 @@ class SimulatedDevice:
     """In-process prover.  The constructor fixes the hardware's fault model;
     the verifier only ever sees classical run records."""
 
-    def __init__(self, fault: FaultModel = IDEAL,
-                 max_lines: int = sv.DEFAULT_MAX_LINES):
+    def __init__(self, fault: FaultModel = IDEAL):
         self.fault = fault
-        self.max_lines = max_lines
 
     def run_adaptive(self, circuit: AdaptiveCircuit, seed: int) -> Transcript:
         """One adaptive run: gadget corrections applied immediately after
         their ancilla measurements, everything recorded."""
-        record, events = _run_single(circuit, self.fault, seed,
-                                     self.max_lines)
+        record, events = _run_single(circuit, self.fault, seed)
         gadget_bits = tuple(bit for bit, ev in zip(record, events)
                             if ev.is_gadget)
         return Transcript(
@@ -454,5 +440,5 @@ class SimulatedDevice:
                         seed: int) -> BatchResult:
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        events, table = record_table(seq, self.fault, self.max_lines)
+        events, table = record_table(seq, self.fault)
         return _sample_table(events, table, repetitions, seed)

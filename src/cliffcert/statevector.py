@@ -3,7 +3,9 @@
 States are numpy complex128 arrays of shape (2,) * n, axis i holding line i.
 This module is purely unitary/projective quantum mechanics: gate matrices,
 state preparation, gate application, measurement probabilities and collapse.
-Sampling, fault models, and run bookkeeping live in :mod:`cliffcert.prover`.
+No other module of the package imports it: the simulated device runs on the
+Pauli engine, and this dense simulator is the independent oracle the tests
+(`tests/helpers.py`) check that device against.
 """
 
 from __future__ import annotations

@@ -1,8 +1,14 @@
-"""Shared test utilities: seeded circuit generators, dense oracles, and the
-test-only device and statevector API."""
+"""Shared test utilities: seeded circuit generators, the dense statevector
+oracles (the branch tree, the one-pass deferred table and the reference
+trajectory), and the test-only device and statevector API.
+
+The device runs on the Pauli engine, so every oracle here that a device
+result is checked against is computed with `cliffcert.statevector` or
+dense matrices, never with `cliffcert.pauli`."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -12,13 +18,16 @@ import numpy as np
 
 from cliffcert import statevector as sv
 from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
-                               Circuit, FixedSequence, InputState, Instruction)
+                               Circuit, FixedSequence, InputState, Instruction,
+                               resolve)
 from cliffcert.pauli import PauliOperator
-from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
-                              FaultModel, MagicMiscalibration,
-                              SimulatedDevice, _effective_probs, _plan_events,
-                              _run_single, _sample_table, derive_seed,
-                              fault_to_text, record_table)
+from cliffcert.prover import (_PAULIS_1Q, _PAULIS_2Q, IDEAL, PROB_TOL,
+                              BatchResult, Depolarizing, FaultModel, Ideal,
+                              MagicMiscalibration, MeasurementEvent,
+                              SimulatedDevice, Transcript, _effective_probs,
+                              _plan_events, _run_single, _sample_table,
+                              circuit_id, derive_seed, fault_to_text,
+                              record_table)
 from cliffcert.statevector import GATES_1Q, GATES_2Q
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -70,22 +79,34 @@ def random_fixed_sequence(rng: random.Random, n: int, depth: int,
     return FixedSequence(n, random_inputs(rng, n), tuple(instructions), ())
 
 
-def random_t_circuit(rng: random.Random, n: int, depth: int,
-                     n_t: int) -> AdaptiveCircuit:
-    """Random Clifford circuit with `n_t` raw T gates, ready to gadgetize."""
+def random_t_circuit(rng: random.Random, n: int, depth: int, n_t: int,
+                     intermediate: int = 0) -> AdaptiveCircuit:
+    """Random Clifford circuit with `n_t` raw T gates, ready to gadgetize.
+
+    Up to `intermediate` lines are measured mid-circuit and never used
+    again, as in `random_fixed_sequence`.
+    """
+    alive = list(range(n))
     instructions: list[Instruction] = []
     t_slots = sorted(rng.sample(range(depth), min(n_t, depth)))
+    budget = intermediate
     for d in range(depth):
         if t_slots and d == t_slots[0]:
             t_slots.pop(0)
-            instructions.append(Instruction("T", (rng.randrange(n),)))
-        elif n >= 2 and rng.random() < 0.4:
-            a, b = rng.sample(range(n), 2)
+            instructions.append(Instruction("T", (rng.choice(alive),)))
+        elif len(alive) >= 2 and rng.random() < 0.4:
+            a, b = rng.sample(alive, 2)
             instructions.append(Instruction(rng.choice(CLIFFORD_2Q), (a, b)))
         else:
             instructions.append(Instruction(rng.choice(CLIFFORD_1Q),
-                                            (rng.randrange(n),)))
-    instructions.append(Instruction("MEASURE", (rng.randrange(n),),
+                                            (rng.choice(alive),)))
+        if budget and len(alive) > 1 and rng.random() < 0.15:
+            line = rng.choice(alive)
+            alive.remove(line)
+            instructions.append(Instruction("MEASURE", (line,),
+                                            label=f"x{line}"))
+            budget -= 1
+    instructions.append(Instruction("MEASURE", (rng.choice(alive),),
                                     label="out"))
     return AdaptiveCircuit(n, random_inputs(rng, n), tuple(instructions))
 
@@ -327,23 +348,178 @@ def run_fixed(device: SimulatedDevice, seq: FixedSequence,
     """One non-adaptive run of a frozen sequence on `device`; corrections
     are applied positionally regardless of the fresh measurement
     outcomes."""
-    record, _ = _run_single(seq, device.fault, seed, device.max_lines)
+    record, _ = _run_single(seq, device.fault, seed)
     return FixedRunResult(outcomes=record[:-1], final_output=record[-1])
+
+
+def adaptive_record_table(circuit: AdaptiveCircuit, fault: FaultModel
+                          ) -> tuple[tuple[MeasurementEvent, ...], np.ndarray]:
+    """Joint record table of an adaptive circuit on the device, composed
+    from the device's tables of its resolved sequences.
+
+    A record whose gadget bits read g gets the probability the device gives
+    it in resolve(circuit, g): there the frozen corrections (and, under
+    depolarizing noise, their gate errors) are exactly the ones the
+    adaptive run applies after reading g.
+    """
+    events = tuple(_plan_events(circuit))
+    m = len(events)
+    cells = np.arange(1 << m)
+    gadget_bits = [(cells >> (m - 1 - slot)) & 1
+                   for slot, ev in enumerate(events) if ev.is_gadget]
+    table = np.zeros(1 << m)
+    for outcomes in itertools.product((0, 1), repeat=len(gadget_bits)):
+        _, resolved = record_table(resolve(circuit, outcomes), fault)
+        mask = np.ones(1 << m, dtype=bool)
+        for bits, bit in zip(gadget_bits, outcomes):
+            mask &= bits == bit
+        table[mask] = resolved[mask]
+    return events, table
 
 
 def run_adaptive_batch(device: SimulatedDevice, circuit: AdaptiveCircuit,
                        repetitions: int, seed: int) -> BatchResult:
-    """A batch of adaptive runs on `device`, drawn from its record table."""
-    events, table = record_table(circuit, device.fault, device.max_lines)
+    """A batch of adaptive runs on `device`, drawn from its composed record
+    table."""
+    events, table = adaptive_record_table(circuit, device.fault)
     return _sample_table(events, table, repetitions, seed)
+
+
+# -- statevector oracles ---------------------------------------------------
+
+
+# controlled-S on (control, target): the deferred form of a gadget correction
+_CS = np.diag([1, 1, 1, 1j]).astype(complex)
+
+
+def dense_record_table(circuit: Circuit,
+                       fault: FaultModel = IDEAL) -> np.ndarray:
+    """Honest joint record table from one statevector pass with every
+    measurement deferred to the end (a gadget correction becomes a
+    controlled-S from ancilla to target), in the device's record-table
+    layout.  Of the fault models only miscalibration acts here, on the
+    inputs of the pass; the others are channels on the table."""
+    if not isinstance(fault, (Ideal, MagicMiscalibration)):
+        raise ValueError(f"{fault_to_text(fault)} is a channel on the table, "
+                         "not an input of the pass")
+    shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
+        else 0.0
+    state = sv.init_state(circuit.inputs, magic_phase_shift=shift)
+    for ins in circuit.instructions:
+        if ins.op == "TGADGET":
+            target = ins.targets[0]
+            state = sv.apply_gate(state, Instruction("CX",
+                                                     (target, ins.ancilla)))
+            state = sv.apply_matrix_2q(state, _CS, ins.ancilla, target)
+        elif ins.op not in ("MEASURE", "ID"):
+            state = sv.apply_gate(state, ins)
+    events = _plan_events(circuit)
+    m = len(events)
+    probs = np.moveaxis(np.abs(state) ** 2, [ev.line for ev in events],
+                        list(range(m)))
+    table = probs.reshape(1 << m, -1).sum(axis=1)
+    total = float(table.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise AssertionError(f"record probabilities sum to {total}")
+    table[table < PROB_TOL] = 0.0
+    return table
 
 
 def final_output_probability(seq: FixedSequence,
                              fault: FaultModel = IDEAL) -> float:
-    """P(final output = 0) of the fixed sequence under `fault`: the
-    final-bit marginal of the device's record table."""
-    _, table = record_table(seq, fault)
-    return float(table[0::2].sum())
+    """P(final output = 0) of the fixed sequence under an input fault: the
+    final-bit marginal of the dense one-pass table."""
+    return float(dense_record_table(seq, fault)[0::2].sum())
+
+
+class _Executor:
+    """Gate/measurement mechanics of one statevector run that measures in
+    place."""
+
+    def __init__(self, inputs, fault: FaultModel):
+        self.fault = fault
+        shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
+            else 0.0
+        self.initial = sv.init_state(inputs, magic_phase_shift=shift)
+
+    def apply_unitary(self, state, ins: Instruction, rng):
+        if ins.op == "ID":
+            return state
+        state = sv.apply_gate(state, ins)
+        fault = self.fault
+        if isinstance(fault, Depolarizing) and rng.random() < fault.p_err:
+            if len(ins.targets) == 1:
+                pauli = _PAULIS_1Q[rng.integers(3)]
+                state = sv.apply_pauli(state, ins.targets[0], pauli)
+            else:
+                pa, pb = _PAULIS_2Q[rng.integers(15)]
+                if pa != "ID":
+                    state = sv.apply_pauli(state, ins.targets[0], pa)
+                if pb != "ID":
+                    state = sv.apply_pauli(state, ins.targets[1], pb)
+        return state
+
+    def sample_measure(self, state, event: MeasurementEvent, is_final: bool,
+                       rng) -> tuple[int, object]:
+        """Sample one outcome; returns (outcome, collapsed state)."""
+        p_one = sv.probability_of_one(state, event.line)
+        p0, p1, overridden = _effective_probs(p_one, event, is_final,
+                                              self.fault)
+        outcome = 1 if rng.random() < p1 else 0
+        true_p = p_one if outcome else 1.0 - p_one
+        if true_p < PROB_TOL:
+            # a gadget readout is a fair coin, so only a terminal readout
+            # can be forced onto an impossible bit: a lie, state unused
+            if overridden:
+                return outcome, state
+            outcome = 1 - outcome  # numerical guard for honest sampling
+        return outcome, sv.collapse(state, event.line, outcome)
+
+
+def reference_run(circuit: Circuit, fault: FaultModel, seed: int):
+    """One statevector trajectory measured in place, drawing from the RNG
+    in the device's order (one draw per measurement; under depolarizing
+    noise one per non-ID gate, then the error Pauli); returns (record
+    bits, events).  The reference the device's adaptive run must match
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    ex = _Executor(circuit.inputs, fault)
+    events = _plan_events(circuit)
+    final_index = len(events) - 1
+    state = ex.initial
+    record: list[int] = []
+    ev = 0
+    for ins in circuit.instructions:
+        if ins.op == "TGADGET":
+            state = ex.apply_unitary(
+                state, Instruction("CX", (ins.targets[0], ins.ancilla)), rng)
+            outcome, state = ex.sample_measure(
+                state, events[ev], ev == final_index, rng)
+            record.append(outcome)
+            ev += 1
+            if outcome:
+                state = ex.apply_unitary(state, Instruction("S", ins.targets),
+                                         rng)
+        elif ins.op == "MEASURE":
+            outcome, state = ex.sample_measure(
+                state, events[ev], ev == final_index, rng)
+            record.append(outcome)
+            ev += 1
+        else:
+            state = ex.apply_unitary(state, ins, rng)
+    return tuple(record), tuple(events)
+
+
+def reference_transcript(circuit: AdaptiveCircuit, fault: FaultModel,
+                         seed: int) -> Transcript:
+    """The transcript of `reference_run`, built as the device builds its
+    own."""
+    record, events = reference_run(circuit, fault, seed)
+    gadget_bits = tuple(bit for bit, ev in zip(record, events)
+                        if ev.is_gadget)
+    return Transcript(circuit_id=circuit_id(circuit),
+                      gadget_outcomes=gadget_bits, final_output=record[-1],
+                      seed=seed, resolved=resolve(circuit, gadget_bits))
 
 
 # -- statevector operations only the tests use ----------------------------

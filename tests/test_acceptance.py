@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from cliffcert.circuit import (InputState, Instruction, MAGIC, gadgetize,
-                               parse_circuit, resolve)
+from cliffcert.circuit import (AdaptiveCircuit, InputState, Instruction,
+                               MAGIC, gadgetize, parse_circuit, resolve)
 from cliffcert.pauli import joint_output_probability, single_output_probability
 from cliffcert import prover
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
@@ -20,7 +20,8 @@ from cliffcert.protocol import (GADGET_BIAS, IMPOSSIBLE_OUTCOME,
                                 verify_campaign)
 from cliffcert import statevector as sv
 
-from helpers import (CIRCUITS, distribution_table, final_output_probability,
+from helpers import (CIRCUITS, adaptive_record_table, distribution_table,
+                     final_output_probability,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
                      gadget_born_probabilities, outcome_distribution,
@@ -207,9 +208,13 @@ def test_criterion_6_soundness_liar():
 
 
 def _table_vs_oracle(circuit, fault):
-    """(max |table - oracle|, |sum of table - 1|) for one circuit."""
+    """(max |table - oracle|, |sum of table - 1|) for one circuit; an
+    adaptive circuit's table is composed from its resolved sequences'."""
     events, dist = outcome_distribution(circuit, fault)
-    table_events, table = prover.record_table(circuit, fault)
+    if isinstance(circuit, AdaptiveCircuit):
+        table_events, table = adaptive_record_table(circuit, fault)
+    else:
+        table_events, table = prover.record_table(circuit, fault)
     assert table_events == events
     return (float(np.max(np.abs(table - distribution_table(
         dist, len(events))))), abs(float(table.sum()) - 1.0))

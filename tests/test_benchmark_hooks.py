@@ -6,10 +6,13 @@ and proxies the device.  A rename or a dropped import breaks
 `perfbench/run.py --trace 1` and `--smoke`; this test breaks first.
 """
 
+import pytest
+
 import cliffcert
-from cliffcert import circuit
+from cliffcert import circuit, statevector
 from cliffcert.circuit import gadgetize, parse_circuit
-from cliffcert.prover import IDEAL, SimulatedDevice
+from cliffcert.prover import (IDEAL, Depolarizing, GadgetCoinBias, Liar,
+                              MagicMiscalibration, SimulatedDevice)
 
 from helpers import CIRCUITS, REPO_ROOT
 
@@ -35,3 +38,19 @@ def test_tracer_installs_and_counts_one_validate_per_circuit(monkeypatch):
     assert tracer.calls["circuit.validate"] == 2
     assert tracer.calls["prover.run_adaptive"] == 1
     assert tracer.calls["prover.run_fixed_batch"] == 2
+    # the device runs on the Pauli engine, not the statevector
+    assert tracer.count["statevector.calls"] == 0
+
+
+@pytest.mark.parametrize("fault", [
+    IDEAL, MagicMiscalibration(0.3), GadgetCoinBias(0.1), Depolarizing(0.05),
+    Liar(0.3)], ids=lambda fault: type(fault).__name__)
+def test_campaign_never_touches_the_statevector(monkeypatch, fault):
+    def refuse(*args, **kwargs):
+        raise AssertionError("statevector called during a campaign")
+    for attr in ("apply_gate", "apply_pauli", "collapse",
+                 "probability_of_one"):
+        monkeypatch.setattr(statevector, attr, refuse)
+    report = cliffcert.protocol.verify_campaign(
+        SimulatedDevice(fault), PROBE, 0.05, 0.05, 0.01, 3)
+    assert report.gate is not None

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcert.circuit import (ANCILLA_NOT_FRESH, MAX_DECLARED_LINES,
+from cliffcert.circuit import (ANCILLA_NOT_FRESH, BAD_WIDTH,
+                               MAX_DECLARED_LINES,
                                AdaptiveCircuit, CircuitParseError,
                                FixedSequence, GENERAL, InputState,
                                Instruction, InvalidCircuitError, MAGIC,
@@ -262,6 +263,16 @@ class TestGadgetize:
         ancillas = [i.ancilla for i in g.instructions if i.op == "TGADGET"]
         assert ancillas == [2, 3, 4]  # gadget order follows T-gate order
         assert validate(g) == []
+
+    def test_result_wider_than_cap_rejected(self):
+        # the width cap is a circuit rule, so gadgetize cannot build a
+        # circuit the parser would refuse
+        c = simple(f"qubits {MAX_DECLARED_LINES}\nT 0\nMEASURE 0 out\n")
+        with pytest.raises(InvalidCircuitError) as err:
+            gadgetize(c)
+        assert [(v.code, v.index) for v in err.value.violations] == \
+            [(BAD_WIDTH, None)]
+        assert str(MAX_DECLARED_LINES) in str(err.value)
 
     def test_mixed_t_and_tgadget_rejected(self):
         c = AdaptiveCircuit(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cliffcert.circuit import MAX_DECLARED_LINES
 from cliffcert.cli import main
 
 from helpers import CIRCUITS
@@ -60,6 +61,16 @@ class TestGadgetize:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["gadgetize", str(tmp_path / "nope.circ"),
                      str(tmp_path / "g.circ")]) == 2
+
+    def test_too_wide_result_exits_2_naming_input(self, tmp_path, capsys):
+        # one ancilla past the width cap: refused, nothing written
+        src = tmp_path / "c.circ"
+        dst = tmp_path / "g.circ"
+        src.write_text(f"qubits {MAX_DECLARED_LINES}\nT 0\nMEASURE 0 out\n")
+        assert main(["gadgetize", str(src), str(dst)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}: " in err and str(MAX_DECLARED_LINES) in err
+        assert not dst.exists()
 
 
 class TestProbability:
@@ -200,6 +211,34 @@ class TestVerify:
         err = capsys.readouterr().err
         assert f"{src}: {position}: " in err
         assert "Traceback" not in err
+
+    def test_wide_circuit_runs(self, tmp_path, capsys):
+        src = tmp_path / "c.circ"
+        src.write_text("qubits 21\nH 0\nMEASURE 0 out\n")
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, src, out=tmp_path / "out")
+        assert main(["verify", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("text, extra, message", [
+        ("qubits 13\nT 0\nMEASURE 0 out\n", 12,
+         "bad value for 'extra_check_lines': 12 probes make a 13-line probe "
+         "table"),
+        ("qubits 21\n" + "".join(f"MEASURE {i} x\n" for i in range(20))
+         + "MEASURE 20 out\n", 2, "needs a 21-slot record table"),
+        ("qubits 21\n" + "".join(f"MEASURE {i} x\n" for i in range(16))
+         + "T 16\nMEASURE 16 out\n", 4, "needs a 21-slot record table"),
+    ], ids=["probe_table", "gate_test", "stage_prefix"])
+    def test_table_over_limit_exits_2_before_campaign(
+            self, tmp_path, capsys, text, extra, message):
+        src = tmp_path / "c.circ"
+        src.write_text(text)
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, src, out=tmp_path / "out",
+                     extra_check_lines=extra)
+        assert main(["verify", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: " in err and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -12,11 +12,12 @@ from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
 from cliffcert.pauli import (PauliOperator, backpropagate, conjugate,
                              expectation, input_expectations,
                              joint_output_probability, multiply,
-                             single_output_probability)
-from cliffcert.prover import IDEAL, record_table
+                             outcome_table, single_output_probability)
+from cliffcert.prover import IDEAL
 
-from helpers import (gate_matrix, outcome_distribution, pauli_matrix,
-                     random_fixed_sequence, random_pauli)
+from helpers import (CLIFFORD_1Q, dense_record_table, gate_matrix,
+                     outcome_distribution, pauli_matrix, random_fixed_sequence,
+                     random_inputs, random_pauli)
 
 ALL_1Q = [PauliOperator.from_label(l, s)
           for l in ("I", "X", "Y", "Z") for s in (1, -1)]
@@ -317,8 +318,8 @@ class TestJointProbability:
             assert abs(total - 1.0) < 1e-12
 
     def test_table_matches_record_table(self):
-        # every measured line in slot order: the verifier's Pauli table and
-        # the device's statevector table share one layout and one answer
+        # every measured line in slot order: the Pauli table and the dense
+        # one-pass statevector record table share one layout and one answer
         rng = random.Random(59)
         checked = 0
         while checked < 60:
@@ -328,11 +329,84 @@ class TestJointProbability:
                           if i.op == "MEASURE")
             if len(lines) < 2:
                 continue
-            events, want = record_table(seq, IDEAL)
-            assert tuple(ev.line for ev in events) == lines
+            want = dense_record_table(seq)
             got = joint_output_probability(seq, lines)
             assert np.max(np.abs(got - want)) <= 1e-10
             checked += 1
+
+
+def scalar_outcome_table(operators, bloch):
+    """The expansion one subset at a time: each product from a smaller
+    subset by `multiply`, then `expectation`; the reference for the
+    vectorised `outcome_table`, with the same arithmetic order."""
+    k = len(operators)
+    size = 1 << k
+    ordered = operators[::-1]
+    products = [PauliOperator.identity(ordered[0].n if k else 0)] * size
+    values = np.ones(size)
+    for subset in range(1, size):
+        low = subset & -subset
+        phase, product = multiply(products[subset ^ low],
+                                  ordered[low.bit_length() - 1])
+        assert phase.imag == 0
+        products[subset] = PauliOperator(product.n, product.x, product.z,
+                                         1 if phase.real > 0 else -1)
+        values[subset] = expectation(products[subset], bloch)
+    half = 1
+    while half < size:
+        pairs = values.reshape(-1, 2, half)
+        first = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = first - pairs[:, 1]
+        half <<= 1
+    return values / size
+
+
+def chain_sequence(rng, n: int, measured: int) -> FixedSequence:
+    """Three layers of random one-line gates, each followed by a CX or CZ
+    chain over all lines, then `measured` terminal measurements: pulled
+    back, the measured Z operators spread over most lines."""
+    instructions = []
+    for op in ("CX", "CZ", "CX"):
+        instructions += [Instruction(rng.choice(CLIFFORD_1Q), (line,))
+                         for line in range(n)]
+        instructions += [Instruction(op, (line, line + 1))
+                         for line in range(n - 1)]
+    lines = rng.sample(range(n), measured)
+    instructions += [Instruction("MEASURE", (line,), label=f"x{line}")
+                     for line in lines[:-1]]
+    instructions.append(Instruction("MEASURE", (lines[-1],), label="out"))
+    return FixedSequence(n, random_inputs(rng, n), tuple(instructions), ())
+
+
+class TestOutcomeTable:
+    def test_matches_scalar_expansion_exactly(self):
+        # commuting sets pulled back through random Clifford sequences; the
+        # chains spread them over up to 200 lines, so the x/z bits span
+        # several 64-bit words
+        rng = random.Random(61)
+        for i in range(40):
+            n = rng.choice((2, 5, 70, 200))
+            if i % 2:
+                seq = chain_sequence(rng, n, min(n, 7))
+            else:
+                seq = random_fixed_sequence(rng, n, rng.randint(n, 4 * n),
+                                            intermediate=6)
+            operators = [backpropagate(seq, ins.targets[0], at=idx)
+                         for idx, ins in enumerate(seq.instructions)
+                         if ins.op == "MEASURE"]
+            operators = [PauliOperator(p.n, p.x, p.z, rng.choice((1, -1)))
+                         for p in operators]
+            bloch = input_expectations(seq.inputs)
+            assert np.array_equal(outcome_table(operators, bloch),
+                                  scalar_outcome_table(operators, bloch))
+
+    def test_non_hermitian_term_raises(self):
+        # X and Z on one line anticommute: XZ = -iY is no observable
+        with pytest.raises(AssertionError, match="non-Hermitian"):
+            outcome_table([PauliOperator.from_label("X"),
+                           PauliOperator.from_label("Z")],
+                          input_expectations((InputState(ZERO),)))
 
 
 class TestPauliOperator:

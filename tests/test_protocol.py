@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from collections import Counter
 
 import numpy as np
@@ -13,12 +14,13 @@ from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
 from cliffcert import pauli, protocol
 from cliffcert.protocol import (ACCEPT, GADGET_BIAS, IMPOSSIBLE_OUTCOME,
                                 OUTPUT_DEVIATION, REJECT, build_stage_prefix,
-                                compose_error, plan, report_summary,
+                                campaign_table_sizes, compose_error, plan,
+                                report_summary,
                                 report_to_json_dict, run_computational,
                                 run_gate_tests, run_measurement_tests,
                                 verify_campaign)
 
-from helpers import CIRCUITS, run_adaptive_batch, run_fixed
+from helpers import CIRCUITS, random_t_circuit, run_adaptive_batch, run_fixed
 
 
 PROBE = gadgetize(parse_circuit((CIRCUITS / "phase_probe.circ").read_text()))
@@ -133,6 +135,29 @@ class TestStagePrefix:
     def test_stage_bounds(self):
         with pytest.raises(ValueError):
             build_stage_prefix(DET3, (0, 0, 0), 4, 2)
+
+    def test_table_sizes_match_built_tables(self):
+        # the pre-campaign size check counts what the campaign builds
+        rng = random.Random(131)
+        for _ in range(60):
+            circuit = gadgetize(random_t_circuit(
+                rng, rng.randint(1, 6), rng.randint(1, 16),
+                rng.randint(0, 3), intermediate=3))
+            extra = rng.randint(0, 6)
+            outcomes = (0,) * circuit.gadget_count
+            slots = [_measures(resolve(circuit, outcomes))]
+            probe_lines = 0
+            for stage in range(1, circuit.gadget_count + 1):
+                prefix, _, extras = build_stage_prefix(circuit, outcomes,
+                                                       stage, extra)
+                slots.append(_measures(prefix))
+                probe_lines = max(probe_lines, 1 + len(extras))
+            assert campaign_table_sizes(circuit, extra) == \
+                (max(slots), probe_lines)
+
+
+def _measures(seq):
+    return sum(1 for ins in seq.instructions if ins.op == "MEASURE")
 
 
 class TestMeasurementTests:
@@ -325,6 +350,25 @@ class TestStatisticalProperties:
         report = verify_campaign(SimulatedDevice(Depolarizing(0.5)), c,
                                  0.5, 0.1, 0.05, seed=2)
         assert report.decision == REJECT
+
+
+class TestWideCircuit:
+    """1004 lines, far past any statevector, at the quick tolerances."""
+
+    WIDE = gadgetize(random_t_circuit(random.Random(1000), 1000, 1000, 4))
+
+    def test_honest_device_accepts(self):
+        assert self.WIDE.n_lines == 1004 and self.WIDE.gadget_count == 4
+        report = verify_campaign(SimulatedDevice(IDEAL), self.WIDE,
+                                 0.05, 0.05, 0.01, seed=7)
+        assert report.accepted
+
+    def test_coin_bias_rejected_at_every_stage(self):
+        report = verify_campaign(SimulatedDevice(GadgetCoinBias(0.1)),
+                                 self.WIDE, 0.05, 0.05, 0.01, seed=7)
+        assert report.decision == REJECT
+        assert {f.stage for f in report.failures
+                if f.kind == GADGET_BIAS} == {1, 2, 3, 4}
 
 
 class TestReports:

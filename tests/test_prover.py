@@ -17,12 +17,13 @@ from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
 from cliffcert import statevector as sv
 from cliffcert.pauli import single_output_probability
 
-from helpers import (depolarized_distribution, distribution_table,
-                     final_output_probability,
+from helpers import (adaptive_record_table, depolarized_distribution,
+                     distribution_table, final_output_probability,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
                      gadget_born_probabilities, loop_counts,
-                     random_fixed_sequence, random_inputs, run_adaptive_batch,
+                     random_fixed_sequence, random_inputs, random_t_circuit,
+                     reference_run, reference_transcript, run_adaptive_batch,
                      run_fixed, sv_fidelity, sv_norm, sv_remove_line)
 
 
@@ -285,10 +286,25 @@ class TestFaultModels:
                                       len(events))
             assert np.max(np.abs(table - want)) < 1e-10
 
-    def test_depolarizing_adaptive_batch_rejected(self, one_gadget):
-        dev = SimulatedDevice(Depolarizing(0.1))
-        with pytest.raises(ValueError):
-            run_adaptive_batch(dev, one_gadget, 100, 1)
+    def test_depolarizing_adaptive_table_matches_reference_runs(
+            self, three_gadget):
+        # the adaptive table composed from resolved sequences' noisy tables
+        # against statevector trajectories that draw each error as it runs
+        from scipy.stats import chi2
+        fault = Depolarizing(0.2)
+        events, table = adaptive_record_table(three_gadget, fault)
+        reps = 1500
+        counts = {}
+        for rep in range(reps):
+            record, _ = reference_run(three_gadget, fault,
+                                      derive_seed(43, rep))
+            counts[record] = counts.get(record, 0) + 1
+        observed = distribution_table(counts, len(events))
+        possible = table > 0
+        assert not observed[~possible].any()
+        expected = reps * table[possible]
+        stat = np.sum((observed[possible] - expected) ** 2 / expected)
+        assert stat < chi2.isf(0.001, df=possible.sum() - 1)
 
     def test_reused_measured_line_rejected(self):
         # refused when built, so no device batch can be asked to defer it
@@ -300,6 +316,27 @@ class TestFaultModels:
                 Instruction("MEASURE", (1,), label="out")), ())
         assert [(v.code, v.index) for v in err.value.violations] == \
             [(MEASURED_LINE_REUSED, 1)]
+
+
+class TestReferenceRun:
+    def test_transcripts_match_reference_run(self):
+        # the device's Pauli-engine run against the statevector trajectory
+        # measured in place: same seed, same draws, same transcript
+        rng = random.Random(113)
+        faults = (IDEAL, MagicMiscalibration(0.3), GadgetCoinBias(0.2),
+                  Depolarizing(0.1), Liar(0.3))
+        compared = 0
+        for _ in range(100):
+            circuit = gadgetize(random_t_circuit(
+                rng, rng.randint(1, 5), rng.randint(1, 16),
+                rng.randint(1, 3), intermediate=2))
+            assert circuit.gadget_count
+            for fault in faults:
+                seed = rng.getrandbits(32)
+                assert SimulatedDevice(fault).run_adaptive(circuit, seed) \
+                    == reference_transcript(circuit, fault, seed)
+                compared += 1
+        assert compared == 500
 
 
 class TestSeedDerivation:
