@@ -12,7 +12,7 @@ from .circuit import (AdaptiveCircuit, CircuitParseError, FixedSequence,
                       InputState, Instruction, InvalidCircuitError, Violation,
                       gadgetize, parse_circuit, resolve, serialize, validate)
 from .pauli import (PauliOperator, backpropagate, conjugate, expectation,
-                    input_expectations, joint_output_probability, multiply,
+                    input_expectations, joint_output_probability,
                     single_output_probability)
 from .prover import (Depolarizing, FaultModel, GadgetCoinBias, IDEAL, Ideal,
                      Liar, MagicMiscalibration, SimulatedDevice, Transcript,
@@ -29,7 +29,7 @@ __all__ = [
     "Instruction", "InvalidCircuitError", "Violation", "gadgetize",
     "parse_circuit", "resolve", "serialize", "validate",
     "PauliOperator", "backpropagate", "conjugate", "expectation",
-    "input_expectations", "joint_output_probability", "multiply",
+    "input_expectations", "joint_output_probability",
     "single_output_probability",
     "Depolarizing", "FaultModel", "GadgetCoinBias",
     "IDEAL", "Ideal", "Liar", "MagicMiscalibration", "SimulatedDevice",

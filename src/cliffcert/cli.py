@@ -5,7 +5,7 @@ Commands:
     probability <circuit> [outcomes]    classical output probabilities
     verify <config>                     run a full verification campaign
 
-Exit codes: 0 success/ACCEPT, 1 REJECT, 2 usage or input errors.
+Exit codes: 0 success/ACCEPT, 1 REJECT, 2 usage, input or output errors.
 
 The verify command reads a flat key=value config ('#' comments allowed):
 
@@ -38,7 +38,7 @@ from .circuit import validate  # noqa: F401
 from .pauli import DEFAULT_K_MAX, single_output_probability
 from .prover import (MAX_RECORD_SLOTS, FaultModel, SimulatedDevice,
                      parse_fault)
-from .protocol import (campaign_table_sizes, report_summary,
+from .protocol import (campaign_table_sizes, plan, report_summary,
                        report_to_json_dict, verify_campaign)
 
 ENV_OUTPUT_DIR = "CLIFFCERT_OUTPUT_DIR"
@@ -150,11 +150,12 @@ def cmd_gadgetize(in_path: str, out_path: str) -> int:
 def cmd_probability(circuit_path: str, outcomes: str) -> int:
     circuit = _load_gadgetized(Path(circuit_path))
     if any(ch not in "01" for ch in outcomes):
-        raise UsageError(f"outcomes must be a bit string, got {outcomes!r}")
+        raise UsageError(f"{circuit_path}: outcomes must be a bit string, "
+                         f"got {outcomes!r}")
     try:
         seq = resolve(circuit, tuple(int(ch) for ch in outcomes))
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{circuit_path}: {exc}") from None
     p0 = single_output_probability(seq, 0)
     print(f"P(0)={p0:.12f}")
     print(f"P(1)={1.0 - p0:.12f}")
@@ -177,12 +178,18 @@ def cmd_verify(config_path: str) -> int:
             f"{config_path}: {config.circuit_path} with extra_check_lines = "
             f"{config.extra_check_lines} needs a {slots}-slot record table; "
             f"the simulated device builds at most {MAX_RECORD_SLOTS} slots")
+    try:
+        plan(circuit.gadget_count, config.epsilon, config.eta, config.delta,
+             config.extra_check_lines)
+    except ValueError as exc:
+        raise UsageError(f"{config_path}: {exc}") from None
+    # before the campaign, so an unusable output_dir costs no runs
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     device = SimulatedDevice(config.fault)
     report = verify_campaign(
         device, circuit, epsilon=config.epsilon, eta=config.eta,
         delta=config.delta, seed=config.seed,
         extra_check_lines=config.extra_check_lines)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     json_text = json.dumps(report_to_json_dict(report), indent=2) + "\n"
     summary = report_summary(report)
     (config.output_dir / "report.json").write_text(json_text,
@@ -228,7 +235,8 @@ def main(argv=None) -> int:
         if args.command == "probability":
             return cmd_probability(args.circuit, args.outcomes)
         return cmd_verify(args.config)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # an OSError names the path it could not use
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

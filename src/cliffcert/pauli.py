@@ -1,16 +1,18 @@
-"""Signed Pauli algebra and polynomial-time output probabilities.
+"""Signed Pauli operators and polynomial-time output probabilities.
 
 A signed n-line Pauli is held as two bit masks (x, z) plus a sign of +/-1;
 bit i of x/z encodes line i's factor via (x, z) -> {00: I, 10: X, 11: Y,
-01: Z}.  Clifford conjugation updates at most two lines per gate, so pushing
-a final-measurement Z operator backwards through a sequence costs O(1) bit
-operations per gate.  Together with per-line input expectations this yields
-output probabilities for non-adaptive sequences on product inputs in time
-linear in circuit size, independent of any statevector.  The joint outcome
-table of k commuting operators (:func:`outcome_table`, shared by the
-verifier and the simulated device) costs 2^k Pauli products, one lookup per
-support line each, and one Walsh-Hadamard transform: O(|U| * 2^k + k * 2^k)
-for a union support of |U| lines, beyond the back-propagations.
+01: Z}.  Each measured Z is pulled back through the gates before it
+(Heisenberg picture, Aaronson-Gottesman quant-ph/0406196) by
+:class:`PauliFrame`, the one Clifford conjugation rule table: it holds
+operators bit-sliced per line, so one backward sweep over N gates pulls
+back every measured operator of a sequence, a few integer operations per
+gate.  With per-line input expectations this gives output probabilities of
+non-adaptive sequences on product inputs in time linear in circuit size.
+The joint outcome table of k commuting operators (:func:`outcome_table`,
+shared by the verifier and the simulated device) costs 2^k Pauli products,
+one lookup per support line each, and one Walsh-Hadamard transform:
+O(|U| * 2^k + k * 2^k) for a union support of |U| lines, beyond the sweep.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ import numpy as np
 from .circuit import Circuit, FixedSequence, Instruction, InputState
 
 DEFAULT_K_MAX = 10
-
-_PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_CHAR_BITS = {v: k for k, v in _PAULI_CHARS.items()}
 
 
 @dataclass(frozen=True)
@@ -45,27 +44,8 @@ class PauliOperator:
             raise ValueError("x/z bits outside the first n lines")
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOperator":
-        return cls(n, 0, 0, 1)
-
-    @classmethod
     def z_on(cls, n: int, line: int) -> "PauliOperator":
         return cls(n, 0, 1 << line, 1)
-
-    @classmethod
-    def from_label(cls, label: str, sign: int = 1) -> "PauliOperator":
-        """Build from a string like "XIZ" (character i = line i)."""
-        x = z = 0
-        for i, ch in enumerate(label):
-            xb, zb = _CHAR_BITS[ch]
-            x |= xb << i
-            z |= zb << i
-        return cls(len(label), x, z, sign)
-
-    def label(self) -> str:
-        chars = [_PAULI_CHARS[((self.x >> i) & 1, (self.z >> i) & 1)]
-                 for i in range(self.n)]
-        return ("+" if self.sign > 0 else "-") + "".join(chars)
 
     def bit(self, line: int) -> tuple[int, int]:
         return ((self.x >> line) & 1, (self.z >> line) & 1)
@@ -73,12 +53,6 @@ class PauliOperator:
     @property
     def support(self) -> int:
         return self.x | self.z
-
-    def commutes_with(self, other: "PauliOperator") -> bool:
-        if self.n != other.n:
-            raise ValueError("operator sizes differ")
-        overlap = (self.x & other.z) ^ (self.z & other.x)
-        return bin(overlap).count("1") % 2 == 0
 
 
 def _bits(mask: int):
@@ -88,96 +62,102 @@ def _bits(mask: int):
         mask ^= low
 
 
+class PauliFrame:
+    """Many signed Paulis on the same lines, bit-sliced as Stim packs Pauli
+    frames (Gidney, arXiv:2103.02202): bit i of `xs[line]` / `zs[line]` is
+    operator i's x / z bit on that line, and bit i of `signs` is set where
+    operator i has sign -1.  One gate update acts on every operator at
+    once, in a handful of integer operations."""
+
+    def __init__(self, n_lines: int):
+        self.n_lines = n_lines
+        self.xs = [0] * n_lines
+        self.zs = [0] * n_lines
+        self.signs = 0
+        # holds every line with nonzero slices: only an entering operator
+        # or a two-line gate makes a zero line nonzero
+        self.touched: set[int] = set()
+
+    def sweep(self, instructions: Sequence[Instruction],
+              enter: dict[int, int]):
+        """Walk `instructions` backwards, replacing every operator p by
+        gate^dagger * p * gate at each gate (MEASURE and ID pass), which
+        leaves U^dagger p U for their unitary U.  The MEASURE of a line in
+        `enter` adds that line's Z as operator enter[line], so it is pulled
+        back through the gates before its own measurement only.  Yields
+        each gate with the frame holding every operator as it stands just
+        after that gate."""
+        xs, zs = self.xs, self.zs
+        for gate in reversed(instructions):
+            op = gate.op
+            if op == "MEASURE":
+                line = gate.targets[0]
+                if line in enter:
+                    zs[line] |= 1 << enter[line]
+                    self.touched.add(line)
+                continue
+            if op == "ID":
+                continue
+            yield gate
+            if op in ("CX", "CZ", "SWAP"):
+                a, b = gate.targets
+                self.touched.update(gate.targets)
+                xa, za, xb, zb = xs[a], zs[a], xs[b], zs[b]
+                if op == "CX":
+                    self.signs ^= xa & zb & ~(xb ^ za)
+                    xs[b] = xb ^ xa
+                    zs[a] = za ^ zb
+                elif op == "CZ":
+                    self.signs ^= xa & xb & (za ^ zb)
+                    zs[a] = za ^ xb
+                    zs[b] = zb ^ xa
+                else:
+                    xs[a], xs[b], zs[a], zs[b] = xb, xa, zb, za
+                continue
+            t = gate.targets[0]
+            x, z = xs[t], zs[t]
+            if op == "H":
+                self.signs ^= x & z
+                xs[t], zs[t] = z, x
+            elif op == "S":
+                # S^dagger X S = -Y, S^dagger Y S = +X
+                self.signs ^= x & ~z
+                zs[t] = z ^ x
+            elif op == "SDG":
+                # S X S^dagger = +Y, S Y S^dagger = -X
+                self.signs ^= x & z
+                zs[t] = z ^ x
+            elif op == "X":
+                self.signs ^= z
+            elif op == "Y":
+                self.signs ^= x ^ z
+            elif op == "Z":
+                self.signs ^= x
+            elif op == "T":
+                raise ValueError("T is not a Clifford gate")
+            else:
+                raise ValueError(f"{op} is not unitary")
+
+    def operators(self, count: int) -> list[PauliOperator]:
+        """Operators 0..count-1 as PauliOperators."""
+        x, z = [0] * count, [0] * count
+        for slices, out in ((self.xs, x), (self.zs, z)):
+            for line in self.touched:
+                held = slices[line]
+                while held:
+                    low = held & -held
+                    out[low.bit_length() - 1] |= 1 << line
+                    held ^= low
+        return [PauliOperator(self.n_lines, x[i], z[i],
+                              -1 if (self.signs >> i) & 1 else 1)
+                for i in range(count)]
+
+
 def conjugate(p: PauliOperator, gate: Instruction) -> PauliOperator:
-    """Return gate^dagger * p * gate for a unitary Clifford instruction.
-
-    This is the inverse-image orientation: folding it over a circuit's gates
-    in reverse order yields U^dagger p U for the whole unitary U.
-    """
-    return PauliOperator(p.n, *_conjugate_bits(p.x, p.z, p.sign, gate))
-
-
-def _conjugate_bits(x: int, z: int, sign: int,
-                    gate: Instruction) -> tuple[int, int, int]:
-    """:func:`conjugate` on the (x, z, sign) of a Pauli."""
+    """Return gate^dagger * p * gate for a unitary Clifford instruction."""
     if not gate.is_unitary:
         raise ValueError(f"{gate.op} is not unitary")
-    op = gate.op
-
-    if op in ("ID", "T"):
-        if op == "T":
-            raise ValueError("T is not a Clifford gate")
-        return x, z, sign
-
-    if op in ("CX", "CZ", "SWAP"):
-        a, b = gate.targets
-        ma, mb = 1 << a, 1 << b
-        xa, za = (x >> a) & 1, (z >> a) & 1
-        xb, zb = (x >> b) & 1, (z >> b) & 1
-        if op == "CX":
-            if xa & zb & (xb ^ za ^ 1):
-                sign = -sign
-            x ^= xa << b
-            z ^= zb << a
-        elif op == "CZ":
-            if xa & xb & (za ^ zb):
-                sign = -sign
-            z ^= (xb << a) | (xa << b)
-        else:  # SWAP
-            x = (x & ~(ma | mb)) | (xa << b) | (xb << a)
-            z = (z & ~(ma | mb)) | (za << b) | (zb << a)
-        return x, z, sign
-
-    t = gate.targets[0]
-    m = 1 << t
-    xt, zt = (x >> t) & 1, (z >> t) & 1
-    if op == "H":
-        if xt & zt:
-            sign = -sign
-        x = (x & ~m) | (zt << t)
-        z = (z & ~m) | (xt << t)
-    elif op == "S":
-        # S^dagger X S = -Y, S^dagger Y S = +X
-        if xt & (zt ^ 1):
-            sign = -sign
-        z ^= xt << t
-    elif op == "SDG":
-        # S X S^dagger = +Y, S Y S^dagger = -X
-        if xt & zt:
-            sign = -sign
-        z ^= xt << t
-    elif op == "X":
-        if zt:
-            sign = -sign
-    elif op == "Y":
-        if xt ^ zt:
-            sign = -sign
-    elif op == "Z":
-        if xt:
-            sign = -sign
-    else:
-        raise ValueError(f"no conjugation rule for {op}")
-    return x, z, sign
-
-
-def multiply(p: PauliOperator,
-             q: PauliOperator) -> tuple[complex, PauliOperator]:
-    """p * q as (phase, sign-normalised Pauli), phase in {1, -1, i, -i}."""
-    if p.n != q.n:
-        raise ValueError("operator sizes differ")
-    # exponent of i per line: XY=iZ, YZ=iX, ZX=iY, reversed orders give -i
-    exponent = 0
-    for line in _bits((p.x | p.z) & (q.x | q.z)):
-        x1, z1 = p.bit(line)
-        x2, z2 = q.bit(line)
-        if x1 and z1:
-            exponent += z2 - x2
-        elif x1:
-            exponent += z2 * (2 * x2 - 1)
-        elif z1:
-            exponent += x2 * (1 - 2 * z2)
-    phase = (1j) ** (exponent % 4) * p.sign * q.sign
-    return phase, PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, 1)
+    return pull_back(p, (gate,))
 
 
 def input_expectations(
@@ -221,11 +201,26 @@ def pull_back(p: PauliOperator,
               instructions: Sequence[Instruction]) -> PauliOperator:
     """U^dagger p U for the unitary part U of `instructions`; MEASURE and
     ID are skipped."""
-    x, z, sign = p.x, p.z, p.sign
-    for ins in reversed(instructions):
-        if ins.op not in ("MEASURE", "ID"):
-            x, z, sign = _conjugate_bits(x, z, sign, ins)
-    return PauliOperator(p.n, x, z, sign)
+    frame = PauliFrame(p.n)
+    for line in _bits(p.support):
+        frame.xs[line], frame.zs[line] = p.bit(line)
+        frame.touched.add(line)
+    frame.signs = int(p.sign < 0)
+    for _ in frame.sweep(instructions, {}):
+        pass
+    return frame.operators(1)[0]
+
+
+def measured_operators(seq: Circuit,
+                       lines: Sequence[int]) -> list[PauliOperator]:
+    """U^dagger Z_line U for each of `lines`, U the unitary part of the
+    instructions before that line's MEASURE (a measured line is never
+    reused, so later gates leave it as it is), all from one sweep."""
+    frame = PauliFrame(seq.n_lines)
+    for _ in frame.sweep(seq.instructions,
+                         {line: i for i, line in enumerate(lines)}):
+        pass
+    return frame.operators(len(lines))
 
 
 def single_output_probability(seq: FixedSequence, outcome: int) -> float:
@@ -247,9 +242,9 @@ def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
 
     Returns 2^k probabilities; bit k-1-i of a cell's index is the outcome
     of lines[i], so lines[0] is the most significant bit (the layout of
-    `prover.record_table`).  Each line's measurement operator is
-    back-propagated once; all of them commute because distinct measured
-    lines are never reused, so :func:`outcome_table` applies.
+    `prover.record_table`).  One sweep pulls every line's measurement
+    operator back; they commute because distinct measured lines are never
+    reused, so :func:`outcome_table` applies.
     """
     k = len(lines)
     if k > k_max:
@@ -261,7 +256,7 @@ def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
     for line in lines:
         if line not in measured:
             raise ValueError(f"line {line} is not measured in the sequence")
-    return outcome_table([backpropagate(seq, line) for line in lines],
+    return outcome_table(measured_operators(seq, lines),
                          input_expectations(seq.inputs))
 
 

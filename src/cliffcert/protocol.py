@@ -35,6 +35,9 @@ EXTRA_LINE_DEVIATION = "EXTRA_LINE_DEVIATION"
 IMPOSSIBLE_OUTCOME = "IMPOSSIBLE_OUTCOME"
 INCOMPLETE = "INCOMPLETE"
 
+# numpy's multinomial draws at most 2^63 - 1 runs in one batch
+MAX_REPETITIONS = (1 << 63) - 1
+
 ACCEPT = "ACCEPT"
 REJECT = "REJECT"
 
@@ -61,9 +64,16 @@ class TestPlan:
     extra_check_lines: int
 
 
-def hoeffding_repetitions(tolerance: float, delta: float) -> int:
-    """Smallest R with 2*exp(-2*R*tolerance^2) <= delta."""
-    return math.ceil(math.log(2.0 / delta) / (2.0 * tolerance ** 2))
+def hoeffding_repetitions(tolerance: float, delta: float, key: str) -> int:
+    """Smallest R with 2*exp(-2*R*tolerance^2) <= delta; a ValueError
+    naming `key`, the setting behind the tolerance, when no batch can draw
+    that many runs."""
+    square = tolerance ** 2
+    runs = math.log(2.0 / delta) / (2.0 * square) if square else math.inf
+    if runs > MAX_REPETITIONS:
+        raise ValueError(f"{key} asks for {runs:.3g} repetitions in one "
+                         f"batch; a batch draws at most {MAX_REPETITIONS}")
+    return math.ceil(runs)
 
 
 def hoeffding_halfwidth(repetitions: int, delta: float) -> float:
@@ -82,16 +92,17 @@ def plan(t: int, epsilon: float, eta: float, delta: float,
             raise ValueError(f"{name} must lie strictly between 0 and 1")
     if extra_check_lines < 0:
         raise ValueError("extra_check_lines must be non-negative")
+    r_gate = hoeffding_repetitions(eta, delta, f"eta = {eta!r}")
     if t == 0:
         d_gadget = 0.0
         r_meas = 0
     else:
         d_gadget = ((1.0 + epsilon) ** (1.0 / t) - 1.0) / 2.0
-        r_meas = hoeffding_repetitions(d_gadget / 2.0, delta)
+        r_meas = hoeffding_repetitions(d_gadget / 2.0, delta,
+                                       f"epsilon = {epsilon!r}")
     return TestPlan(
         t=t, eta=eta, epsilon=epsilon, delta=delta, d_gadget=d_gadget,
-        r_gate=hoeffding_repetitions(eta, delta),
-        r_meas=r_meas, extra_check_lines=extra_check_lines,
+        r_gate=r_gate, r_meas=r_meas, extra_check_lines=extra_check_lines,
     )
 
 

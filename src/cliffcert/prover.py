@@ -7,9 +7,10 @@ see crosses this module as classical data: bits, counts, hashes, seeds.
 
 The device holds no amplitudes.  A measured line is never reused and every
 gadget ancilla is fresh, so the measurements of a run are commuting Z
-operators pulled back through the gates before them, on a product input,
-and `pauli.outcome_table` gives their exact joint distribution in
-O(|U| * 2^m) for m record slots on |U| support lines (at most
+operators pulled back through the gates before them, on a product input.
+One backward sweep of a `pauli.PauliFrame` pulls all m of them back at
+once, N gate updates for N gates, and `pauli.outcome_table` gives their
+exact joint distribution in O(|U| * 2^m) for |U| support lines (at most
 MAX_RECORD_SLOTS slots).
 
 A batch draws one multinomial sample from the record table of a fixed
@@ -17,7 +18,8 @@ sequence.  Each fault model acts as a channel on that table: miscalibration
 changes the prepared inputs, a liar replaces the final bit, a biased coin
 reweights gadget slots by coin(b) / P(b | earlier bits), and depolarizing
 noise XOR-shifts the table by the flip mask each gate error leaves on the
-record (Pauli-frame propagation, as in Stim, Gidney arXiv:2103.02202).  This
+record, read off the frame's slices as the sweep passes the gate
+(Pauli-frame propagation, as in Stim, Gidney arXiv:2103.02202).  This
 is what makes 10^5..10^7-repetition test batches affordable for every fault
 model.
 
@@ -40,8 +42,8 @@ import numpy as np
 
 from .circuit import (MAGIC, AdaptiveCircuit, Circuit, FixedSequence,
                       Instruction, resolve, serialize)
-from .pauli import (PauliOperator, backpropagate, conjugate,
-                    input_expectations, outcome_table, pull_back)
+from .pauli import (PauliFrame, PauliOperator, input_expectations,
+                    measured_operators, outcome_table, pull_back)
 
 PROB_TOL = 1e-12
 
@@ -133,16 +135,11 @@ def parse_fault(text: str) -> FaultModel:
     if not parts:
         raise ValueError("empty fault spec")
     name, args = parts[0].lower(), parts[1:]
-    table = {
-        "ideal": (Ideal, 0),
-        "magic_miscalibration": (MagicMiscalibration, 1),
-        "gadget_coin_bias": (GadgetCoinBias, 1),
-        "depolarizing": (Depolarizing, 1),
-        "liar": (Liar, 1),
-    }
-    if name not in table:
+    classes = {label: cls for cls, label in _FAULT_NAMES.items()}
+    if name not in classes:
         raise ValueError(f"unknown fault model {name!r}")
-    cls, arity = table[name]
+    cls = classes[name]
+    arity = 0 if cls is Ideal else 1
     if len(args) != arity:
         raise ValueError(f"{name} takes {arity} parameter(s), got {len(args)}")
     return cls(*(float(a) for a in args))
@@ -324,9 +321,7 @@ def record_table(seq: FixedSequence, fault: FaultModel
     outcome table of those commuting operators on the prepared inputs.
     """
     events = tuple(_plan_events(seq))
-    operators = [backpropagate(seq, ins.targets[0], at=idx)
-                 for idx, ins in enumerate(seq.instructions)
-                 if ins.op == "MEASURE"]
+    operators = measured_operators(seq, [ev.line for ev in events])
     table = outcome_table(operators, _bloch_table(seq.inputs, fault))
     total = float(table.sum())
     if not abs(total - 1.0) <= 1e-9:
@@ -362,33 +357,25 @@ def _force_slot(table: np.ndarray, slot: int, final: int,
     return (view * scale[:, :, None]).reshape(-1)
 
 
-def _depolarize(table: np.ndarray, circuit: Circuit, events,
+def _depolarize(table: np.ndarray, seq: FixedSequence, events,
                 p_err: float) -> np.ndarray:
     """Fold every gate's depolarizing channel into the table.
 
-    Walking backwards, each slot's Z measurement is carried to just after
-    the current gate; an error Pauli there flips slot i exactly when it
-    anticommutes with slot i's carried operator.  Errors at different gates
-    are independent, so their flip-mask distributions XOR-convolve.
+    A backward sweep carries slot i's Z measurement, as frame operator
+    m-1-i (its bit in a cell index), to just after the current gate; an
+    error Pauli there flips slot i exactly when it anticommutes with that
+    operator.  So a line's z slice is the flip mask of an X error on it and
+    its x slice that of a Z error.  Errors at different gates are
+    independent, so their flip-mask distributions XOR-convolve.
     """
     m = len(events)
-    operators = [PauliOperator.z_on(circuit.n_lines, ev.line)
-                 for ev in events]
     cells = np.arange(1 << m)
-    for ins in reversed(circuit.instructions):
-        if ins.op in ("MEASURE", "ID"):
-            continue
-        # per line: the masks flipped by an X error and by a Z error
-        per_line = []
-        for line in ins.targets:
-            x_mask = z_mask = 0
-            for slot, op in enumerate(operators):
-                bit = 1 << (m - 1 - slot)
-                if (op.z >> line) & 1:
-                    x_mask |= bit
-                if (op.x >> line) & 1:
-                    z_mask |= bit
-            per_line.append((x_mask, x_mask ^ z_mask, z_mask))  # X, Y, Z
+    frame = PauliFrame(seq.n_lines)
+    enter = {ev.line: m - 1 - slot for slot, ev in enumerate(events)}
+    for ins in frame.sweep(seq.instructions, enter):
+        # per line: the masks flipped by an X, a Y and a Z error
+        per_line = [(frame.zs[line], frame.zs[line] ^ frame.xs[line],
+                     frame.xs[line]) for line in ins.targets]
         if len(per_line) == 1:
             masks = list(per_line[0])
         else:
@@ -398,7 +385,6 @@ def _depolarize(table: np.ndarray, circuit: Circuit, events,
             shifted = sum(count * (table[cells ^ mask] if mask else table)
                           for mask, count in Counter(masks).items())
             table = (1.0 - p_err) * table + (p_err / len(masks)) * shifted
-        operators = [conjugate(op, ins) for op in operators]
     return table
 
 

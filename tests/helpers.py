@@ -1,6 +1,7 @@
 """Shared test utilities: seeded circuit generators, the dense statevector
 oracles (the branch tree, the one-pass deferred table and the reference
-trajectory), and the test-only device and statevector API.
+trajectory), the scalar Pauli references (one operator at a time), and the
+test-only device, statevector and Pauli-algebra API.
 
 The device runs on the Pauli engine, so every oracle here that a device
 result is checked against is computed with `cliffcert.statevector` or
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from cliffcert import statevector as sv
 from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                Circuit, FixedSequence, InputState, Instruction,
                                resolve)
-from cliffcert.pauli import PauliOperator
+from cliffcert.pauli import PauliOperator, _bits
 from cliffcert.prover import (_PAULIS_1Q, _PAULIS_2Q, IDEAL, PROB_TOL,
                               BatchResult, Depolarizing, FaultModel, Ideal,
                               MagicMiscalibration, MeasurementEvent,
@@ -36,6 +38,8 @@ CONFIGS = REPO_ROOT / "configs"
 
 CLIFFORD_1Q = ("H", "S", "SDG", "X", "Y", "Z")
 CLIFFORD_2Q = ("CX", "CZ", "SWAP")
+# every gate kind with a Clifford conjugation rule
+ALL_CLIFFORD = CLIFFORD_1Q + ("ID",) + CLIFFORD_2Q
 
 
 def random_input(rng: random.Random) -> InputState:
@@ -79,6 +83,30 @@ def random_fixed_sequence(rng: random.Random, n: int, depth: int,
     return FixedSequence(n, random_inputs(rng, n), tuple(instructions), ())
 
 
+def random_clifford_sequence(rng: random.Random, n: int, depth: int,
+                             intermediate: int = 20) -> FixedSequence:
+    """Random sequence over all ten Clifford gate kinds in which about one
+    instruction in eight measures a live line (at most `intermediate`
+    times), so pulled-back operators start at many positions; it ends with
+    the output MEASURE."""
+    alive = list(range(n))
+    instructions: list[Instruction] = []
+    for _ in range(depth):
+        if len(alive) > 1 and intermediate and rng.random() < 0.15:
+            intermediate -= 1
+            line = alive.pop(rng.randrange(len(alive)))
+            instructions.append(Instruction("MEASURE", (line,),
+                                            label=f"x{line}"))
+        op = rng.choice(ALL_CLIFFORD)
+        if op in CLIFFORD_2Q and len(alive) < 2:
+            op = "H"
+        targets = rng.sample(alive, 2 if op in CLIFFORD_2Q else 1)
+        instructions.append(Instruction(op, tuple(targets)))
+    instructions.append(Instruction("MEASURE", (rng.choice(alive),),
+                                    label="out"))
+    return FixedSequence(n, random_inputs(rng, n), tuple(instructions), ())
+
+
 def random_t_circuit(rng: random.Random, n: int, depth: int, n_t: int,
                      intermediate: int = 0) -> AdaptiveCircuit:
     """Random Clifford circuit with `n_t` raw T gates, ready to gadgetize.
@@ -114,6 +142,176 @@ def random_t_circuit(rng: random.Random, n: int, depth: int, n_t: int,
 def random_pauli(rng: random.Random, n: int) -> PauliOperator:
     return PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n),
                          rng.choice((1, -1)))
+
+
+_PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_CHAR_BITS = {v: k for k, v in _PAULI_CHARS.items()}
+
+
+def from_label(label: str, sign: int = 1) -> PauliOperator:
+    """Pauli from a string like "XIZ" (character i = line i)."""
+    x = z = 0
+    for i, ch in enumerate(label):
+        xb, zb = _CHAR_BITS[ch]
+        x |= xb << i
+        z |= zb << i
+    return PauliOperator(len(label), x, z, sign)
+
+
+def label(p: PauliOperator) -> str:
+    """Sign and one character per line, e.g. "-XIZ"."""
+    chars = [_PAULI_CHARS[p.bit(i)] for i in range(p.n)]
+    return ("+" if p.sign > 0 else "-") + "".join(chars)
+
+
+def commutes(p: PauliOperator, q: PauliOperator) -> bool:
+    if p.n != q.n:
+        raise ValueError("operator sizes differ")
+    overlap = (p.x & q.z) ^ (p.z & q.x)
+    return bin(overlap).count("1") % 2 == 0
+
+
+def multiply(p: PauliOperator,
+             q: PauliOperator) -> tuple[complex, PauliOperator]:
+    """p * q as (phase, sign-normalised Pauli), phase in {1, -1, i, -i}."""
+    if p.n != q.n:
+        raise ValueError("operator sizes differ")
+    # exponent of i per line: XY=iZ, YZ=iX, ZX=iY, reversed orders give -i
+    exponent = 0
+    for line in _bits((p.x | p.z) & (q.x | q.z)):
+        x1, z1 = p.bit(line)
+        x2, z2 = q.bit(line)
+        if x1 and z1:
+            exponent += z2 - x2
+        elif x1:
+            exponent += z2 * (2 * x2 - 1)
+        elif z1:
+            exponent += x2 * (1 - 2 * z2)
+    phase = (1j) ** (exponent % 4) * p.sign * q.sign
+    return phase, PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, 1)
+
+
+def _conjugate_bits(x: int, z: int, sign: int,
+                    gate: Instruction) -> tuple[int, int, int]:
+    """gate^dagger P gate on the (x, z, sign) of one Pauli: the scalar
+    rule table the bit-sliced `pauli.PauliFrame` is checked against."""
+    if not gate.is_unitary:
+        raise ValueError(f"{gate.op} is not unitary")
+    op = gate.op
+
+    if op in ("ID", "T"):
+        if op == "T":
+            raise ValueError("T is not a Clifford gate")
+        return x, z, sign
+
+    if op in ("CX", "CZ", "SWAP"):
+        a, b = gate.targets
+        ma, mb = 1 << a, 1 << b
+        xa, za = (x >> a) & 1, (z >> a) & 1
+        xb, zb = (x >> b) & 1, (z >> b) & 1
+        if op == "CX":
+            if xa & zb & (xb ^ za ^ 1):
+                sign = -sign
+            x ^= xa << b
+            z ^= zb << a
+        elif op == "CZ":
+            if xa & xb & (za ^ zb):
+                sign = -sign
+            z ^= (xb << a) | (xa << b)
+        else:  # SWAP
+            x = (x & ~(ma | mb)) | (xa << b) | (xb << a)
+            z = (z & ~(ma | mb)) | (za << b) | (zb << a)
+        return x, z, sign
+
+    t = gate.targets[0]
+    m = 1 << t
+    xt, zt = (x >> t) & 1, (z >> t) & 1
+    if op == "H":
+        if xt & zt:
+            sign = -sign
+        x = (x & ~m) | (zt << t)
+        z = (z & ~m) | (xt << t)
+    elif op == "S":
+        # S^dagger X S = -Y, S^dagger Y S = +X
+        if xt & (zt ^ 1):
+            sign = -sign
+        z ^= xt << t
+    elif op == "SDG":
+        # S X S^dagger = +Y, S Y S^dagger = -X
+        if xt & zt:
+            sign = -sign
+        z ^= xt << t
+    elif op == "X":
+        if zt:
+            sign = -sign
+    elif op == "Y":
+        if xt ^ zt:
+            sign = -sign
+    elif op == "Z":
+        if xt:
+            sign = -sign
+    else:
+        raise ValueError(f"no conjugation rule for {op}")
+    return x, z, sign
+
+
+def scalar_conjugate(p: PauliOperator, gate: Instruction) -> PauliOperator:
+    """Reference for `pauli.conjugate`, one operator and one gate."""
+    return PauliOperator(p.n, *_conjugate_bits(p.x, p.z, p.sign, gate))
+
+
+def scalar_pull_back(p: PauliOperator, instructions) -> PauliOperator:
+    """Reference for `pauli.pull_back`: the scalar rules gate by gate,
+    backwards, MEASURE and ID skipped."""
+    for ins in reversed(instructions):
+        if ins.op not in ("MEASURE", "ID"):
+            p = scalar_conjugate(p, ins)
+    return p
+
+
+def scalar_measured_operators(seq: FixedSequence,
+                              lines) -> list[PauliOperator]:
+    """Reference for `pauli.measured_operators`: each line's Z pulled back
+    on its own from its MEASURE."""
+    at = {ins.targets[0]: idx for idx, ins in enumerate(seq.instructions)
+          if ins.op == "MEASURE"}
+    return [scalar_pull_back(PauliOperator.z_on(seq.n_lines, line),
+                             seq.instructions[:at[line]]) for line in lines]
+
+
+def loop_depolarize(table: np.ndarray, seq: FixedSequence, events,
+                    p_err: float) -> np.ndarray:
+    """Reference for `prover._depolarize`: every slot's operator carried
+    on its own from the end of the sequence, its flip masks assembled slot
+    by slot at each gate."""
+    m = len(events)
+    operators = [PauliOperator.z_on(seq.n_lines, ev.line) for ev in events]
+    cells = np.arange(1 << m)
+    for ins in reversed(seq.instructions):
+        if ins.op in ("MEASURE", "ID"):
+            continue
+        # per line: the masks flipped by an X error and by a Z error
+        per_line = []
+        for line in ins.targets:
+            x_mask = z_mask = 0
+            for slot, op in enumerate(operators):
+                bit = 1 << (m - 1 - slot)
+                if (op.z >> line) & 1:
+                    x_mask |= bit
+                if (op.x >> line) & 1:
+                    z_mask |= bit
+            per_line.append((x_mask, x_mask ^ z_mask, z_mask))  # X, Y, Z
+        if len(per_line) == 1:
+            masks = list(per_line[0])
+        else:
+            masks = [a ^ b for a in (0,) + per_line[0]
+                     for b in (0,) + per_line[1]][1:]
+        if any(masks):
+            shifted = sum(count * (table[cells ^ mask] if mask else table)
+                          for mask, count in Counter(masks).items())
+            table = (1.0 - p_err) * table + (p_err / len(masks)) * shifted
+        operators = [scalar_conjugate(op, ins) for op in operators]
+    return table
 
 
 _SINGLE = {

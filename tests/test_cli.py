@@ -1,8 +1,14 @@
 """Command-line interface: exit codes, output files, reproducibility."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffcert.circuit import MAX_DECLARED_LINES
 from cliffcert.cli import main
@@ -62,6 +68,15 @@ class TestGadgetize:
         assert main(["gadgetize", str(tmp_path / "nope.circ"),
                      str(tmp_path / "g.circ")]) == 2
 
+    def test_unwritable_output_exits_2_naming_it(self, tmp_path, capsys):
+        src = tmp_path / "c.circ"
+        dst = tmp_path / "missing" / "g.circ"
+        src.write_text(GOOD_CIRCUIT)
+        assert main(["gadgetize", str(src), str(dst)]) == 2
+        captured = capsys.readouterr()
+        assert str(dst) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_too_wide_result_exits_2_naming_input(self, tmp_path, capsys):
         # one ancilla past the width cap: refused, nothing written
         src = tmp_path / "c.circ"
@@ -99,11 +114,15 @@ class TestProbability:
         src = tmp_path / "c.circ"
         src.write_text(GOOD_CIRCUIT)
         assert main(["probability", str(src), "01"]) == 2
+        assert f"error: {src}: got 2 outcomes for 1 gadgets" in \
+            capsys.readouterr().err
 
-    def test_non_bit_outcomes(self, tmp_path):
+    def test_non_bit_outcomes(self, tmp_path, capsys):
         src = tmp_path / "c.circ"
         src.write_text(GOOD_CIRCUIT)
         assert main(["probability", str(src), "2"]) == 2
+        assert f"error: {src}: outcomes must be a bit string" in \
+            capsys.readouterr().err
 
 
 class TestVerify:
@@ -212,6 +231,37 @@ class TestVerify:
         assert f"{src}: {position}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("values, key", [
+        (dict(eta="1e-10"), "eta"),
+        (dict(epsilon="1e-9", eta="0.2"), "epsilon"),
+    ], ids=["eta", "epsilon"])
+    def test_batch_too_large_exits_2_before_campaign(self, tmp_path, capsys,
+                                                     values, key):
+        # more runs than one multinomial draw holds: refused up front
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, CIRCUITS / "deterministic_t3.circ",
+                     out=tmp_path / "out", **values)
+        assert main(["verify", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {cfg}: {key} = {float(values[key])!r} asks for " \
+            in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", [True, False],
+                             ids=["under_a_file", "is_a_file"])
+    def test_unusable_output_dir_exits_2_before_campaign(
+            self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, CIRCUITS / "deterministic_t3.circ", out=out)
+        assert main(["verify", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert str(out) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_wide_circuit_runs(self, tmp_path, capsys):
         src = tmp_path / "c.circ"
         src.write_text("qubits 21\nH 0\nMEASURE 0 out\n")
@@ -265,3 +315,73 @@ class TestUsage:
         for cfg in sorted(CONFIGS.glob("*.cfg")):
             parsed = parse_config(cfg)
             assert parsed.circuit_path.exists()
+
+
+# -- property: malformed input never escapes as a traceback ----------------
+
+FUZZ_TOKENS = ("qubits", "input", "MAGIC", "ONE", "GENERAL", "H", "T", "CX",
+               "SWAP", "TGADGET", "MEASURE", "out", "x", "0", "1", "2", "4",
+               "-1", "65537", "1.5", "nan", "#", "")
+FUZZ_VALUES = {
+    "seed": ("0", "-1", "x", "1e3", str(2 ** 70)),
+    "epsilon": ("0.05", "0", "1", "1e-9", "1e-300", "nan", "-0.1"),
+    "eta": ("0.05", "0", "1.5", "1e-9", "1e-10", "inf", "x"),
+    "delta": ("0.01", "0", "1", "1e-300", "nan"),
+    "fault": ("ideal", "liar 0.3", "liar 2", "gadget_coin_bias 0.1",
+              "gadget_coin_bias nan", "depolarizing 0.05",
+              "magic_miscalibration 1e300", "gremlin", "liar"),
+    "extra_check_lines": ("0", "2", "11", "-1", "x", str(10 ** 30)),
+}
+# (kind, line, other line, token): drop, duplicate or move a line, or put
+# the token in place of one of its words
+circuit_edits = st.lists(st.tuples(
+    st.sampled_from(("drop", "copy", "move", "token")),
+    st.integers(0, 40), st.integers(0, 40), st.sampled_from(FUZZ_TOKENS)),
+    max_size=3)
+
+
+def mutated(text: str, edits) -> str:
+    lines = text.splitlines()
+    for kind, i, j, token in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "copy":
+            lines.insert(j % (len(lines) + 1), lines[i])
+        elif kind == "move":
+            lines.insert(j % len(lines), lines.pop(i))
+        else:
+            words = lines[i].split() or [""]
+            words[j % len(words)] = token
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(("verify", "probability", "gadgetize")),
+       edits=circuit_edits,
+       values=st.fixed_dictionaries({}, optional={
+           key: st.sampled_from(choices)
+           for key, choices in FUZZ_VALUES.items()}),
+       outcomes=st.sampled_from(("", "0", "101", "000", "2")))
+def test_mutated_input_exits_cleanly(command, edits, values, outcomes):
+    with tempfile.TemporaryDirectory() as tmp:
+        circuit = Path(tmp) / "c.circ"
+        circuit.write_text(mutated(
+            (CIRCUITS / "deterministic_t3.circ").read_text(), edits))
+        cfg = Path(tmp) / "run.cfg"
+        write_config(cfg, circuit, out=Path(tmp) / "out", **values)
+        argv = {"verify": ["verify", str(cfg)],
+                "probability": ["probability", str(circuit), outcomes],
+                "gadgetize": ["gadgetize", str(circuit),
+                              str(Path(tmp) / "g.circ")]}[command]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert str(circuit) in err.getvalue() or str(cfg) in err.getvalue()
+    if code == 1:
+        assert command == "verify"

@@ -9,40 +9,44 @@ import pytest
 
 from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
                                ZERO)
-from cliffcert.pauli import (PauliOperator, backpropagate, conjugate,
-                             expectation, input_expectations,
-                             joint_output_probability, multiply,
-                             outcome_table, single_output_probability)
+from cliffcert.pauli import (PauliFrame, PauliOperator, backpropagate,
+                             conjugate, expectation, input_expectations,
+                             joint_output_probability, measured_operators,
+                             outcome_table, pull_back,
+                             single_output_probability)
 from cliffcert.prover import IDEAL
 
-from helpers import (CLIFFORD_1Q, dense_record_table, gate_matrix,
-                     outcome_distribution, pauli_matrix, random_fixed_sequence,
-                     random_inputs, random_pauli)
+from helpers import (CLIFFORD_1Q, commutes, dense_record_table,
+                     from_label, gate_matrix, label, multiply,
+                     outcome_distribution, pauli_matrix,
+                     random_clifford_sequence, random_fixed_sequence,
+                     random_inputs, random_pauli, scalar_conjugate,
+                     scalar_measured_operators, scalar_pull_back)
 
-ALL_1Q = [PauliOperator.from_label(l, s)
+ALL_1Q = [from_label(l, s)
           for l in ("I", "X", "Y", "Z") for s in (1, -1)]
-ALL_2Q = [PauliOperator.from_label(a + b, s)
+ALL_2Q = [from_label(a + b, s)
           for a in "IXYZ" for b in "IXYZ" for s in (1, -1)]
 
 
 class TestConjugate:
     def test_h_swaps_x_and_z(self):
         h = Instruction("H", (0,))
-        assert conjugate(PauliOperator.from_label("Z"), h).label() == "+X"
-        assert conjugate(PauliOperator.from_label("X"), h).label() == "+Z"
-        assert conjugate(PauliOperator.from_label("Y"), h).label() == "-Y"
+        assert label(conjugate(from_label("Z"), h)) == "+X"
+        assert label(conjugate(from_label("X"), h)) == "+Z"
+        assert label(conjugate(from_label("Y"), h)) == "-Y"
 
     def test_s_inverse_image(self):
         # S^dagger X S = -Y and S^dagger Y S = +X (2x2 matrix oracle below
         # pins every case; these two document the orientation)
         s = Instruction("S", (0,))
-        assert conjugate(PauliOperator.from_label("X"), s).label() == "-Y"
-        assert conjugate(PauliOperator.from_label("Y"), s).label() == "+X"
+        assert label(conjugate(from_label("X"), s)) == "-Y"
+        assert label(conjugate(from_label("Y"), s)) == "+X"
 
     def test_cx_grows_z_support(self):
         cx = Instruction("CX", (0, 1))
-        got = conjugate(PauliOperator.from_label("IZ"), cx)
-        assert got.label() == "+ZZ"
+        got = conjugate(from_label("IZ"), cx)
+        assert label(got) == "+ZZ"
 
     def test_exhaustive_1q_matrix_oracle(self):
         for op in ("H", "S", "SDG", "X", "Y", "Z", "ID"):
@@ -51,7 +55,7 @@ class TestConjugate:
             for p in ALL_1Q:
                 want = g.conj().T @ pauli_matrix(p) @ g
                 got = pauli_matrix(conjugate(p, ins))
-                assert np.allclose(got, want, atol=1e-12), (op, p.label())
+                assert np.allclose(got, want, atol=1e-12), (op, label(p))
 
     def test_exhaustive_2q_matrix_oracle(self):
         for op in ("CX", "CZ", "SWAP"):
@@ -62,7 +66,7 @@ class TestConjugate:
                     want = g.conj().T @ pauli_matrix(p) @ g
                     got = pauli_matrix(conjugate(p, ins))
                     assert np.allclose(got, want, atol=1e-12), \
-                        (op, targets, p.label())
+                        (op, targets, label(p))
 
     def test_group_action_composition(self):
         rng = random.Random(11)
@@ -85,41 +89,99 @@ class TestConjugate:
         for _ in range(200):
             p, q = random_pauli(rng, 3), random_pauli(rng, 3)
             g = rng.choice(gates)
-            assert p.commutes_with(q) == \
-                conjugate(p, g).commutes_with(conjugate(q, g))
+            assert commutes(p, q) == \
+                commutes(conjugate(p, g), conjugate(q, g))
 
     def test_measure_rejected(self):
         with pytest.raises(ValueError):
-            conjugate(PauliOperator.identity(1),
+            conjugate(PauliOperator(1, 0, 0),
                       Instruction("MEASURE", (0,), label="out"))
 
     def test_t_rejected(self):
         with pytest.raises(ValueError):
-            conjugate(PauliOperator.identity(1), Instruction("T", (0,)))
+            conjugate(PauliOperator(1, 0, 0), Instruction("T", (0,)))
+
+
+class TestPauliFrame:
+    WIDTHS = (3, 9, 70, 130)  # 70 and 130 lines span two and three words
+
+    def test_sweep_matches_scalar_reference(self):
+        # every measured operator from one sweep equals its own scalar
+        # pull-back from its MEASURE, signs included, for any line order
+        rng = random.Random(71)
+        for _ in range(40):
+            n = rng.choice(self.WIDTHS)
+            seq = random_clifford_sequence(rng, n, rng.randint(n, 4 * n))
+            lines = [ins.targets[0] for ins in seq.instructions
+                     if ins.op == "MEASURE"]
+            rng.shuffle(lines)
+            lines = lines[:rng.randint(1, len(lines))]
+            assert measured_operators(seq, lines) == \
+                scalar_measured_operators(seq, lines)
+
+    def test_frame_at_each_gate_matches_reference(self):
+        # what the sweep yields: just after each gate, operator i is slot
+        # i's Z carried back from its MEASURE by the scalar rules, or the
+        # identity while the walk has not reached that MEASURE
+        rng = random.Random(73)
+        for _ in range(20):
+            n = rng.choice(self.WIDTHS)
+            seq = random_clifford_sequence(rng, n, rng.randint(n, 2 * n))
+            lines = [ins.targets[0] for ins in seq.instructions
+                     if ins.op == "MEASURE"]
+            frame = PauliFrame(n)
+            walk = frame.sweep(seq.instructions,
+                               {line: i for i, line in enumerate(lines)})
+            carried = dict.fromkeys(lines, PauliOperator(n, 0, 0))
+            for ins in reversed(seq.instructions):
+                if ins.op == "MEASURE":
+                    carried[ins.targets[0]] = PauliOperator.z_on(
+                        n, ins.targets[0])
+                elif ins.op != "ID":
+                    assert next(walk) is ins
+                    assert frame.operators(len(lines)) == \
+                        [carried[line] for line in lines]
+                    carried = {line: scalar_conjugate(op, ins)
+                               for line, op in carried.items()}
+            assert next(walk, None) is None
+            assert frame.operators(len(lines)) == \
+                [carried[line] for line in lines]
+
+    def test_pull_back_matches_scalar_for_any_pauli(self):
+        # one operator with X, Y and Z factors and either sign
+        rng = random.Random(79)
+        for _ in range(100):
+            n = rng.choice(self.WIDTHS)
+            seq = random_clifford_sequence(rng, n, rng.randint(1, 3 * n))
+            p = random_pauli(rng, n)
+            assert pull_back(p, seq.instructions) == \
+                scalar_pull_back(p, seq.instructions)
+
+    def test_tgadget_rejected_in_a_sweep(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            pull_back(PauliOperator.z_on(2, 0),
+                      (Instruction("TGADGET", (0,), ancilla=1),))
 
 
 class TestMultiply:
     def test_self_product_is_identity(self):
-        phase, res = multiply(PauliOperator.from_label("X"),
-                              PauliOperator.from_label("X"))
+        phase, res = multiply(from_label("X"), from_label("X"))
         assert phase == 1
-        assert res == PauliOperator.identity(1)
+        assert res == PauliOperator(1, 0, 0)
 
     def test_xz_gives_minus_i_y(self):
-        phase, res = multiply(PauliOperator.from_label("X"),
-                              PauliOperator.from_label("Z"))
+        phase, res = multiply(from_label("X"), from_label("Z"))
         assert phase == -1j
-        assert res.label() == "+Y"
+        assert label(res) == "+Y"
 
     def test_overlapping_z_strings(self):
-        phase, res = multiply(PauliOperator.from_label("ZZI"),
-                              PauliOperator.from_label("IZZ"))
+        phase, res = multiply(from_label("ZZI"), from_label("IZZ"))
         assert phase == 1
-        assert res.label() == "+ZIZ"
+        assert label(res) == "+ZIZ"
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(PauliOperator.identity(1), PauliOperator.identity(2))
+            multiply(PauliOperator(1, 0, 0), PauliOperator(2, 0, 0))
 
     def test_matrix_oracle_random(self):
         rng = random.Random(17)
@@ -137,7 +199,7 @@ class TestMultiply:
         seen = 0
         while seen < 100:
             p, q = random_pauli(rng, 3), random_pauli(rng, 3)
-            if not p.commutes_with(q):
+            if not commutes(p, q):
                 continue
             seen += 1
             phase, _ = multiply(p, q)
@@ -147,15 +209,15 @@ class TestMultiply:
 class TestExpectation:
     def test_z_on_zero(self):
         table = input_expectations((InputState(ZERO),))
-        assert expectation(PauliOperator.from_label("Z"), table) == 1.0
+        assert expectation(from_label("Z"), table) == 1.0
 
     def test_z_on_magic_is_zero(self):
         table = input_expectations((InputState(MAGIC),))
-        assert expectation(PauliOperator.from_label("Z"), table) == 0.0
+        assert expectation(from_label("Z"), table) == 0.0
 
     def test_xx_on_two_magic(self):
         table = input_expectations((InputState(MAGIC), InputState(MAGIC)))
-        got = expectation(PauliOperator.from_label("XX"), table)
+        got = expectation(from_label("XX"), table)
         assert abs(got - 0.5) < 1e-15
 
     def test_in_unit_interval(self):
@@ -182,7 +244,7 @@ class TestBackpropagate:
             1, (InputState(ZERO),),
             (Instruction("H", (0,)),
              Instruction("MEASURE", (0,), label="out")), ())
-        assert backpropagate(seq, 0).label() == "+X"
+        assert label(backpropagate(seq, 0)) == "+X"
 
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
@@ -342,7 +404,7 @@ def scalar_outcome_table(operators, bloch):
     k = len(operators)
     size = 1 << k
     ordered = operators[::-1]
-    products = [PauliOperator.identity(ordered[0].n if k else 0)] * size
+    products = [PauliOperator(ordered[0].n if k else 0, 0, 0)] * size
     values = np.ones(size)
     for subset in range(1, size):
         low = subset & -subset
@@ -404,8 +466,7 @@ class TestOutcomeTable:
     def test_non_hermitian_term_raises(self):
         # X and Z on one line anticommute: XZ = -iY is no observable
         with pytest.raises(AssertionError, match="non-Hermitian"):
-            outcome_table([PauliOperator.from_label("X"),
-                           PauliOperator.from_label("Z")],
+            outcome_table([from_label("X"), from_label("Z")],
                           input_expectations((InputState(ZERO),)))
 
 
@@ -414,9 +475,8 @@ class TestPauliOperator:
         rng = random.Random(53)
         for _ in range(50):
             p = random_pauli(rng, 4)
-            assert PauliOperator.from_label(p.label()[1:],
-                                            1 if p.label()[0] == "+" else -1) \
-                == p
+            assert from_label(label(p)[1:],
+                              1 if label(p)[0] == "+" else -1) == p
 
     def test_bit_masks_bounded(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ import pytest
 from cliffcert.circuit import gadgetize, parse_circuit, resolve
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
-from cliffcert import pauli, protocol
+from cliffcert import protocol
+from cliffcert.pauli import PauliFrame
 from cliffcert.protocol import (ACCEPT, GADGET_BIAS, IMPOSSIBLE_OUTCOME,
                                 OUTPUT_DEVIATION, REJECT, build_stage_prefix,
                                 campaign_table_sizes, compose_error, plan,
@@ -65,6 +66,24 @@ class TestPlanner:
                 plan(1, 0.1, bad, 0.1)
             with pytest.raises(ValueError):
                 plan(1, 0.1, 0.1, bad)
+
+    @pytest.mark.parametrize("t, epsilon, eta, key", [
+        (1, 0.05, 1e-10, "eta"), (3, 1e-9, 0.2, "epsilon"),
+        (3, 1e-17, 0.2, "epsilon"), (0, 0.5, 1e-200, "eta"),
+    ], ids=["eta", "epsilon", "epsilon_d_gadget_zero", "eta_square_zero"])
+    def test_batch_too_large_names_tolerance(self, t, epsilon, eta, key):
+        # past 2^63 - 1 runs numpy's multinomial cannot draw a batch
+        with pytest.raises(ValueError, match=f"^{key} = .* repetitions"):
+            plan(t, epsilon, eta, 0.01)
+
+    def test_largest_drawable_batch_planned(self):
+        # eta = 1e-9 needs about 2.6e18 runs: planned, and one device batch
+        # draws them all
+        p = plan(0, 0.5, 1e-9, 0.01)
+        assert 2.6e18 < p.r_gate < protocol.MAX_REPETITIONS
+        batch = SimulatedDevice(IDEAL).run_fixed_batch(
+            resolve(PROBE, (0,)), p.r_gate, 3)
+        assert sum(batch.counts.values()) == p.r_gate
 
     def test_ci_monotone_in_repetitions(self):
         widths = [protocol.hoeffding_halfwidth(r, 0.01)
@@ -199,27 +218,29 @@ class TestMeasurementTests:
         assert len(results) < DET3.gadget_count
 
     def test_stage_builds_its_theory_table_in_one_pass(self, monkeypatch):
-        # one joint-table call and one back-propagation per stage line; a
-        # per-cell theory table would make 2^(k+1) and (k+1) * 2^(k+1)
+        # one joint-table call, and one frame sweep pulls back every stage
+        # line for it; a pull-back per line would make k + 1 sweeps and a
+        # per-cell theory table 2^(k+1) calls
         calls = Counter()
 
-        def count(module, name):
-            original = getattr(module, name)
+        def count(owner, name):
+            original = getattr(owner, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
 
         dev = SimulatedDevice(IDEAL)
         tr = run_computational(dev, DET3, 11)
         p = plan(DET3.gadget_count, 0.05, 0.05, 0.01)
-        count(pauli, "backpropagate")
         count(protocol, "joint_output_probability")
+        count(PauliFrame, "sweep")
         result = protocol.run_measurement_stage(dev, DET3, tr, p, 1, 11)
         assert len(result.extra_lines) == 2
         assert calls["joint_output_probability"] == 1
-        assert calls["backpropagate"] == 1 + len(result.extra_lines)
+        # one sweep for the device's record table, one for the theory table
+        assert calls["sweep"] == 2
 
 
 class TestComposeError:

@@ -22,6 +22,7 @@ from helpers import (adaptive_record_table, depolarized_distribution,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
                      gadget_born_probabilities, loop_counts,
+                     loop_depolarize, random_clifford_sequence,
                      random_fixed_sequence, random_inputs, random_t_circuit,
                      reference_run, reference_transcript, run_adaptive_batch,
                      run_fixed, sv_fidelity, sv_norm, sv_remove_line)
@@ -285,6 +286,20 @@ class TestFaultModels:
             want = distribution_table(depolarized_distribution(seq, p_err),
                                       len(events))
             assert np.max(np.abs(table - want)) < 1e-10
+
+    def test_depolarizing_table_equals_per_slot_loop(self):
+        # the flip masks read off the frame's slices give the table, bit
+        # for bit, that carrying each slot's operator on its own gives
+        rng = random.Random(101)
+        for _ in range(30):
+            n = rng.choice((3, 6, 70))
+            seq = random_clifford_sequence(rng, n, rng.randint(n, 3 * n),
+                                           intermediate=6)
+            p_err = rng.uniform(0.0, 1.0)
+            events, ideal = prover.record_table(seq, IDEAL)
+            _, table = prover.record_table(seq, Depolarizing(p_err))
+            assert np.array_equal(
+                table, loop_depolarize(ideal, seq, events, p_err))
 
     def test_depolarizing_adaptive_table_matches_reference_runs(
             self, three_gadget):
