@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, FixedSequence, Instruction, InputState
+from .circuit import (MAGIC, Circuit, FixedSequence, Instruction,
+                      InputState)
 
 DEFAULT_K_MAX = 10
 
@@ -160,10 +161,28 @@ def conjugate(p: PauliOperator, gate: Instruction) -> PauliOperator:
     return pull_back(p, (gate,))
 
 
-def input_expectations(
-        inputs: Sequence[InputState]) -> tuple[tuple[float, float, float], ...]:
+class InputExpectations:
+    """Per-line (<X>, <Y>, <Z>) table of a product input, computed for a
+    line only when it is read: a pulled-back operator touches only its
+    support lines.  `magic`, if given, is read for every MAGIC line."""
+
+    def __init__(self, inputs: Sequence[InputState], magic=None):
+        self.inputs = inputs
+        self.magic = magic
+
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+    def __getitem__(self, line: int) -> tuple[float, float, float]:
+        inp = self.inputs[line]
+        if self.magic is not None and inp.kind == MAGIC:
+            return self.magic
+        return inp.bloch()
+
+
+def input_expectations(inputs: Sequence[InputState]) -> InputExpectations:
     """Per-line (<X>, <Y>, <Z>) table for a product input."""
-    return tuple(inp.bloch() for inp in inputs)
+    return InputExpectations(inputs)
 
 
 def expectation(p: PauliOperator, table) -> float:

@@ -517,11 +517,9 @@ def verify_campaign(device, circuit: AdaptiveCircuit, epsilon: float,
     test_plan = plan(circuit.gadget_count, epsilon, eta, delta,
                      extra_check_lines)
     transcript = run_computational(device, circuit, derive_seed(seed, 0))
-    p_classical = single_output_probability(transcript.resolved, 0)
-
     gate = run_gate_tests(device, transcript, test_plan, derive_seed(seed, 1))
     stages: list[MeasurementStageResult] = []
     if not gate.impossible_observed:
         stages = run_measurement_tests(device, circuit, transcript, test_plan,
                                        seed)
-    return verdict(transcript, test_plan, p_classical, gate, stages)
+    return verdict(transcript, test_plan, gate.p_classical, gate, stages)

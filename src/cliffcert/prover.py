@@ -23,11 +23,14 @@ record, read off the frame's slices as the sweep passes the gate
 is what makes 10^5..10^7-repetition test batches affordable for every fault
 model.
 
-The one adaptive run samples its record by sequential conditional
-sampling: each measurement draws from P(1 | record so far), computed on the
-gates realised so far, so a gadget correction follows its sampled bit and a
-depolarizing gate error, drawn as its gate runs, becomes a Pauli gate of
-the realised sequence.
+The one adaptive run reads its record off the same tables, one slot at a
+time in execution order.  A gadget readout is a coin of 1/2 (1/2 + bias
+under a biased coin) given any earlier record, so it needs no table.  Any
+other slot draws from P(1 | record so far) in the record table of the
+circuit resolved on the gadget bits drawn so far, later ones read as 0.
+A later correction, its gate errors and a lie on the final bit act on
+later slots only, so that table's marginal on the slots so far is the
+adaptive run's, and every fault model acts on the record in one place.
 """
 
 from __future__ import annotations
@@ -40,21 +43,15 @@ from typing import Union
 
 import numpy as np
 
-from .circuit import (MAGIC, AdaptiveCircuit, Circuit, FixedSequence,
-                      Instruction, resolve, serialize)
-from .pauli import (PauliFrame, PauliOperator, input_expectations,
-                    measured_operators, outcome_table, pull_back)
+from .circuit import (AdaptiveCircuit, Circuit, FixedSequence, resolve,
+                      serialize)
+from .pauli import (InputExpectations, PauliFrame, measured_operators,
+                    outcome_table)
 
 PROB_TOL = 1e-12
 
 # widest record table the device builds: 2^20 cells
 MAX_RECORD_SLOTS = 20
-
-_PAULIS_1Q = ("X", "Y", "Z")
-_PAULIS_2Q = tuple((a, b)
-                   for a in ("ID", "X", "Y", "Z")
-                   for b in ("ID", "X", "Y", "Z")
-                   if (a, b) != ("ID", "ID"))
 
 
 @dataclass(frozen=True)
@@ -198,10 +195,6 @@ class BatchResult:
             out[key] = out.get(key, 0) + count
         return out
 
-    def frequency_of_one(self, index: int) -> float:
-        ones = sum(c for rec, c in self.counts.items() if rec[index] == 1)
-        return ones / self.repetitions
-
 
 def _plan_events(circuit: Circuit) -> list[MeasurementEvent]:
     """Measurement slots of a circuit in execution order.
@@ -223,90 +216,47 @@ def _plan_events(circuit: Circuit) -> list[MeasurementEvent]:
     return events
 
 
-def _effective_probs(p_one: float, event: MeasurementEvent, is_final: bool,
-                     fault: FaultModel) -> tuple[float, float, bool]:
-    """(P(0), P(1), overridden) for one measurement under the fault model."""
-    if isinstance(fault, GadgetCoinBias) and event.is_gadget:
-        return 0.5 - fault.bias, 0.5 + fault.bias, True
-    if isinstance(fault, Liar) and is_final:
-        return fault.q, 1.0 - fault.q, True
-    return 1.0 - p_one, p_one, False
-
-
-def _bloch_table(inputs, fault: FaultModel):
+def _bloch_table(inputs, fault: FaultModel) -> InputExpectations:
     """Per-line (<X>, <Y>, <Z>) of the inputs the device prepares: a
     miscalibrated source puts MAGIC lines at phase pi/4 + delta_theta."""
-    shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
-        else 0.0
-    if not shift:
-        return input_expectations(inputs)
-    phase = math.pi / 4 + shift
-    magic = (math.cos(phase), math.sin(phase), 0.0)
-    return tuple(magic if inp.kind == MAGIC else inp.bloch()
-                 for inp in inputs)
+    if not isinstance(fault, MagicMiscalibration) or not fault.delta_theta:
+        return InputExpectations(inputs)
+    phase = math.pi / 4 + fault.delta_theta
+    return InputExpectations(inputs, (math.cos(phase), math.sin(phase), 0.0))
 
 
-def _run_single(circuit: Circuit, fault: FaultModel, seed: int):
-    """One trajectory; returns (record bits, events).
+def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int
+                ) -> tuple[tuple[int, ...], FixedSequence]:
+    """One adaptive run: its record bits and the sequence it resolved to.
 
-    Each measurement samples its outcome from P(1 | record so far): the
-    record table of the slots so far, each slot's Z pulled back through
-    the gates realised before it.  Under depolarizing noise each gate's
-    error Pauli is drawn when the gate runs and becomes a gate of the
-    realised sequence.
+    Slots are drawn in order, one uniform draw each.  A gadget bit is a
+    coin; any other slot reads P(1 | record so far) off the record table
+    of the circuit resolved on the gadget bits so far and zeros after,
+    rebuilt only when a gadget bit was drawn since the last one.
     """
     rng = np.random.default_rng(seed)
-    events = _plan_events(circuit)
-    final_index = len(events) - 1
-    bloch = _bloch_table(circuit.inputs, fault)
-    noisy = isinstance(fault, Depolarizing)
-    gates: list[Instruction] = []
-    operators: list[PauliOperator] = []
+    coin = 0.5 + fault.bias if isinstance(fault, GadgetCoinBias) else 0.5
     record: list[int] = []
-    cell = 0  # the record so far as a table index
-
-    def apply(ins: Instruction) -> None:
-        if ins.op == "ID":
-            return
-        gates.append(ins)
-        if noisy and rng.random() < fault.p_err:
-            if len(ins.targets) == 1:
-                errors = (_PAULIS_1Q[rng.integers(3)],)
-            else:
-                errors = _PAULIS_2Q[rng.integers(15)]
-            gates.extend(Instruction(pauli, (line,))
-                         for line, pauli in zip(ins.targets, errors)
-                         if pauli != "ID")
-
-    def measure(line: int) -> int:
-        nonlocal cell
-        slot = len(record)
-        operators.append(pull_back(PauliOperator.z_on(circuit.n_lines, line),
-                                   gates))
-        zero, one = outcome_table(operators, bloch)[2 * cell:2 * cell + 2]
-        p_one = one / (zero + one)
-        _, p1, overridden = _effective_probs(p_one, events[slot],
-                                             slot == final_index, fault)
-        outcome = 1 if rng.random() < p1 else 0
-        true_p = p_one if outcome else 1.0 - p_one
-        # a gadget readout is a fair coin, so only a terminal readout can
-        # be forced onto an impossible bit: a lie, nothing measured after
-        if true_p < PROB_TOL and not overridden:
-            outcome = 1 - outcome  # numerical guard for honest sampling
-        record.append(outcome)
-        cell = 2 * cell + outcome
-        return outcome
-
-    for ins in circuit.instructions:
-        if ins.op == "TGADGET":
-            apply(Instruction("CX", (ins.targets[0], ins.ancilla)))
-            if measure(ins.ancilla):
-                apply(Instruction("S", ins.targets))
-        elif ins.op == "MEASURE":
-            measure(ins.targets[0])
+    gadget_bits: list[int] = []
+    table = None
+    cell = 0  # the record so far as a table prefix
+    for slot, event in enumerate(_plan_events(circuit)):
+        if event.is_gadget:
+            p_one = coin
         else:
-            apply(ins)
-    return tuple(record), tuple(events)
+            if table is None:
+                padding = [0] * (circuit.gadget_count - len(gadget_bits))
+                resolved = resolve(circuit, gadget_bits + padding)
+                _, table = record_table(resolved, fault)
+            zero, one = table.reshape(1 << slot, 2, -1)[cell].sum(axis=1)
+            p_one = one / (zero + one)
+        bit = 1 if rng.random() < p_one else 0
+        record.append(bit)
+        cell = 2 * cell + bit
+        if event.is_gadget:
+            gadget_bits.append(bit)
+            table = None
+    return tuple(record), resolved
 
 
 def record_table(seq: FixedSequence, fault: FaultModel
@@ -411,15 +361,13 @@ class SimulatedDevice:
     def run_adaptive(self, circuit: AdaptiveCircuit, seed: int) -> Transcript:
         """One adaptive run: gadget corrections applied immediately after
         their ancilla measurements, everything recorded."""
-        record, events = _run_single(circuit, self.fault, seed)
-        gadget_bits = tuple(bit for bit, ev in zip(record, events)
-                            if ev.is_gadget)
+        record, resolved = _sample_run(circuit, self.fault, seed)
         return Transcript(
             circuit_id=circuit_id(circuit),
-            gadget_outcomes=gadget_bits,
+            gadget_outcomes=resolved.frozen_outcomes,
             final_output=record[-1],
             seed=seed,
-            resolved=resolve(circuit, gadget_bits),
+            resolved=resolved,
         )
 
     def run_fixed_batch(self, seq: FixedSequence, repetitions: int,

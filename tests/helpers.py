@@ -23,13 +23,12 @@ from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                Circuit, FixedSequence, InputState, Instruction,
                                resolve)
 from cliffcert.pauli import PauliOperator, _bits
-from cliffcert.prover import (_PAULIS_1Q, _PAULIS_2Q, IDEAL, PROB_TOL,
-                              BatchResult, Depolarizing, FaultModel, Ideal,
+from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
+                              FaultModel, GadgetCoinBias, Ideal, Liar,
                               MagicMiscalibration, MeasurementEvent,
-                              SimulatedDevice, Transcript, _effective_probs,
-                              _plan_events, _run_single, _sample_table,
-                              circuit_id, derive_seed, fault_to_text,
-                              record_table)
+                              SimulatedDevice, Transcript, _plan_events,
+                              _sample_table, circuit_id, derive_seed,
+                              fault_to_text, record_table)
 from cliffcert.statevector import GATES_1Q, GATES_2Q
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -452,6 +451,18 @@ def distribution_table(dist: dict, slots: int) -> np.ndarray:
     return table
 
 
+def assert_records_follow(counts: dict, table: np.ndarray) -> None:
+    """Chi-squared at 0.001 of sampled {record: count} against an exact
+    record table; a record of probability zero fails outright."""
+    from scipy.stats import chi2
+    observed = distribution_table(counts, table.size.bit_length() - 1)
+    possible = table > 0
+    assert not observed[~possible].any()
+    expected = observed.sum() * table[possible]
+    stat = np.sum((observed[possible] - expected) ** 2 / expected)
+    assert stat < chi2.isf(0.001, df=possible.sum() - 1)
+
+
 def gadget_born_probabilities(circuit: AdaptiveCircuit,
                               fault: FaultModel = IDEAL) -> tuple[float, ...]:
     """Born P(1) of every gadget measurement in every branch of the adaptive
@@ -543,11 +554,17 @@ class FixedRunResult:
 
 def run_fixed(device: SimulatedDevice, seq: FixedSequence,
               seed: int) -> FixedRunResult:
-    """One non-adaptive run of a frozen sequence on `device`; corrections
-    are applied positionally regardless of the fresh measurement
-    outcomes."""
-    record, _ = _run_single(seq, device.fault, seed)
+    """One non-adaptive run of a frozen sequence under `device`'s fault
+    model, as the statevector trajectory `reference_run`; corrections are
+    applied positionally regardless of the fresh measurement outcomes."""
+    record, _ = reference_run(seq, device.fault, seed)
     return FixedRunResult(outcomes=record[:-1], final_output=record[-1])
+
+
+def frequency_of_one(batch: BatchResult, index: int) -> float:
+    """Share of a batch's runs whose record reads 1 at slot `index`."""
+    ones = sum(c for rec, c in batch.counts.items() if rec[index] == 1)
+    return ones / batch.repetitions
 
 
 def adaptive_record_table(circuit: AdaptiveCircuit, fault: FaultModel
@@ -630,6 +647,23 @@ def final_output_probability(seq: FixedSequence,
     return float(dense_record_table(seq, fault)[0::2].sum())
 
 
+_PAULIS_1Q = ("X", "Y", "Z")
+_PAULIS_2Q = tuple((a, b)
+                   for a in ("ID", "X", "Y", "Z")
+                   for b in ("ID", "X", "Y", "Z")
+                   if (a, b) != ("ID", "ID"))
+
+
+def _effective_probs(p_one: float, event: MeasurementEvent, is_final: bool,
+                     fault: FaultModel) -> tuple[float, float, bool]:
+    """(P(0), P(1), overridden) for one measurement under the fault model."""
+    if isinstance(fault, GadgetCoinBias) and event.is_gadget:
+        return 0.5 - fault.bias, 0.5 + fault.bias, True
+    if isinstance(fault, Liar) and is_final:
+        return fault.q, 1.0 - fault.q, True
+    return 1.0 - p_one, p_one, False
+
+
 class _Executor:
     """Gate/measurement mechanics of one statevector run that measures in
     place."""
@@ -675,11 +709,13 @@ class _Executor:
 
 
 def reference_run(circuit: Circuit, fault: FaultModel, seed: int):
-    """One statevector trajectory measured in place, drawing from the RNG
-    in the device's order (one draw per measurement; under depolarizing
-    noise one per non-ID gate, then the error Pauli); returns (record
-    bits, events).  The reference the device's adaptive run must match
-    bit for bit."""
+    """One statevector trajectory measured in place; returns (record bits,
+    events).  It draws one uniform per measurement, as the device does, so
+    the device's adaptive run must match it bit for bit.  Under
+    depolarizing noise it also draws each gate's error as the gate runs
+    (one draw per non-ID gate, then the error Pauli), where the device
+    reads the noise off its record table: those runs agree in distribution
+    only."""
     rng = np.random.default_rng(seed)
     ex = _Executor(circuit.inputs, fault)
     events = _plan_events(circuit)

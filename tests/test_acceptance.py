@@ -24,7 +24,8 @@ from helpers import (CIRCUITS, adaptive_record_table, distribution_table,
                      final_output_probability,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
-                     gadget_born_probabilities, outcome_distribution,
+                     frequency_of_one, gadget_born_probabilities,
+                     outcome_distribution,
                      random_fixed_sequence, random_inputs, random_t_circuit,
                      run_adaptive_batch, sv_fidelity, sv_norm, sv_remove_line)
 
@@ -103,7 +104,7 @@ def test_criterion_3_gadget_outcome_probability():
     assert len(gadget_slots) == 3
     worst_emp = 0.0
     for slot in gadget_slots:
-        freq = batch.frequency_of_one(slot)
+        freq = frequency_of_one(batch, slot)
         worst_emp = max(worst_emp, abs(freq - 0.5))
     assert worst_emp <= 0.005
     report(3, "gadget outcome probability",

@@ -38,6 +38,8 @@ def test_tracer_installs_and_counts_one_validate_per_circuit(monkeypatch):
     assert tracer.calls["circuit.validate"] == 2
     assert tracer.calls["prover.run_adaptive"] == 1
     assert tracer.calls["prover.run_fixed_batch"] == 2
+    # the gate test's classical probability serves the report as well
+    assert tracer.calls["pauli.single_output_probability"] == 1
     # the device runs on the Pauli engine, not the statevector
     assert tracer.count["statevector.calls"] == 0
 

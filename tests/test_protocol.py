@@ -8,7 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cliffcert.circuit import gadgetize, parse_circuit, resolve
+from cliffcert.circuit import (InputState, gadgetize, parse_circuit,
+                               resolve)
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
 from cliffcert import protocol
@@ -285,6 +286,21 @@ class TestVerdict:
         assert report.confidence_lower_bound == pytest.approx(0.9)
         assert report.pi_bound[0] < 0.125 < report.pi_bound[1]
 
+    def test_classical_probability_computed_once(self, monkeypatch):
+        # the gate test's p_classical is the report's: one pull-back of the
+        # output operator per campaign
+        calls = []
+        original = protocol.single_output_probability
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(protocol, "single_output_probability", counted)
+        report = verify_campaign(SimulatedDevice(IDEAL), DET3, 0.05, 0.05,
+                                 0.01, seed=21)
+        assert len(calls) == 1
+        assert report.p_classical == report.gate.p_classical
+
     def test_reject_lists_gadget_bias_with_values(self):
         report = verify_campaign(SimulatedDevice(GadgetCoinBias(0.1)), DET3,
                                  0.05, 0.05, 0.01, seed=21)
@@ -383,6 +399,20 @@ class TestWideCircuit:
         report = verify_campaign(SimulatedDevice(IDEAL), self.WIDE,
                                  0.05, 0.05, 0.01, seed=7)
         assert report.accepted
+
+    def test_reads_inputs_only_on_support_lines(self, monkeypatch):
+        # every table reads the Bloch vectors of its operators' support
+        # lines, never a vector per line of the circuit
+        calls = []
+        original = InputState.bloch
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+        monkeypatch.setattr(InputState, "bloch", counted)
+        verify_campaign(SimulatedDevice(IDEAL), self.WIDE, 0.05, 0.05, 0.01,
+                        seed=7)
+        assert 0 < len(calls) < self.WIDE.n_lines
 
     def test_coin_bias_rejected_at_every_stage(self):
         report = verify_campaign(SimulatedDevice(GadgetCoinBias(0.1)),

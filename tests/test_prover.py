@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
 from cliffcert import statevector as sv
 from cliffcert.pauli import single_output_probability
 
-from helpers import (adaptive_record_table, depolarized_distribution,
-                     distribution_table, final_output_probability,
+from helpers import (adaptive_record_table, assert_records_follow,
+                     depolarized_distribution, distribution_table,
+                     final_output_probability,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
-                     gadget_born_probabilities, loop_counts,
+                     frequency_of_one, gadget_born_probabilities, loop_counts,
                      loop_depolarize, random_clifford_sequence,
                      random_fixed_sequence, random_inputs, random_t_circuit,
                      reference_run, reference_transcript, run_adaptive_batch,
@@ -133,7 +135,7 @@ class TestGadgetPhysics:
         batch = run_adaptive_batch(SimulatedDevice(IDEAL), one_gadget,
                                    100_000, 31)
         assert [ev.is_gadget for ev in batch.events] == [True, False]
-        assert abs(batch.frequency_of_one(0) - 0.5) < 0.005
+        assert abs(frequency_of_one(batch, 0) - 0.5) < 0.005
 
 
 class TestRunFixed:
@@ -209,7 +211,7 @@ class TestFaultModels:
         dev = SimulatedDevice(GadgetCoinBias(0.1))
         batch = run_adaptive_batch(dev, one_gadget, 100_000, 13)
         assert batch.events[0].is_gadget
-        assert abs(batch.frequency_of_one(0) - 0.6) < 0.005
+        assert abs(frequency_of_one(batch, 0) - 0.6) < 0.005
 
     def test_coin_bias_only_touches_gadget_measures(self):
         # a user's intermediate measurement keeps its Born statistics, also
@@ -224,7 +226,7 @@ class TestFaultModels:
             for fault in (GadgetCoinBias(0.4), GadgetCoinBias(0.0)):
                 batch = SimulatedDevice(fault).run_fixed_batch(seq, 2000, 3)
                 assert not batch.events[0].is_gadget
-                assert batch.frequency_of_one(0) == ones
+                assert frequency_of_one(batch, 0) == ones
 
     def test_coin_bias_impossible_outcome_raises(self):
         # ancilla deterministically |0>: the coin would demand 1 half the
@@ -262,19 +264,12 @@ class TestFaultModels:
 
     def test_depolarizing_table_matches_loop(self):
         # chi-squared of per-run records against the exact record table
-        from scipy.stats import chi2
         c = circuit_from("qubits 3\nH 0\nCX 0 1\nMEASURE 1 x1\nS 0\n"
                          "CZ 0 2\nH 2\nMEASURE 2 x2\nH 0\nMEASURE 0 out\n")
         seq = resolve(c, ())
         dev = SimulatedDevice(Depolarizing(0.2))
         _, table = prover.record_table(seq, dev.fault)
-        reps = 2000
-        observed = distribution_table(loop_counts(dev, seq, reps, 41), 3)
-        possible = table > 0
-        assert not observed[~possible].any()
-        expected = reps * table[possible]
-        stat = np.sum((observed[possible] - expected) ** 2 / expected)
-        assert stat < chi2.isf(0.001, df=possible.sum() - 1)
+        assert_records_follow(loop_counts(dev, seq, 2000, 41), table)
 
     def test_depolarizing_table_matches_density_matrix_oracle(self):
         rng = random.Random(97)
@@ -305,21 +300,12 @@ class TestFaultModels:
             self, three_gadget):
         # the adaptive table composed from resolved sequences' noisy tables
         # against statevector trajectories that draw each error as it runs
-        from scipy.stats import chi2
         fault = Depolarizing(0.2)
-        events, table = adaptive_record_table(three_gadget, fault)
-        reps = 1500
-        counts = {}
-        for rep in range(reps):
-            record, _ = reference_run(three_gadget, fault,
-                                      derive_seed(43, rep))
-            counts[record] = counts.get(record, 0) + 1
-        observed = distribution_table(counts, len(events))
-        possible = table > 0
-        assert not observed[~possible].any()
-        expected = reps * table[possible]
-        stat = np.sum((observed[possible] - expected) ** 2 / expected)
-        assert stat < chi2.isf(0.001, df=possible.sum() - 1)
+        _, table = adaptive_record_table(three_gadget, fault)
+        counts = Counter(reference_run(three_gadget, fault,
+                                       derive_seed(43, rep))[0]
+                         for rep in range(1500))
+        assert_records_follow(counts, table)
 
     def test_reused_measured_line_rejected(self):
         # refused when built, so no device batch can be asked to defer it
@@ -335,11 +321,11 @@ class TestFaultModels:
 
 class TestReferenceRun:
     def test_transcripts_match_reference_run(self):
-        # the device's Pauli-engine run against the statevector trajectory
-        # measured in place: same seed, same draws, same transcript
+        # the device's run against the statevector trajectory measured in
+        # place: same seed, same draws, same transcript
         rng = random.Random(113)
         faults = (IDEAL, MagicMiscalibration(0.3), GadgetCoinBias(0.2),
-                  Depolarizing(0.1), Liar(0.3))
+                  Liar(0.3))
         compared = 0
         for _ in range(100):
             circuit = gadgetize(random_t_circuit(
@@ -351,7 +337,27 @@ class TestReferenceRun:
                 assert SimulatedDevice(fault).run_adaptive(circuit, seed) \
                     == reference_transcript(circuit, fault, seed)
                 compared += 1
-        assert compared == 500
+        assert compared == 400
+
+    @pytest.mark.parametrize("fault", [Depolarizing(0.2),
+                                       GadgetCoinBias(0.2)],
+                             ids=["depolarizing", "coin_bias"])
+    def test_adaptive_records_follow_adaptive_table(self, fault):
+        # a user's measurement between two gadgets makes the run read its
+        # slots off two tables; the records of many runs against the exact
+        # adaptive table composed from every resolved sequence's table
+        circuit = gadgetize(circuit_from(
+            "qubits 2\nH 0\nT 0\nCX 0 1\nMEASURE 1 x\nH 0\nT 0\nH 0\n"
+            "MEASURE 0 out\n"))
+        events, table = adaptive_record_table(circuit, fault)
+        assert [ev.is_gadget for ev in events] == [True, False, True, False]
+        counts = Counter()
+        for rep in range(1500):
+            record, resolved = prover._sample_run(circuit, fault,
+                                                  derive_seed(47, rep))
+            assert resolved.frozen_outcomes == (record[0], record[2])
+            counts[record] += 1
+        assert_records_follow(counts, table)
 
 
 class TestSeedDerivation:
