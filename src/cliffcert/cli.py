@@ -26,6 +26,7 @@ identical (config, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -199,6 +200,7 @@ def cmd_verify(config_path: str) -> int:
     return 0 if report.accepted else 1
 
 
+@functools.cache  # built on first use; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliffcert",

@@ -9,10 +9,11 @@ operators bit-sliced per line, so one backward sweep over N gates pulls
 back every measured operator of a sequence, a few integer operations per
 gate.  With per-line input expectations this gives output probabilities of
 non-adaptive sequences on product inputs in time linear in circuit size.
-The joint outcome table of k commuting operators (:func:`outcome_table`,
-shared by the verifier and the simulated device) costs 2^k Pauli products,
-one lookup per support line each, and one Walsh-Hadamard transform:
-O(|U| * 2^k + k * 2^k) for a union support of |U| lines, beyond the sweep.
+The joint outcome table of a swept frame's k commuting operators
+(:func:`outcome_table`, shared by the verifier and the simulated device)
+reads every subset product off the frame's slices, operator j as bit j of
+a cell: O(|U| * 2^k) for a union support of |U| lines in a fixed number of
+array passes, plus the k passes of one Walsh-Hadamard transform.
 """
 
 from __future__ import annotations
@@ -230,18 +231,6 @@ def pull_back(p: PauliOperator,
     return frame.operators(1)[0]
 
 
-def measured_operators(seq: Circuit,
-                       lines: Sequence[int]) -> list[PauliOperator]:
-    """U^dagger Z_line U for each of `lines`, U the unitary part of the
-    instructions before that line's MEASURE (a measured line is never
-    reused, so later gates leave it as it is), all from one sweep."""
-    frame = PauliFrame(seq.n_lines)
-    for _ in frame.sweep(seq.instructions,
-                         {line: i for i, line in enumerate(lines)}):
-        pass
-    return frame.operators(len(lines))
-
-
 def single_output_probability(seq: FixedSequence, outcome: int) -> float:
     """P(output bit = outcome) for a valid fixed sequence on its inputs.
 
@@ -275,87 +264,92 @@ def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
     for line in lines:
         if line not in measured:
             raise ValueError(f"line {line} is not measured in the sequence")
-    return outcome_table(measured_operators(seq, lines),
-                         input_expectations(seq.inputs))
+    frame = PauliFrame(seq.n_lines)
+    for _ in frame.sweep(seq.instructions,
+                         {line: k - 1 - i for i, line in enumerate(lines)}):
+        pass
+    return outcome_table(frame, k, input_expectations(seq.inputs))
 
 
-def _packed(masks: Sequence[int], n: int, lines: np.ndarray,
-            words: int) -> np.ndarray:
-    """Bits `lines` of each n-bit mask, packed into `words` uint64 words."""
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
-                                 for m in masks), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1,
-                         bitorder="little")[:, lines]
-    padded = np.zeros((len(masks), 64 * words), np.uint8)
-    padded[:, :len(lines)] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-
-def outcome_table(operators: Sequence[PauliOperator],
-                  bloch) -> np.ndarray:
-    """Joint outcome table of commuting signed Paulis on a product state.
+def outcome_table(frame: PauliFrame, k: int, bloch) -> np.ndarray:
+    """Joint outcome table of the k commuting signed Paulis in `frame`.
 
     `bloch[line]` is line's (<X>, <Y>, <Z>).  Returns 2^k probabilities;
-    bit k-1-i of a cell's index is the +1/-1 (0/1) outcome of
-    operators[i].  The product of the (I + (-1)^m_i P_i)/2 projectors
-    expands to 2^-k sum_S (-1)^(m.S) <prod_{i in S} P_i>.  Every subset
-    product comes from a smaller subset by one XOR on x/z bits packed
-    over the union support; with P = i^|x&z| X^x Z^z, P1 P2 = i^e P3 for
-    e = |x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|.  Each expectation is one
-    lookup per support line, and the signed sums for all outcomes at once
-    are an inverse Walsh-Hadamard transform of the expectations.
+    bit j of a cell's index is the 0/1 (+1/-1) outcome of frame operator
+    j.  The projector product expands to 2^-k sum_S (-1)^(m.S) <P_S>, and
+    a subset S, read as a cell, meets the frame's slices directly: P_S has
+    x bit |S & xs[u]| mod 2 on line u, z bit |S & zs[u]| mod 2.  With P_j =
+    s_j i^|x_j&z_j| X^x_j Z^z_j, the product in increasing j is i^e X^x_S
+    Z^z_S, e = 2|S & signs| + sum_{j in S} |x_j&z_j| + 2q(S) for q(S) the
+    pairs i < j in S whose z_i meets x_j an odd number of times; as a sign
+    times a Hermitian Pauli it is i^(e - |x_S&z_S|) P.  Each expectation is
+    one factor per support line, multiplied in line order, and an inverse
+    Walsh-Hadamard transform gives every outcome's signed sum.  Cost:
+    O(|U| * 2^k) for a union support of |U| lines, in a fixed number of
+    array passes per block of cells, plus k butterfly passes.
     """
-    k = len(operators)
-    size = 1 << k
-    support = 0
-    for p in operators:
-        support |= p.support
-    lines = np.fromiter(_bits(support), np.int64)
-    words = max(1, -(-len(lines) // 64))
-    # subset bit j selects operators[k-1-j]; xz[subset] holds its x words
-    # then its z words
-    ordered = operators[::-1]
-    n = ordered[0].n if k else 0
-    op_xz = _packed([m for p in ordered for m in (p.x, p.z)], n, lines,
-                    words).reshape(k, 2 * words)
-    op_e = np.array([0 if p.sign > 0 else 2 for p in ordered], np.int64) \
-        + _popcount(op_xz[:, :words] & op_xz[:, words:])
-
-    xz = np.zeros((size, 2 * words), "<u8")
-    exponent = np.zeros(size, np.int64)  # of i, as in i^e X^x Z^z
-    for j in range(k):
-        half = 1 << j
-        xz[half:2 * half] = xz[:half] ^ op_xz[j]
-        exponent[half:2 * half] = exponent[:half] + op_e[j] \
-            + 2 * _popcount(xz[:half, words:] & op_xz[j, :words])
-    # back from i^e X^x Z^z to a sign times the Hermitian Pauli
-    exponent -= _popcount(xz[:, :words] & xz[:, words:])
-    if np.any(exponent & 1):
-        raise AssertionError("projector expansion produced a non-"
-                             "Hermitian term")
-    values = np.where(exponent & 2, -1.0, 1.0)
-
-    # factors[4u + 2x + z]: support line u's factor for I/Z/X/Y
+    xs, zs = frame.xs, frame.zs
+    lines = [line for line in sorted(frame.touched) if xs[line] | zs[line]]
+    # bits 0 and 1 of each operator's count of Y factors; cross[j]: the
+    # operators i < j whose z bits meet j's x bits an odd number of times
+    y_bit0 = y_bit1 = 0
+    cross = [0] * k
+    for line in lines:
+        x, z = xs[line], zs[line]
+        y_bit1 ^= y_bit0 & x & z
+        y_bit0 ^= x & z
+        while x:
+            bit = x & -x
+            cross[bit.bit_length() - 1] ^= z & (bit - 1)
+            x ^= bit
+    crossing = [(j, mask) for j, mask in enumerate(cross) if mask]
     count = len(lines)
+    turned = y_bit1 ^ frame.signs
+    masks = np.array([xs[line] for line in lines]
+                     + [zs[line] for line in lines] + [y_bit0, turned]
+                     + [mask for _, mask in crossing], np.int64)[:, None]
+    shifts = np.array([j for j, _ in crossing], np.int64)[:, None]
+    # factors[4u + 2x + z]: support line u's factor for I/Z/X/Y
     factors = np.array([(1.0, ez, ex, ey) for ex, ey, ez in
-                        (bloch[line] for line in lines.tolist())]).ravel()
+                        (bloch[line] for line in lines)]).ravel()
     offsets = np.arange(0, 4 * count, 4,
                         dtype=np.min_scalar_type(4 * count))[:, None]
-    bits = xz.view(np.uint8)
-    # a block's factor array holds at most 2^18 entries; its product runs
-    # over the lines in order, as one scalar expectation would
-    block = max(1, (1 << 18) // max(count, 1))
-    for start in range(0, size, block):
-        x, z = (np.unpackbits(bits[start:start + block, first_byte:],
-                              axis=1, count=count, bitorder="little").T
-                for first_byte in (0, 8 * words))
-        values[start:start + block] *= np.multiply.reduce(
-            factors[offsets + ((x << 1) | z)], axis=0)
+
+    # A cell is a high part plus one of 2^low low cells, whose arrays are
+    # built once and hold at most 2^18 entries.  Counts over disjoint bits
+    # add, so a high part XORs a constant into each line's x and z bits and
+    # adds to the exponent, where q gains the pairs it forms with the low
+    # part: the parity of |low & (XOR of cross[j] over j in high)|.
+    low = min(k, ((1 << 18) // len(masks)).bit_length() - 1)
+    cells = np.arange(1 << low)
+    ones = np.bitwise_count(cells & masks)
+    # kinds[u]: the index 4u + 2x + z of line u's factor
+    kinds = offsets + (((ones[:count] & 1) << 1) | (ones[count:2 * count] & 1))
+    # e mod 4 of the product i^e X^x Z^z (uint8 wraps mod 256, a multiple)
+    phases = ones[2 * count] + 2 * (ones[2 * count + 1] + (
+        ones[2 * count + 2:] & (cells >> shifts)).sum(axis=0, dtype=np.uint8))
+    size = 1 << k
+    values = np.empty(size)
+    for high in range(0, size, 1 << low):
+        turn = (high & y_bit0).bit_count() + 2 * (high & turned).bit_count()
+        meets = 0
+        for j, mask in crossing:
+            if high >> j & 1:
+                turn += 2 * (high & mask).bit_count()
+                meets ^= mask
+        flips = np.bitwise_count(masks[:2 * count] & high) & 1
+        index = kinds ^ ((flips[:count] << 1) | flips[count:])
+        # back from i^e X^x Z^z to a sign times the Hermitian Pauli: less
+        # one per Y factor
+        exponent = phases + 2 * np.bitwise_count(cells & meets) + (turn & 3) \
+            - ((index & 3) == 3).sum(axis=0, dtype=np.uint8)
+        if np.any(exponent & 1):
+            raise AssertionError("projector expansion produced a non-"
+                                 "Hermitian term")
+        # the factor product runs over the lines in order, as one scalar
+        # expectation would
+        values[high:high + (1 << low)] = np.where(exponent & 2, -1.0, 1.0) \
+            * np.multiply.reduce(factors.take(index), axis=0)
 
     # Walsh-Hadamard butterflies in place; the inverse only adds the 1/size
     half = 1
@@ -367,3 +361,5 @@ def outcome_table(operators: Sequence[PauliOperator],
         half <<= 1
     values /= size
     return values
+
+

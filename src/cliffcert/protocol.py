@@ -20,10 +20,11 @@ bits, counts, and probabilities it computed itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .circuit import AdaptiveCircuit, FixedSequence, Instruction, expand_gadget
 from .pauli import joint_output_probability, single_output_probability
@@ -191,9 +192,8 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
     resolved = transcript.resolved
     p_classical = single_output_probability(resolved, 0)
     batch = device.run_fixed_batch(resolved, test_plan.r_gate, seed)
-    final_index = len(batch.events) - 1
-    zeros = sum(c for rec, c in batch.counts.items()
-                if rec[final_index] == 0)
+    # the final output is bit 0 of a record
+    zeros = int(tail_counts(batch.counts, 1)[0])
     p_hat = zeros / batch.repetitions
     impossible = ((p_classical < PROB_TOL and zeros > 0)
                   or (p_classical > 1.0 - PROB_TOL
@@ -206,6 +206,15 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
         ci_halfwidth=hoeffding_halfwidth(batch.repetitions, test_plan.delta),
         impossible_observed=impossible,
     )
+
+
+def tail_counts(counts: dict[int, int], width: int) -> np.ndarray:
+    """Counts of each value of the low `width` bits of the records in
+    `counts`: the marginal of a batch's last `width` slots, in cell order."""
+    marginal = np.zeros(1 << width, np.int64)
+    np.add.at(marginal, np.fromiter(counts, np.int64) & ((1 << width) - 1),
+              np.fromiter(counts.values(), np.int64))
+    return marginal
 
 
 def build_stage_prefix(circuit: AdaptiveCircuit, outcomes, stage: int,
@@ -289,25 +298,18 @@ def run_measurement_stage(device, circuit: AdaptiveCircuit,
         circuit, transcript.gadget_outcomes, stage,
         test_plan.extra_check_lines)
     batch = device.run_fixed_batch(prefix, test_plan.r_meas, seed)
-    # the prefix ends with the stage's ancilla readout, then the probes
+    # the ancilla readout and the probes are a record's last slots
     joint_lines = (ancilla,) + extras
-    indices = tuple(range(len(batch.events) - len(joint_lines),
-                          len(batch.events)))
+    theory = joint_output_probability(prefix, joint_lines)
+    empirical = tail_counts(batch.counts, len(joint_lines))
 
-    table = joint_output_probability(prefix, joint_lines)
-    theory = dict(zip(itertools.product((0, 1), repeat=len(joint_lines)),
-                      table.tolist()))
-    empirical = batch.marginal(indices)
-
-    impossible = any(theory[bits] < PROB_TOL
-                     for bits, count in empirical.items() if count > 0)
-    p_hat = sum(count for bits, count in empirical.items()
-                if bits[0] == 1) / batch.repetitions
+    impossible = bool((theory[empirical > 0] < PROB_TOL).any())
+    p_hat = int(empirical[theory.size // 2:].sum()) / batch.repetitions
     tv_distance = None
     if extras:
         tv_distance = 0.5 * sum(
-            abs(empirical.get(bits, 0) / batch.repetitions - prob)
-            for bits, prob in theory.items())
+            abs(count / batch.repetitions - prob)
+            for count, prob in zip(empirical.tolist(), theory.tolist()))
     return MeasurementStageResult(
         stage=stage,
         ancilla_line=ancilla,

@@ -9,19 +9,21 @@ The device holds no amplitudes.  A measured line is never reused and every
 gadget ancilla is fresh, so the measurements of a run are commuting Z
 operators pulled back through the gates before them, on a product input.
 One backward sweep of a `pauli.PauliFrame` pulls all m of them back at
-once, N gate updates for N gates, and `pauli.outcome_table` gives their
-exact joint distribution in O(|U| * 2^m) for |U| support lines (at most
-MAX_RECORD_SLOTS slots).
+once, N gate updates for N gates, and `pauli.outcome_table` reads their
+exact joint distribution off the swept frame in O(|U| * 2^m) for |U|
+support lines (at most MAX_RECORD_SLOTS slots).
 
-A batch draws one multinomial sample from the record table of a fixed
-sequence.  Each fault model acts as a channel on that table: miscalibration
-changes the prepared inputs, a liar replaces the final bit, a biased coin
-reweights gadget slots by coin(b) / P(b | earlier bits), and depolarizing
-noise XOR-shifts the table by the flip mask each gate error leaves on the
-record, read off the frame's slices as the sweep passes the gate
-(Pauli-frame propagation, as in Stim, Gidney arXiv:2103.02202).  This
-is what makes 10^5..10^7-repetition test batches affordable for every fault
-model.
+A record is a cell of that table, one layout from the frame to the
+verdict: bit m-1-i is slot i's outcome (slot i is frame operator m-1-i),
+so slot 0 is the most significant bit.  A batch counts the cells of one
+multinomial sample from the record table of a fixed sequence.  Each fault
+model acts as a channel on that table: miscalibration changes the prepared
+inputs, a liar replaces the final bit, a biased coin reweights gadget
+slots by coin(b) / P(b | earlier bits), and depolarizing noise XOR-shifts
+the table by the flip mask each gate error leaves on the record, read off
+the frame's slices as the same sweep passes the gate (Pauli-frame
+propagation, as in Stim, Gidney arXiv:2103.02202).  This makes
+10^5..10^7-repetition test batches affordable for every fault model.
 
 The one adaptive run reads its record off the same tables, one slot at a
 time in execution order.  A gadget readout is a coin of 1/2 (1/2 + bias
@@ -45,8 +47,7 @@ import numpy as np
 
 from .circuit import (AdaptiveCircuit, Circuit, FixedSequence, resolve,
                       serialize)
-from .pauli import (InputExpectations, PauliFrame, measured_operators,
-                    outcome_table)
+from .pauli import InputExpectations, PauliFrame, outcome_table
 
 PROB_TOL = 1e-12
 
@@ -182,18 +183,16 @@ class MeasurementEvent:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Outcome-record counts for a batch of identically prepared runs."""
+    """Outcome-record counts for a batch of identically prepared runs.
+
+    A record is a cell of the record table: bit m-1-i of the integer is
+    slot i's outcome, so slot 0 is the most significant bit and the final
+    output is bit 0.  `counts` maps each record drawn to its count, in
+    increasing cell order."""
 
     events: tuple[MeasurementEvent, ...]
-    counts: dict[tuple[int, ...], int]
+    counts: dict[int, int]
     repetitions: int
-
-    def marginal(self, indices: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for record, count in self.counts.items():
-            key = tuple(record[i] for i in indices)
-            out[key] = out.get(key, 0) + count
-        return out
 
 
 def _plan_events(circuit: Circuit) -> list[MeasurementEvent]:
@@ -265,19 +264,27 @@ def record_table(seq: FixedSequence, fault: FaultModel
 
     Returns the measurement slots and a table of 2^m probabilities; bit
     m-1-i of a cell's index is slot i's outcome, so slot 0 is the most
-    significant bit and cells run in lexicographic record order.  Each
-    slot's Z is pulled back from its own MEASURE (a measured line is never
-    reused, so later gates cannot change it); the honest table is the
-    outcome table of those commuting operators on the prepared inputs.
+    significant bit and cells run in lexicographic record order.  One
+    backward sweep carries slot i's Z from its own MEASURE (a measured line
+    is never reused) as frame operator m-1-i and reads each gate's flip
+    masks as it passes; the honest table is the swept frame's outcome table
+    on the prepared inputs.
     """
     events = tuple(_plan_events(seq))
-    operators = measured_operators(seq, [ev.line for ev in events])
-    table = outcome_table(operators, _bloch_table(seq.inputs, fault))
+    m = len(events)
+    depolarizing = isinstance(fault, Depolarizing) and fault.p_err
+    frame = PauliFrame(seq.n_lines)
+    flips = []
+    for ins in frame.sweep(seq.instructions, {
+            ev.line: m - 1 - slot for slot, ev in enumerate(events)}):
+        if depolarizing:
+            flips.append(_flip_masks(frame, ins))
+    table = outcome_table(frame, m, _bloch_table(seq.inputs, fault))
     total = float(table.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise AssertionError(f"record probabilities sum to {total}")
     table[table < PROB_TOL] = 0.0
-    final = len(events) - 1
+    final = m - 1
     if isinstance(fault, GadgetCoinBias):
         coin = np.array([0.5 - fault.bias, 0.5 + fault.bias])
         for slot, event in enumerate(events):
@@ -286,8 +293,8 @@ def record_table(seq: FixedSequence, fault: FaultModel
     elif isinstance(fault, Liar):
         table = _force_slot(table, final, final,
                             np.array([fault.q, 1.0 - fault.q]))
-    elif isinstance(fault, Depolarizing) and fault.p_err:
-        table = _depolarize(table, seq, events, fault.p_err)
+    elif depolarizing:
+        table = _depolarize(table, flips, fault.p_err)
     return events, table
 
 
@@ -307,30 +314,25 @@ def _force_slot(table: np.ndarray, slot: int, final: int,
     return (view * scale[:, :, None]).reshape(-1)
 
 
-def _depolarize(table: np.ndarray, seq: FixedSequence, events,
-                p_err: float) -> np.ndarray:
-    """Fold every gate's depolarizing channel into the table.
+def _flip_masks(frame: PauliFrame, gate) -> list[int]:
+    """The record bits each non-identity Pauli error on `gate`'s lines
+    flips, the frame standing just after the gate: an error flips cell bit
+    j when it anticommutes with frame operator j, so a line's z slice is
+    the flip mask of an X error on it and its x slice that of a Z error."""
+    masks = [0]
+    for line in gate.targets:
+        x, z = frame.xs[line], frame.zs[line]
+        # with no error, an X, a Y and a Z error on this line
+        masks = [a ^ b for a in masks for b in (0, z, z ^ x, x)]
+    return masks[1:]
 
-    A backward sweep carries slot i's Z measurement, as frame operator
-    m-1-i (its bit in a cell index), to just after the current gate; an
-    error Pauli there flips slot i exactly when it anticommutes with that
-    operator.  So a line's z slice is the flip mask of an X error on it and
-    its x slice that of a Z error.  Errors at different gates are
-    independent, so their flip-mask distributions XOR-convolve.
-    """
-    m = len(events)
-    cells = np.arange(1 << m)
-    frame = PauliFrame(seq.n_lines)
-    enter = {ev.line: m - 1 - slot for slot, ev in enumerate(events)}
-    for ins in frame.sweep(seq.instructions, enter):
-        # per line: the masks flipped by an X, a Y and a Z error
-        per_line = [(frame.zs[line], frame.zs[line] ^ frame.xs[line],
-                     frame.xs[line]) for line in ins.targets]
-        if len(per_line) == 1:
-            masks = list(per_line[0])
-        else:
-            masks = [a ^ b for a in (0,) + per_line[0]
-                     for b in (0,) + per_line[1]][1:]
+
+def _depolarize(table: np.ndarray, flips, p_err: float) -> np.ndarray:
+    """Fold every gate's depolarizing channel into the table, in backward
+    gate order: errors at different gates are independent, so their
+    flip-mask distributions XOR-convolve."""
+    cells = np.arange(table.size)
+    for masks in flips:
         if any(masks):
             shifted = sum(count * (table[cells ^ mask] if mask else table)
                           for mask, count in Counter(masks).items())
@@ -344,10 +346,8 @@ def _sample_table(events, table: np.ndarray, repetitions: int,
     cells = np.flatnonzero(table > 0)
     probs = table[cells]
     draws = rng.multinomial(repetitions, probs / probs.sum())
-    m = len(events)
     drawn = draws > 0
-    counts = {tuple((cell >> (m - 1 - i)) & 1 for i in range(m)): int(c)
-              for cell, c in zip(cells[drawn].tolist(), draws[drawn])}
+    counts = dict(zip(cells[drawn].tolist(), draws[drawn].tolist()))
     return BatchResult(events=events, counts=counts, repetitions=repetitions)
 
 

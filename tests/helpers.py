@@ -22,7 +22,7 @@ from cliffcert import statevector as sv
 from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                Circuit, FixedSequence, InputState, Instruction,
                                resolve)
-from cliffcert.pauli import PauliOperator, _bits
+from cliffcert.pauli import PauliFrame, PauliOperator, _bits
 from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
                               FaultModel, GadgetCoinBias, Ideal, Liar,
                               MagicMiscalibration, MeasurementEvent,
@@ -268,10 +268,34 @@ def scalar_pull_back(p: PauliOperator, instructions) -> PauliOperator:
     return p
 
 
+def measured_operators(seq: Circuit, lines) -> list[PauliOperator]:
+    """U^dagger Z_line U for each of `lines`, U the unitary part of the
+    instructions before that line's MEASURE (a measured line is never
+    reused, so later gates leave it as it is), all from one sweep."""
+    frame = PauliFrame(seq.n_lines)
+    for _ in frame.sweep(seq.instructions,
+                         {line: i for i, line in enumerate(lines)}):
+        pass
+    return frame.operators(len(lines))
+
+
+def frame_holding(operators) -> PauliFrame:
+    """A frame holding operators[j] as its operator j."""
+    frame = PauliFrame(operators[0].n if operators else 0)
+    for j, p in enumerate(operators):
+        for line in _bits(p.support):
+            xb, zb = p.bit(line)
+            frame.xs[line] |= xb << j
+            frame.zs[line] |= zb << j
+            frame.touched.add(line)
+        frame.signs |= (p.sign < 0) << j
+    return frame
+
+
 def scalar_measured_operators(seq: FixedSequence,
                               lines) -> list[PauliOperator]:
-    """Reference for `pauli.measured_operators`: each line's Z pulled back
-    on its own from its MEASURE."""
+    """Reference for `measured_operators`: each line's Z pulled back on its
+    own from its MEASURE."""
     at = {ins.targets[0]: idx for idx, ins in enumerate(seq.instructions)
           if ins.op == "MEASURE"}
     return [scalar_pull_back(PauliOperator.z_on(seq.n_lines, line),
@@ -442,20 +466,31 @@ def outcome_distribution(circuit, fault: FaultModel,
     return tuple(events), dist
 
 
+def cell_of(record) -> int:
+    """A tuple record as a record-table cell: slot 0 is the most
+    significant bit."""
+    cell = 0
+    for bit in record:
+        cell = 2 * cell + bit
+    return cell
+
+
 def distribution_table(dist: dict, slots: int) -> np.ndarray:
-    """The oracle's {record: probability} as a 2^slots table with slot 0 as
-    the most significant index bit (the device's record-table layout)."""
+    """The oracle's {record: probability}, records as tuples, as a 2^slots
+    table in the device's record-table layout."""
     table = np.zeros(1 << slots)
     for record, prob in dist.items():
-        table[int("".join(map(str, record)), 2)] = prob
+        table[cell_of(record)] = prob
     return table
 
 
 def assert_records_follow(counts: dict, table: np.ndarray) -> None:
-    """Chi-squared at 0.001 of sampled {record: count} against an exact
+    """Chi-squared at 0.001 of sampled {cell: count} against an exact
     record table; a record of probability zero fails outright."""
     from scipy.stats import chi2
-    observed = distribution_table(counts, table.size.bit_length() - 1)
+    observed = np.zeros(table.size)
+    for cell, count in counts.items():
+        observed[cell] += count
     possible = table > 0
     assert not observed[~possible].any()
     expected = observed.sum() * table[possible]
@@ -524,14 +559,13 @@ def depolarized_distribution(seq: FixedSequence, p_err: float) -> dict:
 
 
 def loop_counts(device, seq: FixedSequence, repetitions: int,
-                seed: int) -> dict[tuple[int, ...], int]:
-    """Record counts of `repetitions` single runs of `seq`, run r seeded
-    with derive_seed(seed, r): the per-run reference for a batch."""
-    counts: dict[tuple[int, ...], int] = {}
+                seed: int) -> Counter:
+    """Record-cell counts of `repetitions` single runs of `seq`, run r
+    seeded with derive_seed(seed, r): the per-run reference for a batch."""
+    counts = Counter()
     for rep in range(repetitions):
         run = run_fixed(device, seq, derive_seed(seed, rep))
-        record = run.outcomes + (run.final_output,)
-        counts[record] = counts.get(record, 0) + 1
+        counts[cell_of(run.outcomes + (run.final_output,))] += 1
     return counts
 
 
@@ -563,8 +597,19 @@ def run_fixed(device: SimulatedDevice, seq: FixedSequence,
 
 def frequency_of_one(batch: BatchResult, index: int) -> float:
     """Share of a batch's runs whose record reads 1 at slot `index`."""
-    ones = sum(c for rec, c in batch.counts.items() if rec[index] == 1)
+    bit = len(batch.events) - 1 - index
+    ones = sum(c for cell, c in batch.counts.items() if (cell >> bit) & 1)
     return ones / batch.repetitions
+
+
+def record_counts(batch: BatchResult, slots) -> Counter:
+    """A batch's counts of the tuple of its record bits at `slots`, slot i
+    being bit m-1-i of an m-slot cell."""
+    m = len(batch.events)
+    counts = Counter()
+    for cell, count in batch.counts.items():
+        counts[tuple((cell >> (m - 1 - i)) & 1 for i in slots)] += count
+    return counts
 
 
 def adaptive_record_table(circuit: AdaptiveCircuit, fault: FaultModel

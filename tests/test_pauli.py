@@ -11,13 +11,14 @@ from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
                                ZERO)
 from cliffcert.pauli import (PauliFrame, PauliOperator, backpropagate,
                              conjugate, expectation, input_expectations,
-                             joint_output_probability, measured_operators,
-                             outcome_table, pull_back,
+                             joint_output_probability, outcome_table,
+                             pull_back,
                              single_output_probability)
 from cliffcert.prover import IDEAL
 
 from helpers import (CLIFFORD_1Q, commutes, dense_record_table,
-                     from_label, gate_matrix, label, multiply,
+                     frame_holding, from_label, gate_matrix, label,
+                     measured_operators, multiply,
                      outcome_distribution, pauli_matrix,
                      random_clifford_sequence, random_fixed_sequence,
                      random_inputs, random_pauli, scalar_conjugate,
@@ -398,18 +399,18 @@ class TestJointProbability:
 
 
 def scalar_outcome_table(operators, bloch):
-    """The expansion one subset at a time: each product from a smaller
-    subset by `multiply`, then `expectation`; the reference for the
-    vectorised `outcome_table`, with the same arithmetic order."""
+    """The expansion one subset at a time, cell bit j selecting
+    operators[j]: each product from a smaller subset by `multiply`, then
+    `expectation`; the reference for the vectorised `outcome_table`, with
+    the same arithmetic order."""
     k = len(operators)
     size = 1 << k
-    ordered = operators[::-1]
-    products = [PauliOperator(ordered[0].n if k else 0, 0, 0)] * size
+    products = [PauliOperator(operators[0].n if k else 0, 0, 0)] * size
     values = np.ones(size)
     for subset in range(1, size):
         low = subset & -subset
         phase, product = multiply(products[subset ^ low],
-                                  ordered[low.bit_length() - 1])
+                                  operators[low.bit_length() - 1])
         assert phase.imag == 0
         products[subset] = PauliOperator(product.n, product.x, product.z,
                                          1 if phase.real > 0 else -1)
@@ -441,11 +442,20 @@ def chain_sequence(rng, n: int, measured: int) -> FixedSequence:
     return FixedSequence(n, random_inputs(rng, n), tuple(instructions), ())
 
 
+def measured_with_random_signs(rng, seq: FixedSequence):
+    """Every measured Z of `seq` pulled back from its MEASURE, each with a
+    random sign: a commuting set with X, Y and Z factors."""
+    operators = [backpropagate(seq, ins.targets[0], at=idx)
+                 for idx, ins in enumerate(seq.instructions)
+                 if ins.op == "MEASURE"]
+    return [PauliOperator(p.n, p.x, p.z, rng.choice((1, -1)))
+            for p in operators]
+
+
 class TestOutcomeTable:
     def test_matches_scalar_expansion_exactly(self):
         # commuting sets pulled back through random Clifford sequences; the
-        # chains spread them over up to 200 lines, so the x/z bits span
-        # several 64-bit words
+        # chains spread them over up to 200 lines
         rng = random.Random(61)
         for i in range(40):
             n = rng.choice((2, 5, 70, 200))
@@ -454,20 +464,33 @@ class TestOutcomeTable:
             else:
                 seq = random_fixed_sequence(rng, n, rng.randint(n, 4 * n),
                                             intermediate=6)
-            operators = [backpropagate(seq, ins.targets[0], at=idx)
-                         for idx, ins in enumerate(seq.instructions)
-                         if ins.op == "MEASURE"]
-            operators = [PauliOperator(p.n, p.x, p.z, rng.choice((1, -1)))
-                         for p in operators]
+            operators = measured_with_random_signs(rng, seq)
             bloch = input_expectations(seq.inputs)
-            assert np.array_equal(outcome_table(operators, bloch),
-                                  scalar_outcome_table(operators, bloch))
+            assert np.array_equal(
+                outcome_table(frame_holding(operators), len(operators),
+                              bloch),
+                scalar_outcome_table(operators, bloch))
+
+    def test_table_spanning_several_blocks_matches_scalar(self):
+        # 11 operators over more than 128 of 200 lines: 2^11 cells times
+        # the support passes 2^18 entries, so the table takes several blocks
+        rng = random.Random(67)
+        seq = chain_sequence(rng, 200, 11)
+        operators = measured_with_random_signs(rng, seq)
+        support = 0
+        for p in operators:
+            support |= p.support
+        assert len(operators) == 11 and support.bit_count() > 128
+        bloch = input_expectations(seq.inputs)
+        assert np.array_equal(outcome_table(frame_holding(operators), 11,
+                                            bloch),
+                              scalar_outcome_table(operators, bloch))
 
     def test_non_hermitian_term_raises(self):
         # X and Z on one line anticommute: XZ = -iY is no observable
         with pytest.raises(AssertionError, match="non-Hermitian"):
-            outcome_table([from_label("X"), from_label("Z")],
-                          input_expectations((InputState(ZERO),)))
+            outcome_table(frame_holding([from_label("X"), from_label("Z")]),
+                          2, input_expectations((InputState(ZERO),)))
 
 
 class TestPauliOperator:

@@ -22,7 +22,8 @@ from cliffcert.protocol import (ACCEPT, GADGET_BIAS, IMPOSSIBLE_OUTCOME,
                                 run_gate_tests, run_measurement_tests,
                                 verify_campaign)
 
-from helpers import CIRCUITS, random_t_circuit, run_adaptive_batch, run_fixed
+from helpers import (CIRCUITS, random_fixed_sequence, random_t_circuit,
+                     record_counts, run_adaptive_batch, run_fixed)
 
 
 PROBE = gadgetize(parse_circuit((CIRCUITS / "phase_probe.circ").read_text()))
@@ -217,6 +218,24 @@ class TestMeasurementTests:
         results = run_measurement_tests(dev, DET3, tr, p, 11)
         assert results[-1].impossible_observed
         assert len(results) < DET3.gadget_count
+
+    def test_cell_marginal_matches_tuple_marginal(self):
+        # the low bits of the record cells against the tuple records' last
+        # slots, on seeded batches of several fault models
+        rng = random.Random(131)
+        faults = (IDEAL, Depolarizing(0.1), Liar(0.3))
+        for i in range(30):
+            seq = random_fixed_sequence(rng, rng.randint(2, 6),
+                                        rng.randint(3, 25), intermediate=4)
+            batch = SimulatedDevice(faults[i % 3]).run_fixed_batch(
+                seq, rng.randint(1, 5000), rng.getrandbits(32))
+            m = len(batch.events)
+            for width in range(1, m + 1):
+                tuples = record_counts(batch, range(m - width, m))
+                cells = protocol.tail_counts(batch.counts, width)
+                assert cells.tolist() == [
+                    tuples.get(bits, 0)
+                    for bits in np.ndindex(*(2,) * width)]
 
     def test_stage_builds_its_theory_table_in_one_pass(self, monkeypatch):
         # one joint-table call, and one frame sweep pulls back every stage
