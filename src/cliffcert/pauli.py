@@ -315,40 +315,29 @@ def outcome_table(frame: PauliFrame, k: int, bloch) -> np.ndarray:
     offsets = np.arange(0, 4 * count, 4,
                         dtype=np.min_scalar_type(4 * count))[:, None]
 
-    # A cell is a high part plus one of 2^low low cells, whose arrays are
-    # built once and hold at most 2^18 entries.  Counts over disjoint bits
-    # add, so a high part XORs a constant into each line's x and z bits and
-    # adds to the exponent, where q gains the pairs it forms with the low
-    # part: the parity of |low & (XOR of cross[j] over j in high)|.
-    low = min(k, ((1 << 18) // len(masks)).bit_length() - 1)
-    cells = np.arange(1 << low)
-    ones = np.bitwise_count(cells & masks)
-    # kinds[u]: the index 4u + 2x + z of line u's factor
-    kinds = offsets + (((ones[:count] & 1) << 1) | (ones[count:2 * count] & 1))
-    # e mod 4 of the product i^e X^x Z^z (uint8 wraps mod 256, a multiple)
-    phases = ones[2 * count] + 2 * (ones[2 * count + 1] + (
-        ones[2 * count + 2:] & (cells >> shifts)).sum(axis=0, dtype=np.uint8))
+    # cells are filled in blocks of at most 2^18 array entries
+    block = 1 << min(k, ((1 << 18) // len(masks)).bit_length() - 1)
     size = 1 << k
     values = np.empty(size)
-    for high in range(0, size, 1 << low):
-        turn = (high & y_bit0).bit_count() + 2 * (high & turned).bit_count()
-        meets = 0
-        for j, mask in crossing:
-            if high >> j & 1:
-                turn += 2 * (high & mask).bit_count()
-                meets ^= mask
-        flips = np.bitwise_count(masks[:2 * count] & high) & 1
-        index = kinds ^ ((flips[:count] << 1) | flips[count:])
-        # back from i^e X^x Z^z to a sign times the Hermitian Pauli: less
-        # one per Y factor
-        exponent = phases + 2 * np.bitwise_count(cells & meets) + (turn & 3) \
+    for start in range(0, size, block):
+        cells = np.arange(start, start + block)
+        ones = np.bitwise_count(cells & masks)
+        # index[u]: the index 4u + 2x + z of line u's factor
+        index = offsets + (((ones[:count] & 1) << 1)
+                           | (ones[count:2 * count] & 1))
+        # e mod 4 of the product i^e X^x Z^z (uint8 wraps mod 256, a
+        # multiple), then back to a sign times the Hermitian Pauli: less one
+        # per Y factor
+        exponent = ones[2 * count] + 2 * (ones[2 * count + 1] + (
+            ones[2 * count + 2:] & (cells >> shifts)).sum(
+                axis=0, dtype=np.uint8)) \
             - ((index & 3) == 3).sum(axis=0, dtype=np.uint8)
         if np.any(exponent & 1):
             raise AssertionError("projector expansion produced a non-"
                                  "Hermitian term")
         # the factor product runs over the lines in order, as one scalar
         # expectation would
-        values[high:high + (1 << low)] = np.where(exponent & 2, -1.0, 1.0) \
+        values[start:start + block] = np.where(exponent & 2, -1.0, 1.0) \
             * np.multiply.reduce(factors.take(index), axis=0)
 
     # Walsh-Hadamard butterflies in place; the inverse only adds the 1/size
@@ -361,5 +350,3 @@ def outcome_table(frame: PauliFrame, k: int, bloch) -> np.ndarray:
         half <<= 1
     values /= size
     return values
-
-

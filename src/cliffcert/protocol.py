@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .circuit import AdaptiveCircuit, FixedSequence, Instruction, expand_gadget
 from .pauli import joint_output_probability, single_output_probability
 from .prover import PROB_TOL, Transcript, derive_seed
@@ -192,8 +190,8 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
     resolved = transcript.resolved
     p_classical = single_output_probability(resolved, 0)
     batch = device.run_fixed_batch(resolved, test_plan.r_gate, seed)
-    # the final output is bit 0 of a record
-    zeros = int(tail_counts(batch.counts, 1)[0])
+    # the final output is the last slot
+    zeros = int(batch.tail_counts(1)[0])
     p_hat = zeros / batch.repetitions
     impossible = ((p_classical < PROB_TOL and zeros > 0)
                   or (p_classical > 1.0 - PROB_TOL
@@ -206,15 +204,6 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
         ci_halfwidth=hoeffding_halfwidth(batch.repetitions, test_plan.delta),
         impossible_observed=impossible,
     )
-
-
-def tail_counts(counts: dict[int, int], width: int) -> np.ndarray:
-    """Counts of each value of the low `width` bits of the records in
-    `counts`: the marginal of a batch's last `width` slots, in cell order."""
-    marginal = np.zeros(1 << width, np.int64)
-    np.add.at(marginal, np.fromiter(counts, np.int64) & ((1 << width) - 1),
-              np.fromiter(counts.values(), np.int64))
-    return marginal
 
 
 def build_stage_prefix(circuit: AdaptiveCircuit, outcomes, stage: int,
@@ -301,10 +290,11 @@ def run_measurement_stage(device, circuit: AdaptiveCircuit,
     # the ancilla readout and the probes are a record's last slots
     joint_lines = (ancilla,) + extras
     theory = joint_output_probability(prefix, joint_lines)
-    empirical = tail_counts(batch.counts, len(joint_lines))
+    empirical = batch.tail_counts(len(joint_lines))
 
     impossible = bool((theory[empirical > 0] < PROB_TOL).any())
-    p_hat = int(empirical[theory.size // 2:].sum()) / batch.repetitions
+    # the ancilla is joint_lines[0], the leading bit of both tables
+    p_hat = int(empirical.reshape(2, -1)[1].sum()) / batch.repetitions
     tv_distance = None
     if extras:
         tv_distance = 0.5 * sum(

@@ -194,6 +194,15 @@ class BatchResult:
     counts: dict[int, int]
     repetitions: int
 
+    def tail_counts(self, width: int) -> np.ndarray:
+        """Counts of each value of the last `width` slots, the low `width`
+        bits of a record, indexed by those bits in cell order."""
+        marginal = np.zeros(1 << width, np.int64)
+        np.add.at(marginal,
+                  np.fromiter(self.counts, np.int64) & ((1 << width) - 1),
+                  np.fromiter(self.counts.values(), np.int64))
+        return marginal
+
 
 def _plan_events(circuit: Circuit) -> list[MeasurementEvent]:
     """Measurement slots of a circuit in execution order.

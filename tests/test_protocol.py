@@ -232,7 +232,7 @@ class TestMeasurementTests:
             m = len(batch.events)
             for width in range(1, m + 1):
                 tuples = record_counts(batch, range(m - width, m))
-                cells = protocol.tail_counts(batch.counts, width)
+                cells = batch.tail_counts(width)
                 assert cells.tolist() == [
                     tuples.get(bits, 0)
                     for bits in np.ndindex(*(2,) * width)]
