@@ -65,7 +65,7 @@ def parse_config(path: Path) -> CampaignConfig:
     values: dict[str, str] = {}
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -133,7 +133,7 @@ def _load_gadgetized(path: Path):
     UsageError naming the file."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read circuit {path}: {exc}") from None
     try:
         return gadgetize(parse_circuit(text))

@@ -271,7 +271,18 @@ def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
     return outcome_table(frame, k, input_expectations(seq.inputs))
 
 
-def outcome_table(frame: PauliFrame, k: int, bloch) -> np.ndarray:
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform, in place, over the last axis
+    of a C-contiguous array: entry c becomes sum_S (-1)^|c & S| values[S]."""
+    for level in range(values.shape[-1].bit_length() - 1):
+        pairs = values.reshape(-1, 2, 1 << level)
+        first = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = first - pairs[:, 1]
+    return values
+
+
+def outcome_table(frame: PauliFrame, k: int, bloch, factor=None) -> np.ndarray:
     """Joint outcome table of the k commuting signed Paulis in `frame`.
 
     `bloch[line]` is line's (<X>, <Y>, <Z>).  Returns 2^k probabilities;
@@ -286,7 +297,8 @@ def outcome_table(frame: PauliFrame, k: int, bloch) -> np.ndarray:
     one factor per support line, multiplied in line order, and an inverse
     Walsh-Hadamard transform gives every outcome's signed sum.  Cost:
     O(|U| * 2^k) for a union support of |U| lines, in a fixed number of
-    array passes per block of cells, plus k butterfly passes.
+    array passes per block of cells, plus k butterfly passes.  A `factor`
+    multiplies each <P_S> before the transform (a channel diagonal in it).
     """
     xs, zs = frame.xs, frame.zs
     lines = [line for line in sorted(frame.touched) if xs[line] | zs[line]]
@@ -340,13 +352,8 @@ def outcome_table(frame: PauliFrame, k: int, bloch) -> np.ndarray:
         values[start:start + block] = np.where(exponent & 2, -1.0, 1.0) \
             * np.multiply.reduce(factors.take(index), axis=0)
 
-    # Walsh-Hadamard butterflies in place; the inverse only adds the 1/size
-    half = 1
-    while half < size:
-        pairs = values.reshape(-1, 2, half)
-        first = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] = first - pairs[:, 1]
-        half <<= 1
+    if factor is not None:
+        values *= factor
+    walsh_hadamard(values)
     values /= size
     return values

@@ -19,10 +19,10 @@ so slot 0 is the most significant bit.  A batch counts the cells of one
 multinomial sample from the record table of a fixed sequence.  Each fault
 model acts as a channel on that table: miscalibration changes the prepared
 inputs, a liar replaces the final bit, a biased coin reweights gadget
-slots by coin(b) / P(b | earlier bits), and depolarizing noise XOR-shifts
-the table by the flip mask each gate error leaves on the record, read off
-the frame's slices as the same sweep passes the gate (Pauli-frame
-propagation, as in Stim, Gidney arXiv:2103.02202).  This makes
+slots by coin(b) / P(b | earlier bits), and a gate error XOR-shifts it by
+a flip mask read off the frame's slices as the sweep passes the gate (as
+in Stim, Gidney arXiv:2103.02202): depolarizing noise is one factor per
+subset expectation before the table's inverse transform.  This makes
 10^5..10^7-repetition test batches affordable for every fault model.
 
 The one adaptive run reads its record off the same tables, one slot at a
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -47,7 +46,8 @@ import numpy as np
 
 from .circuit import (AdaptiveCircuit, Circuit, FixedSequence, resolve,
                       serialize)
-from .pauli import InputExpectations, PauliFrame, outcome_table
+from .pauli import (InputExpectations, PauliFrame, outcome_table,
+                    walsh_hadamard)
 
 PROB_TOL = 1e-12
 
@@ -233,14 +233,14 @@ def _bloch_table(inputs, fault: FaultModel) -> InputExpectations:
     return InputExpectations(inputs, (math.cos(phase), math.sin(phase), 0.0))
 
 
-def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int
-                ) -> tuple[tuple[int, ...], FixedSequence]:
-    """One adaptive run: its record bits and the sequence it resolved to.
+def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
+    """One adaptive run: its record bits, resolved sequence and its table.
 
     Slots are drawn in order, one uniform draw each.  A gadget bit is a
     coin; any other slot reads P(1 | record so far) off the record table
     of the circuit resolved on the gadget bits so far and zeros after,
-    rebuilt only when a gadget bit was drawn since the last one.
+    rebuilt only when a gadget bit was drawn since the last one, so the
+    last one built is the returned sequence's (the output is the last slot).
     """
     rng = np.random.default_rng(seed)
     coin = 0.5 + fault.bias if isinstance(fault, GadgetCoinBias) else 0.5
@@ -255,7 +255,7 @@ def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int
             if table is None:
                 padding = [0] * (circuit.gadget_count - len(gadget_bits))
                 resolved = resolve(circuit, gadget_bits + padding)
-                _, table = record_table(resolved, fault)
+                _, table = built = record_table(resolved, fault)
             zero, one = table.reshape(1 << slot, 2, -1)[cell].sum(axis=1)
             p_one = one / (zero + one)
         bit = 1 if rng.random() < p_one else 0
@@ -264,7 +264,7 @@ def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int
         if event.is_gadget:
             gadget_bits.append(bit)
             table = None
-    return tuple(record), resolved
+    return tuple(record), resolved, built
 
 
 def record_table(seq: FixedSequence, fault: FaultModel
@@ -276,19 +276,21 @@ def record_table(seq: FixedSequence, fault: FaultModel
     significant bit and cells run in lexicographic record order.  One
     backward sweep carries slot i's Z from its own MEASURE (a measured line
     is never reused) as frame operator m-1-i and reads each gate's flip
-    masks as it passes; the honest table is the swept frame's outcome table
-    on the prepared inputs.
+    masks as it passes; the table is the swept frame's outcome table on the
+    prepared inputs, depolarizing noise folded in before its transform.
     """
     events = tuple(_plan_events(seq))
     m = len(events)
     depolarizing = isinstance(fault, Depolarizing) and fault.p_err
     frame = PauliFrame(seq.n_lines)
-    flips = []
+    flips = ([], [])  # the flip masks of the one- and the two-line gates
     for ins in frame.sweep(seq.instructions, {
             ev.line: m - 1 - slot for slot, ev in enumerate(events)}):
         if depolarizing:
-            flips.append(_flip_masks(frame, ins))
-    table = outcome_table(frame, m, _bloch_table(seq.inputs, fault))
+            flips[len(ins.targets) - 1].extend(_flip_masks(frame, ins))
+    table = outcome_table(frame, m, _bloch_table(seq.inputs, fault),
+                          _depolarizing_factor(flips, m, fault.p_err)
+                          if depolarizing else None)
     total = float(table.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise AssertionError(f"record probabilities sum to {total}")
@@ -302,8 +304,6 @@ def record_table(seq: FixedSequence, fault: FaultModel
     elif isinstance(fault, Liar):
         table = _force_slot(table, final, final,
                             np.array([fault.q, 1.0 - fault.q]))
-    elif depolarizing:
-        table = _depolarize(table, flips, fault.p_err)
     return events, table
 
 
@@ -324,29 +324,33 @@ def _force_slot(table: np.ndarray, slot: int, final: int,
 
 
 def _flip_masks(frame: PauliFrame, gate) -> list[int]:
-    """The record bits each non-identity Pauli error on `gate`'s lines
-    flips, the frame standing just after the gate: an error flips cell bit
-    j when it anticommutes with frame operator j, so a line's z slice is
-    the flip mask of an X error on it and its x slice that of a Z error."""
+    """The record bits each Pauli on `gate`'s lines flips, identity first,
+    or none if none flips any; the frame stands just after the gate, and an
+    error flips bit j when it anticommutes with frame operator j: a line's
+    z slice is an X error's flip mask on it and its x slice a Z error's."""
     masks = [0]
     for line in gate.targets:
         x, z = frame.xs[line], frame.zs[line]
         # with no error, an X, a Y and a Z error on this line
         masks = [a ^ b for a in masks for b in (0, z, z ^ x, x)]
-    return masks[1:]
+    return masks if any(masks) else []
 
 
-def _depolarize(table: np.ndarray, flips, p_err: float) -> np.ndarray:
-    """Fold every gate's depolarizing channel into the table, in backward
-    gate order: errors at different gates are independent, so their
-    flip-mask distributions XOR-convolve."""
-    cells = np.arange(table.size)
-    for masks in flips:
-        if any(masks):
-            shifted = sum(count * (table[cells ^ mask] if mask else table)
-                          for mask, count in Counter(masks).items())
-            table = (1.0 - p_err) * table + (p_err / len(masks)) * shifted
-    return table
+def _depolarizing_factor(flips, m: int, p_err: float) -> np.ndarray:
+    """Every gate's depolarizing channel as one factor on the expectations
+    <P_S> that `pauli.outcome_table` transforms.  A flip mask f multiplies
+    <P_S> by (-1)^|S & f|, and on k lines Pauli -> flip mask is a group
+    homomorphism, so sum_P (-1)^|S & mask(P)| is 4^k if P_S acts trivially
+    on the gate's lines, else 0: the gate multiplies <P_S> by 1 or by 1 -
+    lambda_k = 1 - p_err 4^k / (4^k - 1), which is <= 0 from p_err = 3/4.
+    With h_k the histogram of `flips[k-1]` (a gate flipping nothing is
+    trivial on every S), n_k(S) = (WHT(h_k)[0] - WHT(h_k)[S]) / 4^k gates,
+    an exact integer, act non-trivially: prod_k (1 - lambda_k)^n_k(S)."""
+    spectrum = walsh_hadamard(np.array(
+        [np.bincount(masks, minlength=1 << m) for masks in flips], float))
+    weight = np.array([[4.0], [16.0]])
+    nontrivial = ((spectrum[:, :1] - spectrum) / weight).astype(np.int64)
+    return np.prod((1 - p_err * weight / (weight - 1)) ** nontrivial, axis=0)
 
 
 def _sample_table(events, table: np.ndarray, repetitions: int,
@@ -366,11 +370,13 @@ class SimulatedDevice:
 
     def __init__(self, fault: FaultModel = IDEAL):
         self.fault = fault
+        self._last_table = None  # the last adaptive run's, for the gate test
 
     def run_adaptive(self, circuit: AdaptiveCircuit, seed: int) -> Transcript:
         """One adaptive run: gadget corrections applied immediately after
         their ancilla measurements, everything recorded."""
-        record, resolved = _sample_run(circuit, self.fault, seed)
+        record, resolved, built = _sample_run(circuit, self.fault, seed)
+        self._last_table = (resolved, built)
         return Transcript(
             circuit_id=circuit_id(circuit),
             gadget_outcomes=resolved.frozen_outcomes,
@@ -383,5 +389,7 @@ class SimulatedDevice:
                         seed: int) -> BatchResult:
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        events, table = record_table(seq, self.fault)
+        last, self._last_table = self._last_table, None
+        events, table = last[1] if last and last[0] is seq \
+            else record_table(seq, self.fault)
         return _sample_table(events, table, repetitions, seed)

@@ -304,9 +304,10 @@ def scalar_measured_operators(seq: FixedSequence,
 
 def loop_depolarize(table: np.ndarray, seq: FixedSequence, events,
                     p_err: float) -> np.ndarray:
-    """Reference for `prover._depolarize`: every slot's operator carried
-    on its own from the end of the sequence, its flip masks assembled slot
-    by slot at each gate."""
+    """Reference for the depolarizing channel of `prover.record_table`:
+    every slot's operator carried on its own from the end of the sequence,
+    its flip masks assembled slot by slot at each gate, and each gate's
+    channel applied to the table as a mixture of XOR shifts."""
     m = len(events)
     operators = [PauliOperator.z_on(seq.n_lines, ev.line) for ev in events]
     cells = np.arange(1 << m)

@@ -30,6 +30,17 @@ MEASURE 0 out
 """
 
 
+# not UTF-8 at byte offset 11, as the undecodable config below
+UNDECODABLE = b"qubits 1\nH \xff0\nMEASURE 0 out\n"
+
+
+def assert_names_undecodable(code, capsys, path):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and "position 11" in err
+    assert "Traceback" not in err
+
+
 def write_config(path, circuit, seed=7, fault="ideal", out="out",
                  epsilon=0.05, eta=0.05, delta=0.01, extra_check_lines=2):
     path.write_text(
@@ -89,6 +100,12 @@ class TestGadgetize:
 
 
 class TestProbability:
+    def test_undecodable_circuit_exits_2_naming_it(self, tmp_path, capsys):
+        src = tmp_path / "c.circ"
+        src.write_bytes(UNDECODABLE)
+        assert_names_undecodable(main(["probability", str(src)]), capsys,
+                                 src)
+
     def test_identity_circuit(self, tmp_path, capsys):
         src = tmp_path / "c.circ"
         src.write_text("qubits 1\nMEASURE 0 out\n")
@@ -126,6 +143,18 @@ class TestProbability:
 
 
 class TestVerify:
+    def test_undecodable_config_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 3\n# \xff\n")
+        assert_names_undecodable(main(["verify", str(cfg)]), capsys, cfg)
+
+    def test_undecodable_circuit_exits_2_naming_it(self, tmp_path, capsys):
+        src = tmp_path / "c.circ"
+        src.write_bytes(UNDECODABLE)
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, src, out=tmp_path / "out")
+        assert_names_undecodable(main(["verify", str(cfg)]), capsys, src)
+
     def test_honest_campaign_accepts(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         write_config(cfg, CIRCUITS / "deterministic_t3.circ",

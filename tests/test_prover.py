@@ -14,11 +14,12 @@ from cliffcert.circuit import (MEASURED_LINE_REUSED, FixedSequence,
 from cliffcert import prover
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice,
-                              derive_seed, parse_fault)
+                              derive_seed, fault_to_text, parse_fault)
+from cliffcert.protocol import verify_campaign
 from cliffcert import statevector as sv
 from cliffcert.pauli import single_output_probability
 
-from helpers import (adaptive_record_table, assert_records_follow,
+from helpers import (CIRCUITS, adaptive_record_table, assert_records_follow,
                      cell_of, depolarized_distribution, distribution_table,
                      final_output_probability,
                      final_output_probability_inplace,
@@ -33,6 +34,14 @@ from helpers import (adaptive_record_table, assert_records_follow,
 
 def circuit_from(text):
     return parse_circuit(text)
+
+
+def assert_depolarized_like_loop(seq, p_err):
+    events, ideal = prover.record_table(seq, IDEAL)
+    _, table = prover.record_table(seq, Depolarizing(p_err))
+    want = loop_depolarize(ideal, seq, events, p_err)
+    assert np.max(np.abs(table - want)) <= 1e-12
+    assert np.all(table[want == 0] == 0)
 
 
 ONE_GADGET = """qubits 1
@@ -51,6 +60,9 @@ H 0
 T 0
 MEASURE 0 out
 """
+
+
+PROBE = gadgetize(parse_circuit((CIRCUITS / "phase_probe.circ").read_text()))
 
 
 @pytest.fixture
@@ -284,18 +296,40 @@ class TestFaultModels:
             assert np.max(np.abs(table - want)) < 1e-10
 
     def test_depolarizing_table_equals_per_slot_loop(self):
-        # the flip masks read off the frame's slices give the table, bit
-        # for bit, that carrying each slot's operator on its own gives
+        # the channel folded in as one factor per subset expectation gives
+        # the table that XOR-shifting it by each slot's operator, carried
+        # on its own, gives: to roundoff, and zero wherever the loop is
         rng = random.Random(101)
         for _ in range(30):
             n = rng.choice((3, 6, 70))
             seq = random_clifford_sequence(rng, n, rng.randint(n, 3 * n),
                                            intermediate=6)
-            p_err = rng.uniform(0.0, 1.0)
-            events, ideal = prover.record_table(seq, IDEAL)
-            _, table = prover.record_table(seq, Depolarizing(p_err))
-            assert np.array_equal(
-                table, loop_depolarize(ideal, seq, events, p_err))
+            assert_depolarized_like_loop(seq, rng.uniform(0.0, 1.0))
+
+    @pytest.mark.parametrize("p_err", [0.75, 1.0])
+    def test_depolarizing_factor_with_zero_or_negative_base(self, p_err):
+        # the one-line base 1 - 4p/3 is 0 at p = 3/4; at p = 1 both bases,
+        # -1/3 and -1/15, are negative
+        rng = random.Random(int(p_err * 100))
+        for _ in range(10):
+            n = rng.choice((2, 5, 9))
+            seq = random_clifford_sequence(rng, n, rng.randint(n, 3 * n),
+                                           intermediate=4)
+            assert_depolarized_like_loop(seq, p_err)
+
+    def test_depolarizing_table_with_many_slots(self):
+        seq = random_clifford_sequence(random.Random(103), 20, 140,
+                                       intermediate=14)
+        assert len(prover._plan_events(seq)) >= 12
+        assert_depolarized_like_loop(seq, 0.1)
+
+    def test_depolarized_table_checked_to_sum_to_one(self, monkeypatch):
+        # a factor that moves <P_0> = 1 moves the total
+        monkeypatch.setattr(prover, "_depolarizing_factor",
+                            lambda flips, m, p_err: np.full(1 << m, 2.0))
+        seq = resolve(circuit_from("qubits 1\nH 0\nMEASURE 0 out\n"), ())
+        with pytest.raises(AssertionError, match="sum to 2"):
+            prover.record_table(seq, Depolarizing(0.1))
 
     def test_depolarizing_adaptive_table_matches_reference_runs(
             self, three_gadget):
@@ -354,11 +388,66 @@ class TestReferenceRun:
         assert [ev.is_gadget for ev in events] == [True, False, True, False]
         counts = Counter()
         for rep in range(1500):
-            record, resolved = prover._sample_run(circuit, fault,
-                                                  derive_seed(47, rep))
+            record, resolved, _ = prover._sample_run(circuit, fault,
+                                                     derive_seed(47, rep))
             assert resolved.frozen_outcomes == (record[0], record[2])
             counts[cell_of(record)] += 1
         assert_records_follow(counts, table)
+
+
+FIVE_FAULTS = (IDEAL, MagicMiscalibration(0.3), GadgetCoinBias(0.2),
+               Depolarizing(0.2), Liar(0.3))
+
+
+@pytest.fixture
+def count_tables(monkeypatch):
+    """The list of sequences `prover.record_table` builds tables for."""
+    built = []
+    real = prover.record_table
+
+    def counted(seq, fault):
+        built.append(seq)
+        return real(seq, fault)
+    monkeypatch.setattr(prover, "record_table", counted)
+    return built
+
+
+class TestTableReuse:
+    def test_probe_campaign_builds_two_tables(self, count_tables):
+        # the adaptive run's table serves the gate test; the one gadget
+        # test builds the second
+        report = verify_campaign(SimulatedDevice(IDEAL), PROBE, 0.05, 0.05,
+                                 0.01, 3)
+        assert report.accepted
+        assert len(count_tables) == 2
+
+    @pytest.mark.parametrize("fault", FIVE_FAULTS, ids=fault_to_text)
+    def test_gate_batch_equals_fresh_device(self, fault, three_gadget,
+                                            count_tables):
+        dev = SimulatedDevice(fault)
+        for seed in range(4):
+            resolved = dev.run_adaptive(three_gadget, seed).resolved
+            built = len(count_tables)
+            batch = dev.run_fixed_batch(resolved, 3000, seed)
+            assert len(count_tables) == built
+            assert dev._last_table is None
+            assert batch == SimulatedDevice(fault).run_fixed_batch(
+                resolved, 3000, seed)
+
+    def test_other_sequences_build_their_own_tables(self, three_gadget,
+                                                    count_tables):
+        dev = SimulatedDevice(Depolarizing(0.2))
+        resolved = dev.run_adaptive(three_gadget, 5).resolved
+        twin = dataclasses.replace(resolved)
+        assert twin == resolved and twin is not resolved
+        dev.run_fixed_batch(twin, 100, 1)
+        assert count_tables[-1] is twin
+        other = resolve(three_gadget, (1 - resolved.frozen_outcomes[0],)
+                        + resolved.frozen_outcomes[1:])
+        dev.run_adaptive(three_gadget, 5)
+        dev.run_fixed_batch(other, 100, 1)
+        assert count_tables[-1] is other
+        assert dev._last_table is None
 
 
 class TestSeedDerivation:
