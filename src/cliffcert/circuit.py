@@ -357,21 +357,6 @@ def gadgetize(circuit: AdaptiveCircuit) -> AdaptiveCircuit:
     )
 
 
-def expand_gadget(ins: Instruction, index: int,
-                  outcome: Optional[int]) -> tuple[Instruction, ...]:
-    """Expand the index-th TGADGET (1-based) into CX, ancilla MEASURE
-    labelled m<index>, and, when an outcome is given, the frozen S/ID
-    correction on the target."""
-    target, ancilla = ins.targets[0], ins.ancilla
-    parts = [
-        Instruction("CX", (target, ancilla)),
-        Instruction("MEASURE", (ancilla,), label=f"m{index}"),
-    ]
-    if outcome is not None:
-        parts.append(Instruction("S" if outcome else "ID", (target,)))
-    return tuple(parts)
-
-
 def resolve(circuit: AdaptiveCircuit,
             outcomes: Iterable[int]) -> FixedSequence:
     """Freeze an adaptive circuit to the fixed sequence for given outcomes.
@@ -393,9 +378,13 @@ def resolve(circuit: AdaptiveCircuit,
     slots: list[int] = []
     for ins in circuit.instructions:
         if ins.op == "TGADGET":
+            target, ancilla = ins.targets[0], ins.ancilla
             slots.append(len(new_instructions) + 1)
-            new_instructions.extend(
-                expand_gadget(ins, len(slots), outcomes[len(slots) - 1]))
+            new_instructions += [
+                Instruction("CX", (target, ancilla)),
+                Instruction("MEASURE", (ancilla,), label=f"m{len(slots)}"),
+                Instruction("S" if outcomes[len(slots) - 1] else "ID",
+                            (target,))]
         else:
             new_instructions.append(ins)
     return FixedSequence(

@@ -36,7 +36,7 @@ from pathlib import Path
 from .circuit import gadgetize, parse_circuit, resolve, serialize
 # kept importable: perfbench/tracing.py wraps cli.validate in traced runs
 from .circuit import validate  # noqa: F401
-from .pauli import DEFAULT_K_MAX, single_output_probability
+from .pauli import K_MAX, single_output_probability
 from .prover import (MAX_RECORD_SLOTS, FaultModel, SimulatedDevice,
                      parse_fault)
 from .protocol import (campaign_table_sizes, plan, report_summary,
@@ -168,12 +168,12 @@ def cmd_verify(config_path: str) -> int:
     circuit = _load_gadgetized(config.circuit_path)
     slots, probe_lines = campaign_table_sizes(circuit,
                                               config.extra_check_lines)
-    if probe_lines > DEFAULT_K_MAX:
+    if probe_lines > K_MAX:
         raise UsageError(
             f"{config_path}: bad value for 'extra_check_lines': "
             f"{config.extra_check_lines} probes make a {probe_lines}-line "
             f"probe table at stage 1 of {config.circuit_path}; the verifier "
-            f"computes at most k_max={DEFAULT_K_MAX} lines")
+            f"computes at most k_max={K_MAX} lines")
     if slots > MAX_RECORD_SLOTS:
         raise UsageError(
             f"{config_path}: {config.circuit_path} with extra_check_lines = "

@@ -26,7 +26,7 @@ import numpy as np
 from .circuit import (MAGIC, Circuit, FixedSequence, Instruction,
                       InputState)
 
-DEFAULT_K_MAX = 10
+K_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,9 @@ def single_output_probability(seq: FixedSequence, outcome: int) -> float:
     return (1.0 + value) / 2.0
 
 
-def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
-                             k_max: int = DEFAULT_K_MAX) -> np.ndarray:
-    """Joint outcome table of up to k_max measured lines.
+def joint_output_probability(seq: FixedSequence,
+                             lines: Sequence[int]) -> np.ndarray:
+    """Joint outcome table of up to K_MAX measured lines.
 
     Returns 2^k probabilities; bit k-1-i of a cell's index is the outcome
     of lines[i], so lines[0] is the most significant bit (the layout of
@@ -255,8 +255,8 @@ def joint_output_probability(seq: FixedSequence, lines: Sequence[int],
     reused, so :func:`outcome_table` applies.
     """
     k = len(lines)
-    if k > k_max:
-        raise ValueError(f"{k} lines exceed k_max={k_max}")
+    if k > K_MAX:
+        raise ValueError(f"{k} lines exceed k_max={K_MAX}")
     if len(set(lines)) != k:
         raise ValueError("duplicate lines in joint query")
     measured = {ins.targets[0] for ins in seq.instructions

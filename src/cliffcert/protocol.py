@@ -5,11 +5,11 @@ One verification campaign runs, in order:
 1. the computational run (one adaptive execution, fully recorded),
 2. gate test runs: the recorded sequence re-run non-adaptively, its output-0
    frequency compared against the classically computed probability,
-3. measurement test runs: for each gadget stage, the circuit prefix up to
-   that gadget's ancilla measurement (earlier gadgets frozen to the recorded
-   outcomes) re-run to check the ancilla outcome frequency against 1/2 and
-   the joint distribution of a few extra probe lines against classically
-   computed values,
+3. measurement test runs: for each gadget stage, the recorded sequence cut
+   after that gadget's ancilla measurement (earlier gadgets frozen to the
+   recorded outcomes) re-run to check the ancilla outcome frequency against
+   1/2 and the joint distribution of a few extra probe lines against
+   classically computed values,
 4. error composition and an accept/reject verdict.
 
 Repetition counts come from the Hoeffding bound; gadget-frequency batches
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuit import AdaptiveCircuit, FixedSequence, Instruction, expand_gadget
+from .circuit import AdaptiveCircuit, FixedSequence, Instruction
 from .pauli import joint_output_probability, single_output_probability
 from .prover import PROB_TOL, Transcript, derive_seed
 
@@ -206,48 +206,33 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
     )
 
 
-def build_stage_prefix(circuit: AdaptiveCircuit, outcomes, stage: int,
+def build_stage_prefix(resolved: FixedSequence, stage: int,
                        extra_check_lines: int
                        ) -> tuple[FixedSequence, int, tuple[int, ...]]:
     """Prefix sequence for measurement-test stage `stage` (1-based).
 
-    Gadgets before the stage are frozen to the recorded outcomes; the stage
-    gadget ends with its ancilla measurement, followed by terminal probe
-    measurements on the lowest-index still-unmeasured lines.  Every
-    gadget's ancilla MEASURE is a gadget slot of the prefix, the stage's
-    last.
+    The recorded sequence cut after gadget `stage`'s ancilla readout, so
+    earlier gadgets stay frozen to the recorded outcomes, followed by
+    terminal probe measurements on the lowest-index still-unmeasured lines.
+    Every gadget's ancilla MEASURE is a gadget slot of the prefix, the
+    stage's last.
     """
-    if not (1 <= stage <= circuit.gadget_count):
-        raise ValueError(f"stage {stage} outside 1..{circuit.gadget_count}")
-    instructions: list[Instruction] = []
-    slots: list[int] = []
-    measured: set[int] = set()
-    ancilla = -1
-    for ins in circuit.instructions:
-        if ins.op == "TGADGET":
-            slots.append(len(instructions) + 1)
-            g = len(slots)
-            measured.add(ins.ancilla)
-            if g < stage:
-                instructions.extend(expand_gadget(ins, g, outcomes[g - 1]))
-            else:
-                instructions.extend(expand_gadget(ins, g, None))
-                ancilla = ins.ancilla
-                break
-        else:
-            if ins.op == "MEASURE":
-                measured.add(ins.targets[0])
-            instructions.append(ins)
-    extras = tuple(line for line in range(circuit.n_lines)
+    slots = resolved.gadget_slots
+    if not (1 <= stage <= len(slots)):
+        raise ValueError(f"stage {stage} outside 1..{len(slots)}")
+    instructions = list(resolved.instructions[:slots[stage - 1] + 1])
+    ancilla = instructions[-1].targets[0]
+    measured = {ins.targets[0] for ins in instructions if ins.op == "MEASURE"}
+    extras = tuple(line for line in range(resolved.n_lines)
                    if line not in measured)[:extra_check_lines]
     for j, line in enumerate(extras):
         instructions.append(Instruction("MEASURE", (line,), label=f"chk{j}"))
     prefix = FixedSequence(
-        n_lines=circuit.n_lines,
-        inputs=circuit.inputs,
+        n_lines=resolved.n_lines,
+        inputs=resolved.inputs,
         instructions=tuple(instructions),
-        frozen_outcomes=tuple(outcomes[:stage - 1]),
-        gadget_slots=tuple(slots),
+        frozen_outcomes=resolved.frozen_outcomes[:stage - 1],
+        gadget_slots=slots[:stage],
     )
     return prefix, ancilla, extras
 
@@ -278,14 +263,14 @@ def campaign_table_sizes(circuit: AdaptiveCircuit,
     return max(largest, measures + gadgets), probe_lines
 
 
-def run_measurement_stage(device, circuit: AdaptiveCircuit,
-                          transcript: Transcript, test_plan: TestPlan,
-                          stage: int, seed: int) -> MeasurementStageResult:
-    """One gadget stage: ancilla frequency versus 1/2 plus the joint
-    distribution of the probe lines versus classical values."""
+def run_measurement_stage(device, transcript: Transcript,
+                          test_plan: TestPlan, stage: int,
+                          seed: int) -> MeasurementStageResult:
+    """One gadget stage on a prefix of the recorded sequence: ancilla
+    frequency versus 1/2 plus the joint distribution of the probe lines
+    versus classical values."""
     prefix, ancilla, extras = build_stage_prefix(
-        circuit, transcript.gadget_outcomes, stage,
-        test_plan.extra_check_lines)
+        transcript.resolved, stage, test_plan.extra_check_lines)
     batch = device.run_fixed_batch(prefix, test_plan.r_meas, seed)
     # the ancilla readout and the probes are a record's last slots
     joint_lines = (ancilla,) + extras
@@ -314,15 +299,15 @@ def run_measurement_stage(device, circuit: AdaptiveCircuit,
     )
 
 
-def run_measurement_tests(device, circuit: AdaptiveCircuit,
-                          transcript: Transcript, test_plan: TestPlan,
+def run_measurement_tests(device, transcript: Transcript,
+                          test_plan: TestPlan,
                           seed: int) -> list[MeasurementStageResult]:
     """All gadget stages in order, stopping early only on an outcome the
     classical computation assigns probability zero."""
     results: list[MeasurementStageResult] = []
     for stage in range(1, test_plan.t + 1):
-        result = run_measurement_stage(device, circuit, transcript, test_plan,
-                                       stage, derive_seed(seed, 1 + stage))
+        result = run_measurement_stage(device, transcript, test_plan, stage,
+                                       derive_seed(seed, 1 + stage))
         results.append(result)
         if result.impossible_observed:
             break
@@ -412,50 +397,24 @@ def verdict(transcript: Transcript, test_plan: TestPlan, p_classical: float,
 
 
 def report_to_json_dict(report: VerdictReport) -> dict:
-    """Report as a JSON-ready dict with deterministic field ordering."""
-    p = report.plan
-    out = {
+    """Report as a JSON-ready dict with deterministic field ordering: each
+    result section lists its dataclass's fields in declaration order, gate
+    and stage results followed by `passed`."""
+    gate = report.gate
+    return {
         "decision": report.decision,
         "confidence_lower_bound": report.confidence_lower_bound,
         "epsilon_prime": report.epsilon_prime,
         "pi_bound": list(report.pi_bound) if report.pi_bound else None,
         "p_classical": report.p_classical,
-        "plan": {
-            "t": p.t, "eta": p.eta, "epsilon": p.epsilon, "delta": p.delta,
-            "d_gadget": p.d_gadget, "r_gate": p.r_gate, "r_meas": p.r_meas,
-            "extra_check_lines": p.extra_check_lines,
-        },
+        "plan": dict(vars(report.plan)),
         "transcript": report.transcript.to_json_dict(),
-        "gate_test": None,
-        "measurement_tests": [],
-        "failures": [],
+        "gate_test": None if gate is None
+        else dict(vars(gate), passed=gate.passed),
+        "measurement_tests": [dict(vars(s), passed=s.passed)
+                              for s in report.stages],
+        "failures": [dict(vars(f)) for f in report.failures],
     }
-    if report.gate is not None:
-        g = report.gate
-        out["gate_test"] = {
-            "repetitions": g.repetitions, "p_hat": g.p_hat,
-            "p_classical": g.p_classical, "eta": g.eta,
-            "ci_halfwidth": g.ci_halfwidth,
-            "impossible_observed": g.impossible_observed,
-            "passed": g.passed,
-        }
-    for s in report.stages:
-        out["measurement_tests"].append({
-            "stage": s.stage, "ancilla_line": s.ancilla_line,
-            "repetitions": s.repetitions, "p_hat": s.p_hat,
-            "d_gadget": s.d_gadget, "ci_halfwidth": s.ci_halfwidth,
-            "extra_lines": list(s.extra_lines),
-            "tv_distance": s.tv_distance, "eta": s.eta,
-            "impossible_observed": s.impossible_observed,
-            "passed": s.passed,
-        })
-    for f in report.failures:
-        out["failures"].append({
-            "kind": f.kind, "stage": f.stage, "observed": f.observed,
-            "expected": f.expected, "tolerance": f.tolerance,
-            "message": f.message,
-        })
-    return out
 
 
 def report_summary(report: VerdictReport) -> str:
@@ -512,6 +471,5 @@ def verify_campaign(device, circuit: AdaptiveCircuit, epsilon: float,
     gate = run_gate_tests(device, transcript, test_plan, derive_seed(seed, 1))
     stages: list[MeasurementStageResult] = []
     if not gate.impossible_observed:
-        stages = run_measurement_tests(device, circuit, transcript, test_plan,
-                                       seed)
+        stages = run_measurement_tests(device, transcript, test_plan, seed)
     return verdict(transcript, test_plan, gate.p_classical, gate, stages)

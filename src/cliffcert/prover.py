@@ -25,14 +25,15 @@ in Stim, Gidney arXiv:2103.02202): depolarizing noise is one factor per
 subset expectation before the table's inverse transform.  This makes
 10^5..10^7-repetition test batches affordable for every fault model.
 
-The one adaptive run reads its record off the same tables, one slot at a
-time in execution order.  A gadget readout is a coin of 1/2 (1/2 + bias
-under a biased coin) given any earlier record, so it needs no table.  Any
-other slot draws from P(1 | record so far) in the record table of the
-circuit resolved on the gadget bits drawn so far, later ones read as 0.
-A later correction, its gate errors and a lie on the final bit act on
-later slots only, so that table's marginal on the slots so far is the
-adaptive run's, and every fault model acts on the record in one place.
+The one adaptive run reads its record off one such table, built once.  It
+takes one uniform draw per slot in execution order.  A gadget readout is
+a coin of 1/2 (1/2 + bias under a biased coin) given any earlier record,
+so every gadget bit is known from its draw alone; the circuit resolved on
+them is the run's sequence, and each other slot draws from P(1 | record so
+far) in that sequence's record table.  A correction, its gate errors and a
+lie on the final bit act on later slots only, so the table's marginal on
+the slots so far is the adaptive run's, and every fault model acts on the
+record in one place.
 """
 
 from __future__ import annotations
@@ -159,10 +160,14 @@ class Transcript:
     """Record of one adaptive computational run."""
 
     circuit_id: str
-    gadget_outcomes: tuple[int, ...]
     final_output: int
     seed: int
     resolved: FixedSequence
+
+    @property
+    def gadget_outcomes(self) -> tuple[int, ...]:
+        """The recorded gadget bits, as frozen into `resolved`."""
+        return self.resolved.frozen_outcomes
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,34 +241,27 @@ def _bloch_table(inputs, fault: FaultModel) -> InputExpectations:
 def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
     """One adaptive run: its record bits, resolved sequence and its table.
 
-    Slots are drawn in order, one uniform draw each.  A gadget bit is a
-    coin; any other slot reads P(1 | record so far) off the record table
-    of the circuit resolved on the gadget bits so far and zeros after,
-    rebuilt only when a gadget bit was drawn since the last one, so the
-    last one built is the returned sequence's (the output is the last slot).
+    One uniform draw per slot, in order.  The gadget bits are coins, so
+    they resolve the circuit before any other slot is read; every other
+    slot reads P(1 | record so far) off that sequence's one record table.
     """
-    rng = np.random.default_rng(seed)
+    events = _plan_events(circuit)
+    draws = np.random.default_rng(seed).random(len(events)).tolist()
     coin = 0.5 + fault.bias if isinstance(fault, GadgetCoinBias) else 0.5
+    resolved = resolve(circuit, [int(u < coin) for u, event
+                                 in zip(draws, events) if event.is_gadget])
+    built = _, table = record_table(resolved, fault)
+    gadget_bits = iter(resolved.frozen_outcomes)
     record: list[int] = []
-    gadget_bits: list[int] = []
-    table = None
     cell = 0  # the record so far as a table prefix
-    for slot, event in enumerate(_plan_events(circuit)):
+    for slot, (u, event) in enumerate(zip(draws, events)):
         if event.is_gadget:
-            p_one = coin
+            bit = next(gadget_bits)
         else:
-            if table is None:
-                padding = [0] * (circuit.gadget_count - len(gadget_bits))
-                resolved = resolve(circuit, gadget_bits + padding)
-                _, table = built = record_table(resolved, fault)
             zero, one = table.reshape(1 << slot, 2, -1)[cell].sum(axis=1)
-            p_one = one / (zero + one)
-        bit = 1 if rng.random() < p_one else 0
+            bit = int(u < one / (zero + one))
         record.append(bit)
         cell = 2 * cell + bit
-        if event.is_gadget:
-            gadget_bits.append(bit)
-            table = None
     return tuple(record), resolved, built
 
 
@@ -379,7 +377,6 @@ class SimulatedDevice:
         self._last_table = (resolved, built)
         return Transcript(
             circuit_id=circuit_id(circuit),
-            gadget_outcomes=resolved.frozen_outcomes,
             final_output=record[-1],
             seed=seed,
             resolved=resolved,

@@ -798,8 +798,8 @@ def reference_transcript(circuit: AdaptiveCircuit, fault: FaultModel,
     gadget_bits = tuple(bit for bit, ev in zip(record, events)
                         if ev.is_gadget)
     return Transcript(circuit_id=circuit_id(circuit),
-                      gadget_outcomes=gadget_bits, final_output=record[-1],
-                      seed=seed, resolved=resolve(circuit, gadget_bits))
+                      final_output=record[-1], seed=seed,
+                      resolved=resolve(circuit, gadget_bits))
 
 
 # -- statevector operations only the tests use ----------------------------

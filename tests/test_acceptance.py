@@ -250,7 +250,8 @@ def test_criterion_7_deferred_measurements():
                          for _ in range(circuit.gadget_count))
         if i % 2:
             gadgeted, _, _ = build_stage_prefix(
-                circuit, outcomes, rng.randint(1, circuit.gadget_count), 2)
+                resolve(circuit, outcomes),
+                rng.randint(1, circuit.gadget_count), 2)
         else:
             gadgeted = resolve(circuit, outcomes)
         assert gadgeted.gadget_slots

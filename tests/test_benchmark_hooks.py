@@ -38,6 +38,11 @@ def test_tracer_installs_and_counts_one_validate_per_circuit(monkeypatch):
     assert tracer.calls["circuit.validate"] == 2
     assert tracer.calls["prover.run_adaptive"] == 1
     assert tracer.calls["prover.run_fixed_batch"] == 2
+    # the traced r_meas_total counter sums these stages' repetitions
+    assert tracer.calls["protocol.run_measurement_stage"] == \
+        PROBE.gadget_count
+    assert tracer.count["protocol.r_meas_total"] == \
+        report.plan.r_meas * PROBE.gadget_count
     # the gate test's classical probability serves the report as well
     assert tracer.calls["pauli.single_output_probability"] == 1
     # the device runs on the Pauli engine, not the statevector

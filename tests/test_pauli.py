@@ -9,7 +9,7 @@ import pytest
 
 from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
                                ZERO)
-from cliffcert.pauli import (PauliFrame, PauliOperator, backpropagate,
+from cliffcert.pauli import (K_MAX, PauliFrame, PauliOperator, backpropagate,
                              conjugate, expectation, input_expectations,
                              joint_output_probability, outcome_table,
                              pull_back,
@@ -353,10 +353,14 @@ class TestJointProbability:
             joint_output_probability(self.two_measured, (0, 0))
 
     def test_k_max_enforced(self):
-        seq = self.two_measured
-        assert len(joint_output_probability(seq, (0, 1), k_max=2)) == 4
-        with pytest.raises(ValueError):
-            joint_output_probability(seq, (0, 1), k_max=1)
+        seq = FixedSequence(
+            K_MAX + 1, (InputState(ZERO),) * (K_MAX + 1),
+            tuple(Instruction("MEASURE", (line,), label=f"m{line}")
+                  for line in range(K_MAX + 1)), ())
+        assert len(joint_output_probability(seq, range(K_MAX))) == \
+            1 << K_MAX
+        with pytest.raises(ValueError, match="11 lines exceed k_max=10"):
+            joint_output_probability(seq, range(K_MAX + 1))
 
     def test_normalization_and_tree_oracle(self):
         rng = random.Random(47)

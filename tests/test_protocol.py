@@ -130,8 +130,7 @@ class TestGateTests:
 class TestStagePrefix:
     def test_prefix_structure(self):
         tr = SimulatedDevice(IDEAL).run_adaptive(DET3, 7)
-        prefix, ancilla, extras = build_stage_prefix(
-            DET3, tr.gadget_outcomes, 2, 2)
+        prefix, ancilla, extras = build_stage_prefix(tr.resolved, 2, 2)
         labels = [i.label for i in prefix.instructions if i.op == "MEASURE"]
         assert labels == ["m1", "m2", "chk0", "chk1"]
         assert [prefix.instructions[s].label
@@ -139,23 +138,26 @@ class TestStagePrefix:
         assert prefix.frozen_outcomes == tr.gadget_outcomes[:1]
         # second gadget of the bundled circuit sits on line 1, ancilla 6
         assert ancilla == 6
-        # nothing from beyond the stage gadget leaks into the prefix
+        # nothing from beyond the stage gadget leaks into the prefix: it is
+        # the recorded sequence cut after the stage's readout, then probes
         assert all(ins.op != "TGADGET" for ins in prefix.instructions)
+        assert prefix.instructions[:-2] == \
+            tr.resolved.instructions[:prefix.gadget_slots[-1] + 1]
 
     def test_extras_are_lowest_unmeasured_lines(self):
         # the stage gadget's target (line 0) is unmeasured, so it is probed
         tr = SimulatedDevice(IDEAL).run_adaptive(DET3, 7)
-        _, _, extras = build_stage_prefix(DET3, tr.gadget_outcomes, 1, 2)
+        _, _, extras = build_stage_prefix(tr.resolved, 1, 2)
         assert extras == (0, 1)
 
     def test_extras_capped_by_available_lines(self):
         tr = SimulatedDevice(IDEAL).run_adaptive(PROBE, 7)
-        _, _, extras = build_stage_prefix(PROBE, tr.gadget_outcomes, 1, 5)
+        _, _, extras = build_stage_prefix(tr.resolved, 1, 5)
         assert extras == (0,)
 
     def test_stage_bounds(self):
         with pytest.raises(ValueError):
-            build_stage_prefix(DET3, (0, 0, 0), 4, 2)
+            build_stage_prefix(resolve(DET3, (0, 0, 0)), 4, 2)
 
     def test_table_sizes_match_built_tables(self):
         # the pre-campaign size check counts what the campaign builds
@@ -165,12 +167,12 @@ class TestStagePrefix:
                 rng, rng.randint(1, 6), rng.randint(1, 16),
                 rng.randint(0, 3), intermediate=3))
             extra = rng.randint(0, 6)
-            outcomes = (0,) * circuit.gadget_count
-            slots = [_measures(resolve(circuit, outcomes))]
+            resolved = resolve(circuit, (0,) * circuit.gadget_count)
+            slots = [_measures(resolved)]
             probe_lines = 0
             for stage in range(1, circuit.gadget_count + 1):
-                prefix, _, extras = build_stage_prefix(circuit, outcomes,
-                                                       stage, extra)
+                prefix, _, extras = build_stage_prefix(resolved, stage,
+                                                       extra)
                 slots.append(_measures(prefix))
                 probe_lines = max(probe_lines, 1 + len(extras))
             assert campaign_table_sizes(circuit, extra) == \
@@ -186,7 +188,7 @@ class TestMeasurementTests:
         dev = SimulatedDevice(IDEAL)
         tr = run_computational(dev, DET3, 11)
         p = plan(DET3.gadget_count, 0.05, 0.05, 0.01)
-        results = run_measurement_tests(dev, DET3, tr, p, 11)
+        results = run_measurement_tests(dev, tr, p, 11)
         assert len(results) == 3
         assert all(r.passed for r in results)
         assert all(abs(r.p_hat - 0.5) <= p.d_gadget for r in results)
@@ -196,7 +198,7 @@ class TestMeasurementTests:
         dev = SimulatedDevice(GadgetCoinBias(0.1))
         tr = run_computational(dev, DET3, 11)
         p = plan(DET3.gadget_count, 0.05, 0.05, 0.01)
-        results = run_measurement_tests(dev, DET3, tr, p, 11)
+        results = run_measurement_tests(dev, tr, p, 11)
         assert not results[0].gadget_passed
         assert abs(results[0].p_hat - 0.6) < 0.01
 
@@ -205,7 +207,7 @@ class TestMeasurementTests:
         dev = SimulatedDevice(IDEAL)
         tr = run_computational(dev, c, 1)
         p = plan(0, 0.05, 0.05, 0.01)
-        assert run_measurement_tests(dev, c, tr, p, 1) == []
+        assert run_measurement_tests(dev, tr, p, 1) == []
 
     def test_impossible_probe_outcome_stops_later_stages(self):
         # DET3's stage-1 probe on line 1 (input ONE) can classically never
@@ -215,7 +217,7 @@ class TestMeasurementTests:
         honest = SimulatedDevice(IDEAL)
         tr = run_computational(honest, DET3, 11)
         p = plan(DET3.gadget_count, 0.05, 0.05, 0.01)
-        results = run_measurement_tests(dev, DET3, tr, p, 11)
+        results = run_measurement_tests(dev, tr, p, 11)
         assert results[-1].impossible_observed
         assert len(results) < DET3.gadget_count
 
@@ -256,7 +258,7 @@ class TestMeasurementTests:
         p = plan(DET3.gadget_count, 0.05, 0.05, 0.01)
         count(protocol, "joint_output_probability")
         count(PauliFrame, "sweep")
-        result = protocol.run_measurement_stage(dev, DET3, tr, p, 1, 11)
+        result = protocol.run_measurement_stage(dev, tr, p, 1, 11)
         assert len(result.extra_lines) == 2
         assert calls["joint_output_probability"] == 1
         # one sweep for the device's record table, one for the theory table
@@ -269,7 +271,7 @@ class TestComposeError:
         tr = run_computational(dev, PROBE, seed)
         p = plan(PROBE.gadget_count, 0.05, 0.05, 0.01)
         gate = run_gate_tests(dev, tr, p, seed)
-        stages = run_measurement_tests(dev, PROBE, tr, p, seed)
+        stages = run_measurement_tests(dev, tr, p, seed)
         return p, gate, stages
 
     def test_epsilon_prime_sum(self):

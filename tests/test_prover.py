@@ -61,6 +61,18 @@ T 0
 MEASURE 0 out
 """
 
+# a user's measurement between two gadgets
+MID_MEASURE = """qubits 2
+H 0
+T 0
+CX 0 1
+MEASURE 1 x
+H 0
+T 0
+H 0
+MEASURE 0 out
+"""
+
 
 PROBE = gadgetize(parse_circuit((CIRCUITS / "phase_probe.circ").read_text()))
 
@@ -378,12 +390,11 @@ class TestReferenceRun:
                                        GadgetCoinBias(0.2)],
                              ids=["depolarizing", "coin_bias"])
     def test_adaptive_records_follow_adaptive_table(self, fault):
-        # a user's measurement between two gadgets makes the run read its
-        # slots off two tables; the records of many runs against the exact
-        # adaptive table composed from every resolved sequence's table
-        circuit = gadgetize(circuit_from(
-            "qubits 2\nH 0\nT 0\nCX 0 1\nMEASURE 1 x\nH 0\nT 0\nH 0\n"
-            "MEASURE 0 out\n"))
+        # a user's measurement between two gadgets is read off the table of
+        # the sequence resolved on both gadget bits, the later one included;
+        # the records of many runs against the exact adaptive table
+        # composed from every resolved sequence's table
+        circuit = gadgetize(circuit_from(MID_MEASURE))
         events, table = adaptive_record_table(circuit, fault)
         assert [ev.is_gadget for ev in events] == [True, False, True, False]
         counts = Counter()
@@ -413,6 +424,17 @@ def count_tables(monkeypatch):
 
 
 class TestTableReuse:
+    @pytest.mark.parametrize("fault", FIVE_FAULTS, ids=fault_to_text)
+    def test_adaptive_run_builds_one_table(self, fault, count_tables):
+        # the gadget bits resolve the circuit first, so a user's
+        # measurement between two gadgets needs no second table
+        circuit = gadgetize(circuit_from(MID_MEASURE))
+        for seed in range(8):
+            del count_tables[:]
+            tr = SimulatedDevice(fault).run_adaptive(circuit, seed)
+            assert len(count_tables) == 1
+            assert count_tables[0] is tr.resolved
+
     def test_probe_campaign_builds_two_tables(self, count_tables):
         # the adaptive run's table serves the gate test; the one gadget
         # test builds the second
