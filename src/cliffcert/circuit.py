@@ -141,10 +141,6 @@ class Instruction:
             return (self.targets[0], self.ancilla)
         return self.targets
 
-    @property
-    def is_unitary(self) -> bool:
-        return self.op not in ("MEASURE", "TGADGET")
-
 
 class _ValidCircuit:
     """What both circuit types share: validated once, when built."""
@@ -442,17 +438,11 @@ class _LineParser:
         self.pos += 1
         return tok
 
-    def take_int(self, what: str) -> tuple[int, int]:
+    def take_number(self, what: str, cast) -> tuple:
+        """The next token read by `cast` (int or float), and its column."""
         tok, col = self.take(what)
         try:
-            return int(tok, 10), col
-        except ValueError:
-            raise self.error(f"expected {what}, got {tok!r}", col) from None
-
-    def take_float(self, what: str) -> tuple[float, int]:
-        tok, col = self.take(what)
-        try:
-            return float(tok), col
+            return cast(tok), col
         except ValueError:
             raise self.error(f"expected {what}, got {tok!r}", col) from None
 
@@ -492,7 +482,7 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
         if n_lines is None:
             if word != "qubits":
                 raise lp.error("circuit must start with 'qubits <n>'", col0)
-            count, col = lp.take_int("line count")
+            count, col = lp.take_number("line count", int)
             width = _width_error(count)
             if width:
                 raise lp.error(width, col)
@@ -508,7 +498,7 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
             if instructions:
                 raise lp.error("input declarations must precede instructions",
                                col0)
-            idx, col = lp.take_int("line index")
+            idx, col = lp.take_number("line index", int)
             if not 0 <= idx < n_lines:
                 raise lp.error(f"line {idx} not declared (qubits {n_lines})",
                                col)
@@ -519,8 +509,8 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
             if kind not in INPUT_KINDS:
                 raise lp.error(f"unknown input kind {kind!r}", kcol)
             if kind == GENERAL:
-                theta, tcol = lp.take_float("theta")
-                phi, pcol = lp.take_float("phi")
+                theta, tcol = lp.take_number("theta", float)
+                phi, pcol = lp.take_number("phi", float)
                 try:
                     state = InputState(GENERAL, theta, phi)
                 except ValueError as exc:
@@ -537,7 +527,7 @@ def parse_circuit(text: str) -> AdaptiveCircuit:
         names = ("target line", "ancilla line") if word == "TGADGET" \
             else ("first line", "second line") if word in TWO_LINE_OPS \
             else ("target line",)
-        operands = tuple(lp.take_int(name)[0] for name in names)
+        operands = tuple(lp.take_number(name, int)[0] for name in names)
         label = None
         if word == "MEASURE":
             label, label_col = lp.take("outcome label")

@@ -155,45 +155,15 @@ class PauliFrame:
                 for i in range(count)]
 
 
-def conjugate(p: PauliOperator, gate: Instruction) -> PauliOperator:
-    """Return gate^dagger * p * gate for a unitary Clifford instruction."""
-    if not gate.is_unitary:
-        raise ValueError(f"{gate.op} is not unitary")
-    return pull_back(p, (gate,))
-
-
-class InputExpectations:
-    """Per-line (<X>, <Y>, <Z>) table of a product input, computed for a
-    line only when it is read: a pulled-back operator touches only its
-    support lines.  `magic`, if given, is read for every MAGIC line."""
-
-    def __init__(self, inputs: Sequence[InputState], magic=None):
-        self.inputs = inputs
-        self.magic = magic
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-    def __getitem__(self, line: int) -> tuple[float, float, float]:
-        inp = self.inputs[line]
-        if self.magic is not None and inp.kind == MAGIC:
-            return self.magic
-        return inp.bloch()
-
-
-def input_expectations(inputs: Sequence[InputState]) -> InputExpectations:
-    """Per-line (<X>, <Y>, <Z>) table for a product input."""
-    return InputExpectations(inputs)
-
-
-def expectation(p: PauliOperator, table) -> float:
-    """<p> on the product state described by `table`; identity lines give 1."""
-    if p.n != len(table):
-        raise ValueError("operator and input table sizes differ")
+def expectation(p: PauliOperator, inputs: Sequence[InputState]) -> float:
+    """<p> on the product state `inputs`, reading `inputs[line].bloch()`
+    on p's support lines only; identity lines give 1."""
+    if p.n != len(inputs):
+        raise ValueError("operator and input sizes differ")
     value = float(p.sign)
     for line in _bits(p.support):
         xb, zb = p.bit(line)
-        ex, ey, ez = table[line]
+        ex, ey, ez = inputs[line].bloch()
         value *= ey if (xb and zb) else (ex if xb else ez)
     return value
 
@@ -237,8 +207,7 @@ def single_output_probability(seq: FixedSequence, outcome: int) -> float:
     Intermediate measurements are omitted outright; on no-reuse sequences
     they cannot influence the reduced state of the remaining lines.
     """
-    table = input_expectations(seq.inputs)
-    value = expectation(backpropagate(seq, seq.output_line), table)
+    value = expectation(backpropagate(seq, seq.output_line), seq.inputs)
     if outcome:
         value = -value
     return (1.0 + value) / 2.0
@@ -268,7 +237,7 @@ def joint_output_probability(seq: FixedSequence,
     for _ in frame.sweep(seq.instructions,
                          {line: k - 1 - i for i, line in enumerate(lines)}):
         pass
-    return outcome_table(frame, k, input_expectations(seq.inputs))
+    return outcome_table(frame, k, seq.inputs)
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
@@ -282,23 +251,26 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def outcome_table(frame: PauliFrame, k: int, bloch, factor=None) -> np.ndarray:
+def outcome_table(frame: PauliFrame, k: int, inputs: Sequence[InputState],
+                  magic=None, factor=None) -> np.ndarray:
     """Joint outcome table of the k commuting signed Paulis in `frame`.
 
-    `bloch[line]` is line's (<X>, <Y>, <Z>).  Returns 2^k probabilities;
-    bit j of a cell's index is the 0/1 (+1/-1) outcome of frame operator
-    j.  The projector product expands to 2^-k sum_S (-1)^(m.S) <P_S>, and
-    a subset S, read as a cell, meets the frame's slices directly: P_S has
-    x bit |S & xs[u]| mod 2 on line u, z bit |S & zs[u]| mod 2.  With P_j =
-    s_j i^|x_j&z_j| X^x_j Z^z_j, the product in increasing j is i^e X^x_S
-    Z^z_S, e = 2|S & signs| + sum_{j in S} |x_j&z_j| + 2q(S) for q(S) the
-    pairs i < j in S whose z_i meets x_j an odd number of times; as a sign
-    times a Hermitian Pauli it is i^(e - |x_S&z_S|) P.  Each expectation is
-    one factor per support line, multiplied in line order, and an inverse
-    Walsh-Hadamard transform gives every outcome's signed sum.  Cost:
-    O(|U| * 2^k) for a union support of |U| lines, in a fixed number of
-    array passes per block of cells, plus k butterfly passes.  A `factor`
-    multiplies each <P_S> before the transform (a channel diagonal in it).
+    A support line's (<X>, <Y>, <Z>) is `inputs[line].bloch()`, or `magic`
+    for a MAGIC line when `magic` is given; no other line is read.  Returns
+    2^k probabilities; bit j of a cell's index is the 0/1 (+1/-1) outcome
+    of frame operator j.  The projector product expands to 2^-k sum_S
+    (-1)^(m.S) <P_S>, and a subset S, read as a cell, meets the frame's
+    slices directly: P_S has x bit |S & xs[u]| mod 2 on line u, z bit
+    |S & zs[u]| mod 2.  With P_j = s_j i^|x_j&z_j| X^x_j Z^z_j, the product
+    in increasing j is i^e X^x_S Z^z_S, e = 2|S & signs| + sum_{j in S}
+    |x_j&z_j| + 2q(S) for q(S) the pairs i < j in S whose z_i meets x_j an
+    odd number of times; as a sign times a Hermitian Pauli it is
+    i^(e - |x_S&z_S|) P.  Each expectation is one factor per support line,
+    multiplied in line order, and an inverse Walsh-Hadamard transform gives
+    every outcome's signed sum.  Cost: O(|U| * 2^k) for a union support of
+    |U| lines, in a fixed number of array passes per block of cells, plus k
+    butterfly passes.  A `factor` multiplies each <P_S> before the
+    transform (a channel diagonal in it).
     """
     xs, zs = frame.xs, frame.zs
     lines = [line for line in sorted(frame.touched) if xs[line] | zs[line]]
@@ -322,8 +294,9 @@ def outcome_table(frame: PauliFrame, k: int, bloch, factor=None) -> np.ndarray:
                      + [mask for _, mask in crossing], np.int64)[:, None]
     shifts = np.array([j for j, _ in crossing], np.int64)[:, None]
     # factors[4u + 2x + z]: support line u's factor for I/Z/X/Y
-    factors = np.array([(1.0, ez, ex, ey) for ex, ey, ez in
-                        (bloch[line] for line in lines)]).ravel()
+    bloch = [magic if magic is not None and inputs[line].kind == MAGIC
+             else inputs[line].bloch() for line in lines]
+    factors = np.array([(1.0, ez, ex, ey) for ex, ey, ez in bloch]).ravel()
     offsets = np.arange(0, 4 * count, 4,
                         dtype=np.min_scalar_type(4 * count))[:, None]
 

@@ -12,16 +12,21 @@ One verification campaign runs, in order:
    classically computed values,
 4. error composition and an accept/reject verdict.
 
-Repetition counts come from the Hoeffding bound; gadget-frequency batches
-target half the decision tolerance so statistical noise and systematic
-deviation keep separate budgets.  The verifier consumes only classical data:
-bits, counts, and probabilities it computed itself.
+Repetition counts come from the Hoeffding bound at failure probability
+delta per batch: the gate batch for half-width eta, each gadget batch for
+half-width d/2.  Every check fails unless |observed - expected| <= its
+tolerance: eta for the output frequency and the probe-line total variation,
+d for a gadget frequency against 1/2.  The per-batch failure budgets are not
+yet composed into one campaign bound (ROADMAP item 1).  The verifier
+consumes only classical data: bits, counts, and probabilities it computed
+itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .circuit import AdaptiveCircuit, FixedSequence, Instruction
@@ -45,12 +50,13 @@ REJECT = "REJECT"
 class TestPlan:
     """Tolerances and repetition counts for one campaign.
 
-    d_gadget solves (1/2 + d)^t * 2^t = 1 + epsilon exactly, so passing all
-    t gadget checks certifies the resolved sequence's selection probability
-    to within epsilon * 2^-t.  Gate-test repetitions estimate the output
-    probability to eta; measurement-test repetitions estimate each gadget
-    frequency to half of d_gadget, keeping statistical noise well inside the
-    decision tolerance.  Both carry per-batch failure probability delta.
+    d_gadget solves (1/2 + d)^t * 2^t = 1 + epsilon exactly: a sequence
+    whose t gadget coins each lie within d of 1/2 has selection probability
+    within a factor 1 + epsilon of 2^-t.  r_gate is the Hoeffding R for
+    half-width eta and r_meas the one for half-width d/2, each at failure
+    probability delta per batch; a stage accepts when |p_hat - 1/2| <= d.
+    These per-batch budgets are not yet composed, and a coin biased beyond
+    d still passes with non-negligible probability (ROADMAP item 1).
     """
 
     t: int
@@ -106,6 +112,27 @@ def plan(t: int, epsilon: float, eta: float, delta: float,
 
 
 @dataclass(frozen=True)
+class FailedCheck:
+    kind: str
+    stage: Optional[int]
+    observed: Optional[float]
+    expected: Optional[float]
+    tolerance: Optional[float]
+    message: str
+
+
+def _check(kind: str, stage: Optional[int], observed: float,
+           expected: float, tolerance: float,
+           message: str) -> tuple[FailedCheck, ...]:
+    """The one rule of every statistical check: it fails unless
+    |observed - expected| <= tolerance."""
+    if abs(observed - expected) <= tolerance:
+        return ()
+    return (FailedCheck(kind, stage, observed, expected, tolerance,
+                        message),)
+
+
+@dataclass(frozen=True)
 class GateTestResult:
     repetitions: int
     p_hat: float
@@ -115,9 +142,22 @@ class GateTestResult:
     impossible_observed: bool
 
     @property
+    def failures(self) -> tuple[FailedCheck, ...]:
+        """An impossible outcome alone, else the output-frequency check."""
+        if self.impossible_observed:
+            return (FailedCheck(
+                IMPOSSIBLE_OUTCOME, None, self.p_hat, self.p_classical, 0.0,
+                f"observed output frequency {self.p_hat:.6f} for an outcome "
+                f"of classical probability {self.p_classical:.12f}"),)
+        return _check(
+            OUTPUT_DEVIATION, None, self.p_hat, self.p_classical, self.eta,
+            f"output-0 frequency {self.p_hat:.6f} deviates from the "
+            f"classical value {self.p_classical:.6f} by "
+            f"{abs(self.p_hat - self.p_classical):.6f} > {self.eta}")
+
+    @property
     def passed(self) -> bool:
-        return (not self.impossible_observed
-                and abs(self.p_hat - self.p_classical) <= self.eta)
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -134,27 +174,31 @@ class MeasurementStageResult:
     impossible_observed: bool
 
     @property
-    def gadget_passed(self) -> bool:
-        return abs(self.p_hat - 0.5) <= self.d_gadget
-
-    @property
-    def extras_passed(self) -> bool:
-        return self.tv_distance is None or self.tv_distance <= self.eta
+    def failures(self) -> tuple[FailedCheck, ...]:
+        """An impossible outcome alone, else the gadget-frequency check and,
+        with probes, the probe-line total-variation check."""
+        if self.impossible_observed:
+            return (FailedCheck(
+                IMPOSSIBLE_OUTCOME, self.stage, None, None, 0.0,
+                f"stage {self.stage} observed a joint outcome of classical "
+                "probability zero"),)
+        failures = _check(
+            GADGET_BIAS, self.stage, self.p_hat, 0.5, self.d_gadget,
+            f"gadget {self.stage} outcome frequency {self.p_hat:.6f} "
+            f"deviates from 1/2 by {abs(self.p_hat - 0.5):.6f} > "
+            f"{self.d_gadget:.6f}")
+        if self.tv_distance is not None:
+            failures += _check(
+                EXTRA_LINE_DEVIATION, self.stage, self.tv_distance, 0.0,
+                self.eta,
+                f"stage {self.stage} probe-line distribution is "
+                f"{self.tv_distance:.6f} from the classical one in total "
+                f"variation > {self.eta}")
+        return failures
 
     @property
     def passed(self) -> bool:
-        return (not self.impossible_observed and self.gadget_passed
-                and self.extras_passed)
-
-
-@dataclass(frozen=True)
-class FailedCheck:
-    kind: str
-    stage: Optional[int]
-    observed: Optional[float]
-    expected: Optional[float]
-    tolerance: Optional[float]
-    message: str
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -223,8 +267,8 @@ def build_stage_prefix(resolved: FixedSequence, stage: int,
     instructions = list(resolved.instructions[:slots[stage - 1] + 1])
     ancilla = instructions[-1].targets[0]
     measured = {ins.targets[0] for ins in instructions if ins.op == "MEASURE"}
-    extras = tuple(line for line in range(resolved.n_lines)
-                   if line not in measured)[:extra_check_lines]
+    extras = tuple(islice((line for line in range(resolved.n_lines)
+                           if line not in measured), extra_check_lines))
     for j, line in enumerate(extras):
         instructions.append(Instruction("MEASURE", (line,), label=f"chk{j}"))
     prefix = FixedSequence(
@@ -333,67 +377,25 @@ def compose_error(test_plan: TestPlan, gate: GateTestResult,
     return pi_bound, epsilon_prime
 
 
-def _collect_failures(test_plan: TestPlan, gate: Optional[GateTestResult],
-                      stages) -> list[FailedCheck]:
-    failures: list[FailedCheck] = []
-    if gate is not None:
-        if gate.impossible_observed:
-            failures.append(FailedCheck(
-                IMPOSSIBLE_OUTCOME, None, gate.p_hat, gate.p_classical, 0.0,
-                f"observed output frequency {gate.p_hat:.6f} for an outcome "
-                f"of classical probability {gate.p_classical:.12f}"))
-        elif abs(gate.p_hat - gate.p_classical) > gate.eta:
-            failures.append(FailedCheck(
-                OUTPUT_DEVIATION, None, gate.p_hat, gate.p_classical,
-                gate.eta,
-                f"output-0 frequency {gate.p_hat:.6f} deviates from the "
-                f"classical value {gate.p_classical:.6f} by "
-                f"{abs(gate.p_hat - gate.p_classical):.6f} > {gate.eta}"))
-    for s in stages:
-        if s.impossible_observed:
-            failures.append(FailedCheck(
-                IMPOSSIBLE_OUTCOME, s.stage, None, None, 0.0,
-                f"stage {s.stage} observed a joint outcome of classical "
-                "probability zero"))
-            continue
-        if not s.gadget_passed:
-            failures.append(FailedCheck(
-                GADGET_BIAS, s.stage, s.p_hat, 0.5, s.d_gadget,
-                f"gadget {s.stage} outcome frequency {s.p_hat:.6f} deviates "
-                f"from 1/2 by {abs(s.p_hat - 0.5):.6f} > {s.d_gadget:.6f}"))
-        if not s.extras_passed:
-            failures.append(FailedCheck(
-                EXTRA_LINE_DEVIATION, s.stage, s.tv_distance, 0.0, s.eta,
-                f"stage {s.stage} probe-line distribution is "
-                f"{s.tv_distance:.6f} from the classical one in total "
-                f"variation > {s.eta}"))
-    return failures
-
-
 def verdict(transcript: Transcript, test_plan: TestPlan, p_classical: float,
             gate: Optional[GateTestResult], stages) -> VerdictReport:
     """Combine all test results into the final report."""
-    failures = _collect_failures(test_plan, gate, stages)
-    complete = gate is not None and len(stages) == test_plan.t
-    if not failures and not complete:
-        failures.append(FailedCheck(
-            INCOMPLETE, None, None, None, None,
-            "not every test batch was executed"))
     stages = tuple(stages)
-    if failures:
-        return VerdictReport(
-            transcript=transcript, plan=test_plan, p_classical=p_classical,
-            gate=gate, stages=stages, failures=tuple(failures),
-            decision=REJECT, pi_bound=None, epsilon_prime=None,
-            confidence_lower_bound=None)
-    pi_bound, epsilon_prime = compose_error(test_plan, gate, stages)
-    margin = abs(p_classical - 0.5)
-    confidence = max(0.0, min(1.0, 0.5 + margin - epsilon_prime))
+    failures = (() if gate is None else gate.failures) + tuple(
+        failure for s in stages for failure in s.failures)
+    if not failures and (gate is None or len(stages) != test_plan.t):
+        failures = (FailedCheck(INCOMPLETE, None, None, None, None,
+                                "not every test batch was executed"),)
+    pi_bound = epsilon_prime = confidence = None
+    if not failures:
+        pi_bound, epsilon_prime = compose_error(test_plan, gate, stages)
+        margin = abs(p_classical - 0.5)
+        confidence = max(0.0, min(1.0, 0.5 + margin - epsilon_prime))
     return VerdictReport(
         transcript=transcript, plan=test_plan, p_classical=p_classical,
-        gate=gate, stages=stages, failures=(), decision=ACCEPT,
-        pi_bound=pi_bound, epsilon_prime=epsilon_prime,
-        confidence_lower_bound=confidence)
+        gate=gate, stages=stages, failures=failures,
+        decision=REJECT if failures else ACCEPT, pi_bound=pi_bound,
+        epsilon_prime=epsilon_prime, confidence_lower_bound=confidence)
 
 
 def report_to_json_dict(report: VerdictReport) -> dict:

@@ -47,8 +47,7 @@ import numpy as np
 
 from .circuit import (AdaptiveCircuit, Circuit, FixedSequence, resolve,
                       serialize)
-from .pauli import (InputExpectations, PauliFrame, outcome_table,
-                    walsh_hadamard)
+from .pauli import PauliFrame, outcome_table, walsh_hadamard
 
 PROB_TOL = 1e-12
 
@@ -118,14 +117,6 @@ _FAULT_NAMES = {
     Depolarizing: "depolarizing",
     Liar: "liar",
 }
-
-
-def fault_to_text(fault: FaultModel) -> str:
-    name = _FAULT_NAMES[type(fault)]
-    if isinstance(fault, Ideal):
-        return name
-    value = next(iter(vars(fault).values()))
-    return f"{name} {value!r}"
 
 
 def parse_fault(text: str) -> FaultModel:
@@ -229,15 +220,6 @@ def _plan_events(circuit: Circuit) -> list[MeasurementEvent]:
     return events
 
 
-def _bloch_table(inputs, fault: FaultModel) -> InputExpectations:
-    """Per-line (<X>, <Y>, <Z>) of the inputs the device prepares: a
-    miscalibrated source puts MAGIC lines at phase pi/4 + delta_theta."""
-    if not isinstance(fault, MagicMiscalibration) or not fault.delta_theta:
-        return InputExpectations(inputs)
-    phase = math.pi / 4 + fault.delta_theta
-    return InputExpectations(inputs, (math.cos(phase), math.sin(phase), 0.0))
-
-
 def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
     """One adaptive run: its record bits, resolved sequence and its table.
 
@@ -286,7 +268,12 @@ def record_table(seq: FixedSequence, fault: FaultModel
             ev.line: m - 1 - slot for slot, ev in enumerate(events)}):
         if depolarizing:
             flips[len(ins.targets) - 1].extend(_flip_masks(frame, ins))
-    table = outcome_table(frame, m, _bloch_table(seq.inputs, fault),
+    magic = None
+    if isinstance(fault, MagicMiscalibration) and fault.delta_theta:
+        # the miscalibrated source prepares MAGIC lines at pi/4 + delta_theta
+        phase = math.pi / 4 + fault.delta_theta
+        magic = (math.cos(phase), math.sin(phase), 0.0)
+    table = outcome_table(frame, m, seq.inputs, magic,
                           _depolarizing_factor(flips, m, fault.p_err)
                           if depolarizing else None)
     total = float(table.sum())

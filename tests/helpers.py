@@ -26,9 +26,9 @@ from cliffcert.pauli import PauliFrame, PauliOperator, _bits
 from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
                               FaultModel, GadgetCoinBias, Ideal, Liar,
                               MagicMiscalibration, MeasurementEvent,
-                              SimulatedDevice, Transcript, _plan_events,
-                              _sample_table, circuit_id, derive_seed,
-                              fault_to_text, record_table)
+                              SimulatedDevice, Transcript, _FAULT_NAMES,
+                              _plan_events, _sample_table, circuit_id,
+                              derive_seed, record_table)
 from cliffcert.statevector import GATES_1Q, GATES_2Q
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +39,15 @@ CLIFFORD_1Q = ("H", "S", "SDG", "X", "Y", "Z")
 CLIFFORD_2Q = ("CX", "CZ", "SWAP")
 # every gate kind with a Clifford conjugation rule
 ALL_CLIFFORD = CLIFFORD_1Q + ("ID",) + CLIFFORD_2Q
+
+
+def fault_to_text(fault: FaultModel) -> str:
+    """The spec `prover.parse_fault` reads back as `fault`."""
+    name = _FAULT_NAMES[type(fault)]
+    if isinstance(fault, Ideal):
+        return name
+    value = next(iter(vars(fault).values()))
+    return f"{name} {value!r}"
 
 
 def random_input(rng: random.Random) -> InputState:
@@ -194,9 +203,9 @@ def _conjugate_bits(x: int, z: int, sign: int,
                     gate: Instruction) -> tuple[int, int, int]:
     """gate^dagger P gate on the (x, z, sign) of one Pauli: the scalar
     rule table the bit-sliced `pauli.PauliFrame` is checked against."""
-    if not gate.is_unitary:
-        raise ValueError(f"{gate.op} is not unitary")
     op = gate.op
+    if op in ("MEASURE", "TGADGET"):
+        raise ValueError(f"{op} is not unitary")
 
     if op in ("ID", "T"):
         if op == "T":
@@ -255,7 +264,7 @@ def _conjugate_bits(x: int, z: int, sign: int,
 
 
 def scalar_conjugate(p: PauliOperator, gate: Instruction) -> PauliOperator:
-    """Reference for `pauli.conjugate`, one operator and one gate."""
+    """gate^dagger p gate by the scalar rules, one operator and one gate."""
     return PauliOperator(p.n, *_conjugate_bits(p.x, p.z, p.sign, gate))
 
 

@@ -10,9 +10,8 @@ import pytest
 from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
                                ZERO)
 from cliffcert.pauli import (K_MAX, PauliFrame, PauliOperator, backpropagate,
-                             conjugate, expectation, input_expectations,
-                             joint_output_probability, outcome_table,
-                             pull_back,
+                             expectation, joint_output_probability,
+                             outcome_table, pull_back,
                              single_output_probability)
 from cliffcert.prover import IDEAL
 
@@ -33,20 +32,20 @@ ALL_2Q = [from_label(a + b, s)
 class TestConjugate:
     def test_h_swaps_x_and_z(self):
         h = Instruction("H", (0,))
-        assert label(conjugate(from_label("Z"), h)) == "+X"
-        assert label(conjugate(from_label("X"), h)) == "+Z"
-        assert label(conjugate(from_label("Y"), h)) == "-Y"
+        assert label(pull_back(from_label("Z"), (h,))) == "+X"
+        assert label(pull_back(from_label("X"), (h,))) == "+Z"
+        assert label(pull_back(from_label("Y"), (h,))) == "-Y"
 
     def test_s_inverse_image(self):
         # S^dagger X S = -Y and S^dagger Y S = +X (2x2 matrix oracle below
         # pins every case; these two document the orientation)
         s = Instruction("S", (0,))
-        assert label(conjugate(from_label("X"), s)) == "-Y"
-        assert label(conjugate(from_label("Y"), s)) == "+X"
+        assert label(pull_back(from_label("X"), (s,))) == "-Y"
+        assert label(pull_back(from_label("Y"), (s,))) == "+X"
 
     def test_cx_grows_z_support(self):
         cx = Instruction("CX", (0, 1))
-        got = conjugate(from_label("IZ"), cx)
+        got = pull_back(from_label("IZ"), (cx,))
         assert label(got) == "+ZZ"
 
     def test_exhaustive_1q_matrix_oracle(self):
@@ -55,7 +54,7 @@ class TestConjugate:
             g = gate_matrix(ins, 1)
             for p in ALL_1Q:
                 want = g.conj().T @ pauli_matrix(p) @ g
-                got = pauli_matrix(conjugate(p, ins))
+                got = pauli_matrix(pull_back(p, (ins,)))
                 assert np.allclose(got, want, atol=1e-12), (op, label(p))
 
     def test_exhaustive_2q_matrix_oracle(self):
@@ -65,7 +64,7 @@ class TestConjugate:
                 g = gate_matrix(ins, 2)
                 for p in ALL_2Q:
                     want = g.conj().T @ pauli_matrix(p) @ g
-                    got = pauli_matrix(conjugate(p, ins))
+                    got = pauli_matrix(pull_back(p, (ins,)))
                     assert np.allclose(got, want, atol=1e-12), \
                         (op, targets, label(p))
 
@@ -77,7 +76,7 @@ class TestConjugate:
         for _ in range(200):
             g1, g2 = rng.choice(gates), rng.choice(gates)
             p = random_pauli(rng, 2)
-            got = pauli_matrix(conjugate(conjugate(p, g1), g2))
+            got = pauli_matrix(pull_back(p, (g2, g1)))
             u = gate_matrix(g1, 2) @ gate_matrix(g2, 2)
             want = u.conj().T @ pauli_matrix(p) @ u
             assert np.allclose(got, want, atol=1e-12)
@@ -91,16 +90,11 @@ class TestConjugate:
             p, q = random_pauli(rng, 3), random_pauli(rng, 3)
             g = rng.choice(gates)
             assert commutes(p, q) == \
-                commutes(conjugate(p, g), conjugate(q, g))
-
-    def test_measure_rejected(self):
-        with pytest.raises(ValueError):
-            conjugate(PauliOperator(1, 0, 0),
-                      Instruction("MEASURE", (0,), label="out"))
+                commutes(pull_back(p, (g,)), pull_back(q, (g,)))
 
     def test_t_rejected(self):
         with pytest.raises(ValueError):
-            conjugate(PauliOperator(1, 0, 0), Instruction("T", (0,)))
+            pull_back(PauliOperator(1, 0, 0), (Instruction("T", (0,)),))
 
 
 class TestPauliFrame:
@@ -209,16 +203,14 @@ class TestMultiply:
 
 class TestExpectation:
     def test_z_on_zero(self):
-        table = input_expectations((InputState(ZERO),))
-        assert expectation(from_label("Z"), table) == 1.0
+        assert expectation(from_label("Z"), (InputState(ZERO),)) == 1.0
 
     def test_z_on_magic_is_zero(self):
-        table = input_expectations((InputState(MAGIC),))
-        assert expectation(from_label("Z"), table) == 0.0
+        assert expectation(from_label("Z"), (InputState(MAGIC),)) == 0.0
 
     def test_xx_on_two_magic(self):
-        table = input_expectations((InputState(MAGIC), InputState(MAGIC)))
-        got = expectation(from_label("XX"), table)
+        got = expectation(from_label("XX"),
+                          (InputState(MAGIC), InputState(MAGIC)))
         assert abs(got - 0.5) < 1e-15
 
     def test_in_unit_interval(self):
@@ -226,8 +218,7 @@ class TestExpectation:
         from helpers import random_inputs
         for _ in range(200):
             n = rng.randint(1, 5)
-            table = input_expectations(random_inputs(rng, n))
-            value = expectation(random_pauli(rng, n), table)
+            value = expectation(random_pauli(rng, n), random_inputs(rng, n))
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
@@ -402,7 +393,7 @@ class TestJointProbability:
             checked += 1
 
 
-def scalar_outcome_table(operators, bloch):
+def scalar_outcome_table(operators, inputs):
     """The expansion one subset at a time, cell bit j selecting
     operators[j]: each product from a smaller subset by `multiply`, then
     `expectation`; the reference for the vectorised `outcome_table`, with
@@ -418,7 +409,7 @@ def scalar_outcome_table(operators, bloch):
         assert phase.imag == 0
         products[subset] = PauliOperator(product.n, product.x, product.z,
                                          1 if phase.real > 0 else -1)
-        values[subset] = expectation(products[subset], bloch)
+        values[subset] = expectation(products[subset], inputs)
     half = 1
     while half < size:
         pairs = values.reshape(-1, 2, half)
@@ -469,11 +460,10 @@ class TestOutcomeTable:
                 seq = random_fixed_sequence(rng, n, rng.randint(n, 4 * n),
                                             intermediate=6)
             operators = measured_with_random_signs(rng, seq)
-            bloch = input_expectations(seq.inputs)
             assert np.array_equal(
                 outcome_table(frame_holding(operators), len(operators),
-                              bloch),
-                scalar_outcome_table(operators, bloch))
+                              seq.inputs),
+                scalar_outcome_table(operators, seq.inputs))
 
     def test_table_spanning_several_blocks_matches_scalar(self):
         # 11 operators over more than 128 of 200 lines: 2^11 cells times
@@ -485,16 +475,15 @@ class TestOutcomeTable:
         for p in operators:
             support |= p.support
         assert len(operators) == 11 and support.bit_count() > 128
-        bloch = input_expectations(seq.inputs)
         assert np.array_equal(outcome_table(frame_holding(operators), 11,
-                                            bloch),
-                              scalar_outcome_table(operators, bloch))
+                                            seq.inputs),
+                              scalar_outcome_table(operators, seq.inputs))
 
     def test_non_hermitian_term_raises(self):
         # X and Z on one line anticommute: XZ = -iY is no observable
         with pytest.raises(AssertionError, match="non-Hermitian"):
             outcome_table(frame_holding([from_label("X"), from_label("Z")]),
-                          2, input_expectations((InputState(ZERO),)))
+                          2, (InputState(ZERO),))
 
 
 class TestPauliOperator:

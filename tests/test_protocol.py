@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 from collections import Counter
 
@@ -14,13 +15,14 @@ from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
 from cliffcert import protocol
 from cliffcert.pauli import PauliFrame
-from cliffcert.protocol import (ACCEPT, GADGET_BIAS, IMPOSSIBLE_OUTCOME,
-                                OUTPUT_DEVIATION, REJECT, build_stage_prefix,
-                                campaign_table_sizes, compose_error, plan,
-                                report_summary,
+from cliffcert.protocol import (ACCEPT, EXTRA_LINE_DEVIATION, GADGET_BIAS,
+                                IMPOSSIBLE_OUTCOME, OUTPUT_DEVIATION, REJECT,
+                                GateTestResult, MeasurementStageResult,
+                                build_stage_prefix, campaign_table_sizes,
+                                compose_error, plan, report_summary,
                                 report_to_json_dict, run_computational,
                                 run_gate_tests, run_measurement_tests,
-                                verify_campaign)
+                                verdict, verify_campaign)
 
 from helpers import (CIRCUITS, random_fixed_sequence, random_t_circuit,
                      record_counts, run_adaptive_batch, run_fixed)
@@ -155,6 +157,17 @@ class TestStagePrefix:
         _, _, extras = build_stage_prefix(tr.resolved, 1, 5)
         assert extras == (0,)
 
+    def test_widest_sequence_probes_next_unmeasured_lines(self):
+        # 65,536 lines, the lowest two measured before the gadget: the
+        # probes are the next unmeasured lines, wherever the scan stops
+        c = gadgetize(parse_circuit(
+            "qubits 65535\nMEASURE 0 a\nMEASURE 1 b\nT 2\n"
+            "MEASURE 2 out\n"))
+        assert c.n_lines == 65536
+        _, ancilla, extras = build_stage_prefix(resolve(c, (0,)), 1, 3)
+        assert ancilla == 65535
+        assert extras == (2, 3, 4)
+
     def test_stage_bounds(self):
         with pytest.raises(ValueError):
             build_stage_prefix(resolve(DET3, (0, 0, 0)), 4, 2)
@@ -199,7 +212,7 @@ class TestMeasurementTests:
         tr = run_computational(dev, DET3, 11)
         p = plan(DET3.gadget_count, 0.05, 0.05, 0.01)
         results = run_measurement_tests(dev, tr, p, 11)
-        assert not results[0].gadget_passed
+        assert results[0].failures[0].kind == GADGET_BIAS
         assert abs(results[0].p_hat - 0.6) < 0.01
 
     def test_zero_gadgets_no_stages(self):
@@ -263,6 +276,95 @@ class TestMeasurementTests:
         assert calls["joint_output_probability"] == 1
         # one sweep for the device's record table, one for the theory table
         assert calls["sweep"] == 2
+
+
+def _parent_kinds(result) -> list[str]:
+    """The failure kinds of a gate or stage result by the rules as first
+    written: an impossible outcome alone, else each statistic outside its
+    tolerance, gadget before probes."""
+    if result.impossible_observed:
+        return [IMPOSSIBLE_OUTCOME]
+    if isinstance(result, GateTestResult):
+        return [OUTPUT_DEVIATION] * (
+            abs(result.p_hat - result.p_classical) > result.eta)
+    kinds = [GADGET_BIAS] * (abs(result.p_hat - 0.5) > result.d_gadget)
+    if result.tv_distance is not None and result.tv_distance > result.eta:
+        kinds.append(EXTRA_LINE_DEVIATION)
+    return kinds
+
+
+class TestDecisionRule:
+    """One rule for every statistical check: it fails unless
+    |observed - expected| <= tolerance.  Binary-exact values put a statistic
+    exactly on its tolerance and one float beyond it."""
+
+    ABOVE = math.nextafter(0.75, 1.0)  # 0.75 + 2^-53, deviation > 0.25
+    TV_OVER = math.nextafter(0.25, 1.0)
+
+    GATE = GateTestResult(repetitions=4, p_hat=0.75, p_classical=0.5,
+                          eta=0.25, ci_halfwidth=0.1,
+                          impossible_observed=False)
+    STAGE = MeasurementStageResult(
+        stage=2, ancilla_line=3, repetitions=4, p_hat=0.75, d_gadget=0.25,
+        ci_halfwidth=0.1, extra_lines=(0,), tv_distance=0.25, eta=0.25,
+        impossible_observed=False)
+
+    def _cases(self):
+        for p_hat in (0.25, 0.5, 0.75, self.ABOVE):
+            for impossible in (False, True):
+                yield dataclasses.replace(self.GATE, p_hat=p_hat,
+                                          impossible_observed=impossible)
+                for tv in (None, 0.0, 0.25, self.TV_OVER):
+                    yield dataclasses.replace(
+                        self.STAGE, p_hat=p_hat, tv_distance=tv,
+                        impossible_observed=impossible)
+
+    def test_boundary_passes_and_next_float_fails(self):
+        assert self.GATE.passed and self.STAGE.passed
+        gate = dataclasses.replace(self.GATE, p_hat=self.ABOVE)
+        assert [f.kind for f in gate.failures] == [OUTPUT_DEVIATION]
+        stage = dataclasses.replace(self.STAGE, p_hat=self.ABOVE)
+        assert [f.kind for f in stage.failures] == [GADGET_BIAS]
+        probes = dataclasses.replace(self.STAGE, tv_distance=self.TV_OVER)
+        assert [f.kind for f in probes.failures] == [EXTRA_LINE_DEVIATION]
+
+    def test_no_probes_no_probe_check(self):
+        stage = dataclasses.replace(self.STAGE, tv_distance=None, eta=0.0)
+        assert stage.failures == ()
+
+    def test_impossible_outcome_is_its_batch_only_failure(self):
+        stage = dataclasses.replace(self.STAGE, p_hat=self.ABOVE,
+                                    tv_distance=self.TV_OVER,
+                                    impossible_observed=True)
+        assert [(f.kind, f.stage) for f in stage.failures] == \
+            [(IMPOSSIBLE_OUTCOME, 2)]
+        gate = dataclasses.replace(self.GATE, p_hat=self.ABOVE,
+                                   impossible_observed=True)
+        assert [f.kind for f in gate.failures] == [IMPOSSIBLE_OUTCOME]
+
+    def test_failures_follow_the_one_rule(self):
+        for result in self._cases():
+            failures = result.failures
+            assert result.passed == (failures == ())
+            assert [f.kind for f in failures] == _parent_kinds(result)
+            for f in failures:
+                if f.kind != IMPOSSIBLE_OUTCOME:
+                    assert abs(f.observed - f.expected) > f.tolerance
+
+    def test_verdict_joins_failures_in_order(self):
+        test_plan = plan(2, 0.05, 0.25, 0.01)
+        gate = dataclasses.replace(self.GATE, p_hat=self.ABOVE)
+        stages = [dataclasses.replace(self.STAGE, stage=1,
+                                      tv_distance=self.TV_OVER),
+                  dataclasses.replace(self.STAGE, p_hat=self.ABOVE,
+                                      tv_distance=self.TV_OVER)]
+        report = verdict(None, test_plan, 0.5, gate, stages)
+        assert report.decision == REJECT
+        assert [(f.kind, f.stage) for f in report.failures] == [
+            (OUTPUT_DEVIATION, None), (EXTRA_LINE_DEVIATION, 1),
+            (GADGET_BIAS, 2), (EXTRA_LINE_DEVIATION, 2)]
+        assert report.pi_bound is None and report.epsilon_prime is None
+        assert report.confidence_lower_bound is None
 
 
 class TestComposeError:

@@ -14,14 +14,14 @@ from cliffcert.circuit import (MEASURED_LINE_REUSED, FixedSequence,
 from cliffcert import prover
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice,
-                              derive_seed, fault_to_text, parse_fault)
+                              derive_seed, parse_fault)
 from cliffcert.protocol import verify_campaign
 from cliffcert import statevector as sv
 from cliffcert.pauli import single_output_probability
 
 from helpers import (CIRCUITS, adaptive_record_table, assert_records_follow,
                      cell_of, depolarized_distribution, distribution_table,
-                     final_output_probability,
+                     fault_to_text, final_output_probability,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
                      frequency_of_one, gadget_born_probabilities, loop_counts,
@@ -205,7 +205,7 @@ class TestFaultModels:
                       "gadget_coin_bias 0.1", "depolarizing 0.01",
                       "liar 0.25"):
             fm = parse_fault(text)
-            assert parse_fault(prover.fault_to_text(fm)) == fm
+            assert parse_fault(fault_to_text(fm)) == fm
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
