@@ -11,8 +11,8 @@ ideal fair coin.
 from .circuit import (AdaptiveCircuit, CircuitParseError, FixedSequence,
                       InputState, Instruction, InvalidCircuitError, Violation,
                       gadgetize, parse_circuit, resolve, serialize, validate)
-from .pauli import (PauliOperator, backpropagate, expectation,
-                    joint_output_probability, single_output_probability)
+from .pauli import (backpropagate, joint_output_probability,
+                    single_output_probability)
 from .prover import (Depolarizing, FaultModel, GadgetCoinBias, IDEAL, Ideal,
                      Liar, MagicMiscalibration, SimulatedDevice, Transcript,
                      parse_fault)
@@ -27,8 +27,7 @@ __all__ = [
     "AdaptiveCircuit", "CircuitParseError", "FixedSequence", "InputState",
     "Instruction", "InvalidCircuitError", "Violation", "gadgetize",
     "parse_circuit", "resolve", "serialize", "validate",
-    "PauliOperator", "backpropagate", "expectation",
-    "joint_output_probability", "single_output_probability",
+    "backpropagate", "joint_output_probability", "single_output_probability",
     "Depolarizing", "FaultModel", "GadgetCoinBias",
     "IDEAL", "Ideal", "Liar", "MagicMiscalibration", "SimulatedDevice",
     "Transcript", "parse_fault",

@@ -177,18 +177,26 @@ class AdaptiveCircuit(_ValidCircuit):
 class FixedSequence(_ValidCircuit):
     """Fully resolved non-adaptive sequence: Clifford gates + measurements.
 
-    Gadget corrections are frozen to `frozen_outcomes` (S for 1, ID for 0),
-    one entry per gadget of the source circuit, in gadget order.
     `gadget_slots` holds the instruction index of each gadget's ancilla
     MEASURE, in increasing order; each must directly follow CX(target,
-    ancilla) on a MAGIC line that no earlier instruction touches.
+    ancilla) on a MAGIC line that no earlier instruction touches.  A
+    gadget's frozen outcome is its correction, the instruction right after
+    its slot: S on the target for 1, ID for 0.
     """
 
     n_lines: int
     inputs: tuple[InputState, ...]
     instructions: tuple[Instruction, ...]
-    frozen_outcomes: tuple[int, ...]
     gadget_slots: tuple[int, ...] = ()
+
+    @property
+    def frozen_outcomes(self) -> tuple[int, ...]:
+        """Each gadget's frozen bit, read off its correction; a gadget with
+        none (a stage prefix's last) has no bit."""
+        ins = self.instructions
+        return tuple(int(ins[s + 1].op == "S") for s in self.gadget_slots
+                     if s + 1 < len(ins) and ins[s + 1].op in ("S", "ID")
+                     and ins[s + 1].targets == ins[s - 1].targets[:1])
 
 
 Circuit = Union[AdaptiveCircuit, FixedSequence]
@@ -387,7 +395,6 @@ def resolve(circuit: AdaptiveCircuit,
         n_lines=circuit.n_lines,
         inputs=circuit.inputs,
         instructions=tuple(new_instructions),
-        frozen_outcomes=outcomes,
         gadget_slots=tuple(slots),
     )
 

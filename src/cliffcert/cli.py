@@ -39,8 +39,8 @@ from .circuit import validate  # noqa: F401
 from .pauli import K_MAX, single_output_probability
 from .prover import (MAX_RECORD_SLOTS, FaultModel, SimulatedDevice,
                      parse_fault)
-from .protocol import (campaign_table_sizes, plan, report_summary,
-                       report_to_json_dict, verify_campaign)
+from .protocol import (EXTRA_CHECK_LINES, campaign_table_sizes, plan,
+                       report_summary, report_to_json_dict, verify_campaign)
 
 ENV_OUTPUT_DIR = "CLIFFCERT_OUTPUT_DIR"
 
@@ -122,7 +122,7 @@ def parse_config(path: Path) -> CampaignConfig:
         eta=tolerance("eta", 0.05),
         delta=tolerance("delta", 0.01),
         fault=fault,
-        extra_check_lines=number("extra_check_lines", 2, int,
+        extra_check_lines=number("extra_check_lines", EXTRA_CHECK_LINES, int,
                                  "a non-negative integer", lambda v: v >= 0),
         output_dir=Path(output_dir),
     )

@@ -1,24 +1,23 @@
-"""Signed Pauli operators and polynomial-time output probabilities.
+"""Pauli back-propagation and polynomial-time output probabilities.
 
-A signed n-line Pauli is held as two bit masks (x, z) plus a sign of +/-1;
-bit i of x/z encodes line i's factor via (x, z) -> {00: I, 10: X, 11: Y,
-01: Z}.  Each measured Z is pulled back through the gates before it
-(Heisenberg picture, Aaronson-Gottesman quant-ph/0406196) by
-:class:`PauliFrame`, the one Clifford conjugation rule table: it holds
-operators bit-sliced per line, so one backward sweep over N gates pulls
-back every measured operator of a sequence, a few integer operations per
-gate.  With per-line input expectations this gives output probabilities of
-non-adaptive sequences on product inputs in time linear in circuit size.
-The joint outcome table of a swept frame's k commuting operators
-(:func:`outcome_table`, shared by the verifier and the simulated device)
-reads every subset product off the frame's slices, operator j as bit j of
-a cell: O(|U| * 2^k) for a union support of |U| lines in a fixed number of
-array passes, plus the k passes of one Walsh-Hadamard transform.
+Signed n-line Paulis exist only inside a :class:`PauliFrame`, bit-sliced
+per line: a line's (x, z) bits give an operator's factor there via
+(x, z) -> {00: I, 10: X, 11: Y, 01: Z}.  Each measured Z is pulled back
+through the gates before it (Heisenberg picture, Aaronson-Gottesman
+quant-ph/0406196) by the frame, the one Clifford conjugation rule table:
+one backward sweep over N gates moves every operator of the frame at
+once, a few integer operations per gate.  With per-line input
+expectations this gives output probabilities of non-adaptive sequences on
+product inputs in time linear in circuit size.  The joint outcome table
+of a swept frame's k commuting operators (:func:`outcome_table`, shared by
+the verifier and the simulated device) reads every subset product off the
+frame's slices, operator j as bit j of a cell: O(|U| * 2^k) for a union
+support of |U| lines in a fixed number of array passes, plus the k passes
+of one Walsh-Hadamard transform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,41 +26,6 @@ from .circuit import (MAGIC, Circuit, FixedSequence, Instruction,
                       InputState)
 
 K_MAX = 10
-
-
-@dataclass(frozen=True)
-class PauliOperator:
-    """sign * tensor product of I/X/Y/Z over n lines, Hermitian (sign +/-1)."""
-
-    n: int
-    x: int
-    z: int
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
-            raise ValueError("x/z bits outside the first n lines")
-
-    @classmethod
-    def z_on(cls, n: int, line: int) -> "PauliOperator":
-        return cls(n, 0, 1 << line, 1)
-
-    def bit(self, line: int) -> tuple[int, int]:
-        return ((self.x >> line) & 1, (self.z >> line) & 1)
-
-    @property
-    def support(self) -> int:
-        return self.x | self.z
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class PauliFrame:
@@ -140,37 +104,12 @@ class PauliFrame:
             else:
                 raise ValueError(f"{op} is not unitary")
 
-    def operators(self, count: int) -> list[PauliOperator]:
-        """Operators 0..count-1 as PauliOperators."""
-        x, z = [0] * count, [0] * count
-        for slices, out in ((self.xs, x), (self.zs, z)):
-            for line in self.touched:
-                held = slices[line]
-                while held:
-                    low = held & -held
-                    out[low.bit_length() - 1] |= 1 << line
-                    held ^= low
-        return [PauliOperator(self.n_lines, x[i], z[i],
-                              -1 if (self.signs >> i) & 1 else 1)
-                for i in range(count)]
-
-
-def expectation(p: PauliOperator, inputs: Sequence[InputState]) -> float:
-    """<p> on the product state `inputs`, reading `inputs[line].bloch()`
-    on p's support lines only; identity lines give 1."""
-    if p.n != len(inputs):
-        raise ValueError("operator and input sizes differ")
-    value = float(p.sign)
-    for line in _bits(p.support):
-        xb, zb = p.bit(line)
-        ex, ey, ez = inputs[line].bloch()
-        value *= ey if (xb and zb) else (ex if xb else ez)
-    return value
 
 
 def backpropagate(seq: Circuit, line: int,
-                  at: int | None = None) -> PauliOperator:
-    """U^dagger Z_line U for the unitary part of seq.instructions[:at].
+                  at: int | None = None) -> PauliFrame:
+    """U^dagger Z_line U for the unitary part U of seq.instructions[:at],
+    as operator 0 of a swept one-operator frame.
 
     Measurements and ID markers are skipped: by the measured-line no-reuse
     invariant a mid-sequence measurement commutes with everything that
@@ -183,33 +122,29 @@ def backpropagate(seq: Circuit, line: int,
         at = count
     if not (0 <= at <= count):
         raise ValueError(f"position {at} outside 0..{count}")
-    return pull_back(PauliOperator.z_on(seq.n_lines, line),
-                     seq.instructions[:at])
-
-
-def pull_back(p: PauliOperator,
-              instructions: Sequence[Instruction]) -> PauliOperator:
-    """U^dagger p U for the unitary part U of `instructions`; MEASURE and
-    ID are skipped."""
-    frame = PauliFrame(p.n)
-    for line in _bits(p.support):
-        frame.xs[line], frame.zs[line] = p.bit(line)
-        frame.touched.add(line)
-    frame.signs = int(p.sign < 0)
-    for _ in frame.sweep(instructions, {}):
+    frame = PauliFrame(seq.n_lines)
+    frame.zs[line] = 1
+    frame.touched.add(line)
+    for _ in frame.sweep(seq.instructions[:at], {}):
         pass
-    return frame.operators(1)[0]
+    return frame
 
 
 def single_output_probability(seq: FixedSequence, outcome: int) -> float:
-    """P(output bit = outcome) for a valid fixed sequence on its inputs.
-
-    Intermediate measurements are omitted outright; on no-reuse sequences
-    they cannot influence the reduced state of the remaining lines.
+    """P(output bit = outcome) for a valid fixed sequence on its inputs:
+    (1 + (-1)^outcome <P>) / 2 for P = :func:`backpropagate`'s operator,
+    <P> its sign times one Bloch component per support line, in increasing
+    line order.  Intermediate measurements are omitted outright; on
+    no-reuse sequences they cannot influence the reduced state of the
+    remaining lines.
     """
-    value = expectation(backpropagate(seq, seq.output_line), seq.inputs)
-    if outcome:
-        value = -value
+    frame = backpropagate(seq, seq.output_line)
+    value = -1.0 if (frame.signs ^ outcome) & 1 else 1.0
+    for line in sorted(frame.touched):
+        x, z = frame.xs[line], frame.zs[line]
+        if x | z:
+            ex, ey, ez = seq.inputs[line].bloch()
+            value *= ey if x & z else (ex if x else ez)
     return (1.0 + value) / 2.0
 
 

@@ -42,6 +42,9 @@ INCOMPLETE = "INCOMPLETE"
 # numpy's multinomial draws at most 2^63 - 1 runs in one batch
 MAX_REPETITIONS = (1 << 63) - 1
 
+# probe lines per measurement-test stage when a campaign names no number
+EXTRA_CHECK_LINES = 2
+
 ACCEPT = "ACCEPT"
 REJECT = "REJECT"
 
@@ -88,7 +91,7 @@ def hoeffding_halfwidth(repetitions: int, delta: float) -> float:
 
 
 def plan(t: int, epsilon: float, eta: float, delta: float,
-         extra_check_lines: int = 2) -> TestPlan:
+         extra_check_lines: int = EXTRA_CHECK_LINES) -> TestPlan:
     """Build the test plan for a circuit with t gadgets."""
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -275,7 +278,6 @@ def build_stage_prefix(resolved: FixedSequence, stage: int,
         n_lines=resolved.n_lines,
         inputs=resolved.inputs,
         instructions=tuple(instructions),
-        frozen_outcomes=resolved.frozen_outcomes[:stage - 1],
         gadget_slots=slots[:stage],
     )
     return prefix, ancilla, extras
@@ -461,7 +463,8 @@ def report_summary(report: VerdictReport) -> str:
 
 def verify_campaign(device, circuit: AdaptiveCircuit, epsilon: float,
                     eta: float, delta: float, seed: int,
-                    extra_check_lines: int = 2) -> VerdictReport:
+                    extra_check_lines: int = EXTRA_CHECK_LINES
+                    ) -> VerdictReport:
     """Run one full verification campaign against `device`.
 
     All randomness derives from `seed`; identical inputs give an identical

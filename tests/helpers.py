@@ -1,6 +1,7 @@
 """Shared test utilities: seeded circuit generators, the dense statevector
 oracles (the branch tree, the one-pass deferred table and the reference
-trajectory), the scalar Pauli references (one operator at a time), and the
+trajectory), the scalar Pauli references (one `PauliOperator` at a time,
+with its `expectation` and the read-out of a `PauliFrame`), and the
 test-only device, statevector and Pauli-algebra API.
 
 The device runs on the Pauli engine, so every oracle here that a device
@@ -22,7 +23,7 @@ from cliffcert import statevector as sv
 from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                Circuit, FixedSequence, InputState, Instruction,
                                resolve)
-from cliffcert.pauli import PauliFrame, PauliOperator, _bits
+from cliffcert.pauli import PauliFrame
 from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
                               FaultModel, GadgetCoinBias, Ideal, Liar,
                               MagicMiscalibration, MeasurementEvent,
@@ -88,7 +89,7 @@ def random_fixed_sequence(rng: random.Random, n: int, depth: int,
             budget -= 1
     instructions.append(Instruction("MEASURE", (rng.choice(alive),),
                                     label="out"))
-    return FixedSequence(n, random_inputs(rng, n), tuple(instructions), ())
+    return FixedSequence(n, random_inputs(rng, n), tuple(instructions))
 
 
 def random_clifford_sequence(rng: random.Random, n: int, depth: int,
@@ -112,7 +113,7 @@ def random_clifford_sequence(rng: random.Random, n: int, depth: int,
         instructions.append(Instruction(op, tuple(targets)))
     instructions.append(Instruction("MEASURE", (rng.choice(alive),),
                                     label="out"))
-    return FixedSequence(n, random_inputs(rng, n), tuple(instructions), ())
+    return FixedSequence(n, random_inputs(rng, n), tuple(instructions))
 
 
 def random_t_circuit(rng: random.Random, n: int, depth: int, n_t: int,
@@ -145,6 +146,78 @@ def random_t_circuit(rng: random.Random, n: int, depth: int, n_t: int,
     instructions.append(Instruction("MEASURE", (rng.choice(alive),),
                                     label="out"))
     return AdaptiveCircuit(n, random_inputs(rng, n), tuple(instructions))
+
+
+@dataclass(frozen=True)
+class PauliOperator:
+    """sign * tensor product of I/X/Y/Z over n lines, Hermitian (sign +/-1):
+    the scalar form of one frame operator, bit i of x/z its factor on line
+    i via (x, z) -> {00: I, 10: X, 11: Y, 01: Z}."""
+
+    n: int
+    x: int
+    z: int
+    sign: int = 1
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        mask = (1 << self.n) - 1
+        if self.x & ~mask or self.z & ~mask:
+            raise ValueError("x/z bits outside the first n lines")
+
+    @classmethod
+    def z_on(cls, n: int, line: int) -> "PauliOperator":
+        return cls(n, 0, 1 << line, 1)
+
+    def bit(self, line: int) -> tuple[int, int]:
+        return ((self.x >> line) & 1, (self.z >> line) & 1)
+
+    @property
+    def support(self) -> int:
+        return self.x | self.z
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def frame_operators(frame: PauliFrame, count: int) -> list[PauliOperator]:
+    """Operators 0..count-1 of `frame` as PauliOperators."""
+    x, z = [0] * count, [0] * count
+    for slices, out in ((frame.xs, x), (frame.zs, z)):
+        for line in frame.touched:
+            for j in _bits(slices[line]):
+                out[j] |= 1 << line
+    return [PauliOperator(frame.n_lines, x[j], z[j],
+                          -1 if (frame.signs >> j) & 1 else 1)
+            for j in range(count)]
+
+
+def pull_back(p: PauliOperator, instructions) -> PauliOperator:
+    """U^dagger p U for the unitary part U of `instructions` by one frame
+    sweep; MEASURE and ID are skipped."""
+    frame = frame_holding([p])
+    for _ in frame.sweep(instructions, {}):
+        pass
+    return frame_operators(frame, 1)[0]
+
+
+def expectation(p: PauliOperator, inputs) -> float:
+    """<p> on the product state `inputs`, reading `inputs[line].bloch()`
+    on p's support lines only, in increasing line order; identity lines
+    give 1."""
+    if p.n != len(inputs):
+        raise ValueError("operator and input sizes differ")
+    value = float(p.sign)
+    for line in _bits(p.support):
+        xb, zb = p.bit(line)
+        ex, ey, ez = inputs[line].bloch()
+        value *= ey if (xb and zb) else (ex if xb else ez)
+    return value
 
 
 def random_pauli(rng: random.Random, n: int) -> PauliOperator:
@@ -269,7 +342,7 @@ def scalar_conjugate(p: PauliOperator, gate: Instruction) -> PauliOperator:
 
 
 def scalar_pull_back(p: PauliOperator, instructions) -> PauliOperator:
-    """Reference for `pauli.pull_back`: the scalar rules gate by gate,
+    """Reference for `pull_back`: the scalar rules gate by gate,
     backwards, MEASURE and ID skipped."""
     for ins in reversed(instructions):
         if ins.op not in ("MEASURE", "ID"):
@@ -285,7 +358,7 @@ def measured_operators(seq: Circuit, lines) -> list[PauliOperator]:
     for _ in frame.sweep(seq.instructions,
                          {line: i for i, line in enumerate(lines)}):
         pass
-    return frame.operators(len(lines))
+    return frame_operators(frame, len(lines))
 
 
 def frame_holding(operators) -> PauliFrame:

@@ -1,5 +1,6 @@
 """Parser, serializer, validation, gadgetization, and resolution tests."""
 
+import dataclasses
 import math
 import random
 
@@ -216,7 +217,7 @@ def _slotted(ops, slots):
         Instruction(op, lines, label="g" if op == "MEASURE" else None)
         for op, *lines in ops) + (Instruction("MEASURE", (0,), label="out"),)
     inputs = (InputState(ZERO), InputState(MAGIC), InputState(ZERO))
-    return FixedSequence(3, inputs, instructions, (0,) * len(slots), slots)
+    return FixedSequence(3, inputs, instructions, slots)
 
 
 class TestGadgetSlots:
@@ -309,6 +310,20 @@ class TestResolve:
         for pos in range(len(seqs[0].instructions)):
             ops = {s.instructions[pos].op for s in seqs}
             assert ops <= {"S", "ID"} or len(ops) == 1
+
+    def test_frozen_outcomes_read_off_the_corrections(self, two_gadget):
+        # the bits are the S/ID gates themselves, so no sequence carries
+        # bits that disagree with its corrections
+        for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            seq = resolve(two_gadget, bits)
+            assert seq.frozen_outcomes == bits
+            at = seq.gadget_slots[0] + 1
+            flipped = Instruction("ID" if bits[0] else "S",
+                                  seq.instructions[at].targets)
+            assert dataclasses.replace(seq, instructions=(
+                seq.instructions[:at] + (flipped,)
+                + seq.instructions[at + 1:])).frozen_outcomes == \
+                (1 - bits[0], bits[1])
 
     def test_deterministic_byte_identical(self, two_gadget):
         a = serialize(resolve(two_gadget, (1, 0)))

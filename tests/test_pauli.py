@@ -9,16 +9,16 @@ import pytest
 
 from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
                                ZERO)
-from cliffcert.pauli import (K_MAX, PauliFrame, PauliOperator, backpropagate,
-                             expectation, joint_output_probability,
-                             outcome_table, pull_back,
+from cliffcert.pauli import (K_MAX, PauliFrame, backpropagate,
+                             joint_output_probability, outcome_table,
                              single_output_probability)
 from cliffcert.prover import IDEAL
 
-from helpers import (CLIFFORD_1Q, commutes, dense_record_table,
-                     frame_holding, from_label, gate_matrix, label,
+from helpers import (CLIFFORD_1Q, PauliOperator, commutes,
+                     dense_record_table, expectation, frame_holding,
+                     frame_operators, from_label, gate_matrix, label,
                      measured_operators, multiply,
-                     outcome_distribution, pauli_matrix,
+                     outcome_distribution, pauli_matrix, pull_back,
                      random_clifford_sequence, random_fixed_sequence,
                      random_inputs, random_pauli, scalar_conjugate,
                      scalar_measured_operators, scalar_pull_back)
@@ -134,12 +134,12 @@ class TestPauliFrame:
                         n, ins.targets[0])
                 elif ins.op != "ID":
                     assert next(walk) is ins
-                    assert frame.operators(len(lines)) == \
+                    assert frame_operators(frame, len(lines)) == \
                         [carried[line] for line in lines]
                     carried = {line: scalar_conjugate(op, ins)
                                for line, op in carried.items()}
             assert next(walk, None) is None
-            assert frame.operators(len(lines)) == \
+            assert frame_operators(frame, len(lines)) == \
                 [carried[line] for line in lines]
 
     def test_pull_back_matches_scalar_for_any_pauli(self):
@@ -222,21 +222,26 @@ class TestExpectation:
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
+def backpropagated(seq, line: int, at=None) -> PauliOperator:
+    """`backpropagate`'s operator, read off its one-operator frame."""
+    return frame_operators(backpropagate(seq, line, at), 1)[0]
+
+
 class TestBackpropagate:
     def setup_method(self):
         self.empty = FixedSequence(
             2, (InputState(ZERO), InputState(ZERO)),
-            (Instruction("MEASURE", (1,), label="out"),), ())
+            (Instruction("MEASURE", (1,), label="out"),))
 
     def test_identity_circuit(self):
-        assert backpropagate(self.empty, 1, 0) == PauliOperator.z_on(2, 1)
+        assert backpropagated(self.empty, 1, 0) == PauliOperator.z_on(2, 1)
 
     def test_single_h(self):
         seq = FixedSequence(
             1, (InputState(ZERO),),
             (Instruction("H", (0,)),
-             Instruction("MEASURE", (0,), label="out")), ())
-        assert label(backpropagate(seq, 0)) == "+X"
+             Instruction("MEASURE", (0,), label="out")))
+        assert label(backpropagated(seq, 0)) == "+X"
 
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
@@ -253,15 +258,27 @@ class TestBackpropagate:
                     u = gate_matrix(ins, n) @ u
             z = PauliOperator.z_on(n, seq.output_line)
             want = u.conj().T @ pauli_matrix(z) @ u
-            got = pauli_matrix(backpropagate(seq, seq.output_line))
+            got = pauli_matrix(backpropagated(seq, seq.output_line))
             assert np.allclose(got, want, atol=1e-10)
+
+    def test_every_position_matches_scalar_reference(self):
+        # any line's Z pulled back from any position, past mid-circuit
+        # MEASUREs, on widths whose slices span one to three words
+        rng = random.Random(83)
+        for _ in range(100):
+            n = rng.choice(TestPauliFrame.WIDTHS)
+            seq = random_clifford_sequence(rng, n, rng.randint(20, 80))
+            for at in range(len(seq.instructions) + 1):
+                line = rng.randrange(n)
+                assert backpropagated(seq, line, at) == scalar_pull_back(
+                    PauliOperator.z_on(n, line), seq.instructions[:at])
 
 
 class TestProbabilities:
     def test_measure_zero_input(self):
         seq = FixedSequence(
             1, (InputState(ZERO),),
-            (Instruction("MEASURE", (0,), label="out"),), ())
+            (Instruction("MEASURE", (0,), label="out"),))
         assert single_output_probability(seq, 0) == 1.0
         assert single_output_probability(seq, 1) == 0.0
 
@@ -269,7 +286,7 @@ class TestProbabilities:
         seq = FixedSequence(
             1, (InputState(ZERO),),
             (Instruction("H", (0,)),
-             Instruction("MEASURE", (0,), label="out")), ())
+             Instruction("MEASURE", (0,), label="out")))
         assert abs(single_output_probability(seq, 0) - 0.5) < 1e-15
 
     def test_gadget_shape_prefix_is_fair_coin(self):
@@ -282,10 +299,25 @@ class TestProbabilities:
             seq = FixedSequence(
                 2, (InputState("GENERAL", theta, phi), InputState(MAGIC)),
                 (Instruction("CX", (0, 1)),
-                 Instruction("MEASURE", (1,), label="out")), ())
+                 Instruction("MEASURE", (1,), label="out")))
             for outcome in (0, 1):
                 assert abs(single_output_probability(seq, outcome) - 0.5) \
                     < 1e-12
+
+    def test_equals_scalar_expectation_exactly(self):
+        # the sign, then one Bloch factor per support line in increasing
+        # line order: the arithmetic that fixes p_classical's bytes
+        rng = random.Random(89)
+        for i in range(300):
+            n = rng.choice((2, 5, 9, 70, 130))
+            seq = random_fixed_sequence(rng, n, rng.randint(n, 3 * n),
+                                        intermediate=3) if i % 2 else \
+                random_clifford_sequence(rng, n, rng.randint(n, 3 * n))
+            value = expectation(scalar_pull_back(
+                PauliOperator.z_on(n, seq.output_line), seq.instructions),
+                seq.inputs)
+            assert single_output_probability(seq, 0) == (1.0 + value) / 2.0
+            assert single_output_probability(seq, 1) == (1.0 - value) / 2.0
 
     def test_outcomes_sum_to_one(self):
         rng = random.Random(37)
@@ -301,7 +333,7 @@ class TestJointProbability:
     two_measured = FixedSequence(
         2, (InputState(ZERO), InputState(ZERO)),
         (Instruction("MEASURE", (0,), label="a"),
-         Instruction("MEASURE", (1,), label="out")), ())
+         Instruction("MEASURE", (1,), label="out")))
 
     def test_single_line_reduces_to_single_output(self):
         rng = random.Random(41)
@@ -319,7 +351,7 @@ class TestJointProbability:
             (Instruction("H", (0,)),
              Instruction("CX", (0, 1)),
              Instruction("MEASURE", (0,), label="a"),
-             Instruction("MEASURE", (1,), label="out")), ())
+             Instruction("MEASURE", (1,), label="out")))
         table = joint_output_probability(seq, (0, 1))
         for a, b in itertools.product((0, 1), repeat=2):
             want = 0.5 if a == b else 0.0
@@ -329,13 +361,13 @@ class TestJointProbability:
         seq = FixedSequence(
             1, (InputState(ZERO),),
             (Instruction("H", (0,)),
-             Instruction("MEASURE", (0,), label="out")), ())
+             Instruction("MEASURE", (0,), label="out")))
         assert joint_output_probability(seq, ()).tolist() == [1.0]
 
     def test_unmeasured_line_rejected(self):
         seq = FixedSequence(
             2, (InputState(ZERO), InputState(ZERO)),
-            (Instruction("MEASURE", (1,), label="out"),), ())
+            (Instruction("MEASURE", (1,), label="out"),))
         with pytest.raises(ValueError):
             joint_output_probability(seq, (0,))
 
@@ -347,7 +379,7 @@ class TestJointProbability:
         seq = FixedSequence(
             K_MAX + 1, (InputState(ZERO),) * (K_MAX + 1),
             tuple(Instruction("MEASURE", (line,), label=f"m{line}")
-                  for line in range(K_MAX + 1)), ())
+                  for line in range(K_MAX + 1)))
         assert len(joint_output_probability(seq, range(K_MAX))) == \
             1 << K_MAX
         with pytest.raises(ValueError, match="11 lines exceed k_max=10"):
@@ -434,13 +466,13 @@ def chain_sequence(rng, n: int, measured: int) -> FixedSequence:
     instructions += [Instruction("MEASURE", (line,), label=f"x{line}")
                      for line in lines[:-1]]
     instructions.append(Instruction("MEASURE", (lines[-1],), label="out"))
-    return FixedSequence(n, random_inputs(rng, n), tuple(instructions), ())
+    return FixedSequence(n, random_inputs(rng, n), tuple(instructions))
 
 
 def measured_with_random_signs(rng, seq: FixedSequence):
     """Every measured Z of `seq` pulled back from its MEASURE, each with a
     random sign: a commuting set with X, Y and Z factors."""
-    operators = [backpropagate(seq, ins.targets[0], at=idx)
+    operators = [backpropagated(seq, ins.targets[0], at=idx)
                  for idx, ins in enumerate(seq.instructions)
                  if ins.op == "MEASURE"]
     return [PauliOperator(p.n, p.x, p.z, rng.choice((1, -1)))

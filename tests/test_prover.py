@@ -361,7 +361,7 @@ class TestFaultModels:
             FixedSequence(2, (zero, zero), (
                 Instruction("MEASURE", (0,), label="a"),
                 Instruction("H", (0,)),
-                Instruction("MEASURE", (1,), label="out")), ())
+                Instruction("MEASURE", (1,), label="out")))
         assert [(v.code, v.index) for v in err.value.violations] == \
             [(MEASURED_LINE_REUSED, 1)]
 
