@@ -181,7 +181,8 @@ class FixedSequence(_ValidCircuit):
     MEASURE, in increasing order; each must directly follow CX(target,
     ancilla) on a MAGIC line that no earlier instruction touches.  A
     gadget's frozen outcome is its correction, the instruction right after
-    its slot: S on the target for 1, ID for 0.
+    its slot: S on the target for 1, ID for 0.  Every gadget but the last
+    must have one; a stage prefix's last gadget has none.
     """
 
     n_lines: int
@@ -248,8 +249,9 @@ def validate(circuit: Circuit) -> list[Violation]:
     line is the output).  A fixed sequence also holds no T or TGADGET, and
     each of its `gadget_slots` is, in increasing order, a MEASURE right
     after CX(target, ancilla) on a MAGIC line that no earlier instruction
-    touches.  Both circuit types call this once at construction, so code
-    holding a circuit never validates it again.
+    touches, and each but the last is directly followed by its correction,
+    S or ID on its target.  Both circuit types call this once at
+    construction, so code holding a circuit never validates it again.
     """
     n = circuit.n_lines
     width = _width_error(n)
@@ -328,6 +330,12 @@ def _slot_violations(seq: FixedSequence, slot: int,
     elif first_touch[ins.targets[0]] != slot - 1:
         message = (f"gadget ancilla {ins.targets[0]} used before its "
                    f"gadget at slot {slot}")
+    elif slot != seq.gadget_slots[-1] and not (
+            slot + 1 < len(seq.instructions)
+            and seq.instructions[slot + 1].op in ("S", "ID")
+            and seq.instructions[slot + 1].targets == cx.targets[:1]):
+        message = (f"gadget slot {slot} is not followed by its correction, "
+                   f"S or ID on line {cx.targets[0]}")
     else:
         return []
     return [Violation(BAD_GADGET_SLOT, slot, message)]

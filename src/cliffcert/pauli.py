@@ -13,7 +13,14 @@ of a swept frame's k commuting operators (:func:`outcome_table`, shared by
 the verifier and the simulated device) reads every subset product off the
 frame's slices, operator j as bit j of a cell: O(|U| * 2^k) for a union
 support of |U| lines in a fixed number of array passes, plus the k passes
-of one Walsh-Hadamard transform.
+of one Walsh-Hadamard transform.  Groups of k operators stack on one
+frame and share those passes, one table row per group; the device's
+record table is the one-group case.  :func:`joint_output_probability`
+serves all t stage tables of a campaign this way: their operators enter
+one sweep of the recorded sequence, each group at its stage's cut, and
+each query width takes one stacked pass, so a campaign pays the fixed
+per-call cost of the array passes once per width instead of once per
+stage.
 """
 
 from __future__ import annotations
@@ -45,65 +52,68 @@ class PauliFrame:
         self.touched: set[int] = set()
 
     def sweep(self, instructions: Sequence[Instruction],
-              enter: dict[int, int]):
+              enter: dict[int, Sequence[tuple[int, int]]]):
         """Walk `instructions` backwards, replacing every operator p by
         gate^dagger * p * gate at each gate (MEASURE and ID pass), which
         leaves U^dagger p U for their unitary U.  The MEASURE of a line in
-        `enter` adds that line's Z as operator enter[line], so it is pulled
-        back through the gates before its own measurement only.  Yields
-        each gate with the frame holding every operator as it stands just
-        after that gate."""
-        xs, zs = self.xs, self.zs
+        `enter` adds, for each (line, operator) pair of its entry, that
+        line's Z as that operator, so it is pulled back through the gates
+        before the MEASURE only: a line's own readout, or a probe read
+        right after it.  Yields each gate with the frame holding every
+        operator as it stands just after that gate."""
+        xs, zs, touched = self.xs, self.zs, self.touched
+        signs = self.signs
         for gate in reversed(instructions):
             op = gate.op
             if op == "MEASURE":
-                line = gate.targets[0]
-                if line in enter:
-                    zs[line] |= 1 << enter[line]
-                    self.touched.add(line)
+                for line, operator in enter.get(gate.targets[0], ()):
+                    zs[line] |= 1 << operator
+                    touched.add(line)
                 continue
             if op == "ID":
                 continue
+            self.signs = signs
             yield gate
-            if op in ("CX", "CZ", "SWAP"):
-                a, b = gate.targets
-                self.touched.update(gate.targets)
+            targets = gate.targets
+            if len(targets) == 2:
+                a, b = targets
+                touched.update(targets)
                 xa, za, xb, zb = xs[a], zs[a], xs[b], zs[b]
                 if op == "CX":
-                    self.signs ^= xa & zb & ~(xb ^ za)
+                    signs ^= xa & zb & ~(xb ^ za)
                     xs[b] = xb ^ xa
                     zs[a] = za ^ zb
                 elif op == "CZ":
-                    self.signs ^= xa & xb & (za ^ zb)
+                    signs ^= xa & xb & (za ^ zb)
                     zs[a] = za ^ xb
                     zs[b] = zb ^ xa
                 else:
                     xs[a], xs[b], zs[a], zs[b] = xb, xa, zb, za
                 continue
-            t = gate.targets[0]
+            t = targets[0]
             x, z = xs[t], zs[t]
             if op == "H":
-                self.signs ^= x & z
+                signs ^= x & z
                 xs[t], zs[t] = z, x
             elif op == "S":
                 # S^dagger X S = -Y, S^dagger Y S = +X
-                self.signs ^= x & ~z
+                signs ^= x & ~z
                 zs[t] = z ^ x
             elif op == "SDG":
                 # S X S^dagger = +Y, S Y S^dagger = -X
-                self.signs ^= x & z
+                signs ^= x & z
                 zs[t] = z ^ x
             elif op == "X":
-                self.signs ^= z
+                signs ^= z
             elif op == "Y":
-                self.signs ^= x ^ z
+                signs ^= x ^ z
             elif op == "Z":
-                self.signs ^= x
+                signs ^= x
             elif op == "T":
                 raise ValueError("T is not a Clifford gate")
             else:
                 raise ValueError(f"{op} is not unitary")
-
+        self.signs = signs
 
 
 def backpropagate(seq: Circuit, line: int,
@@ -148,31 +158,60 @@ def single_output_probability(seq: FixedSequence, outcome: int) -> float:
     return (1.0 + value) / 2.0
 
 
-def joint_output_probability(seq: FixedSequence,
-                             lines: Sequence[int]) -> np.ndarray:
-    """Joint outcome table of up to K_MAX measured lines.
+def joint_output_probability(seq: FixedSequence, lines):
+    """Joint outcome table of up to K_MAX measured lines, or the tables of
+    several stage queries from one sweep.
 
-    Returns 2^k probabilities; bit k-1-i of a cell's index is the outcome
-    of lines[i], so lines[0] is the most significant bit (the layout of
-    `prover.record_table`).  One sweep pulls every line's measurement
-    operator back; they commute because distinct measured lines are never
-    reused, so :func:`outcome_table` applies.
+    With `lines` a sequence of measured lines: 2^k probabilities; bit
+    k-1-i of a cell's index is the outcome of lines[i], so lines[0] is the
+    most significant bit (the layout of `prover.record_table`).  One sweep
+    pulls every line's measurement operator back from its own MEASURE; they
+    commute because distinct measured lines are never reused, so
+    :func:`outcome_table` applies.
+
+    With `lines` a list of stage queries, each a tuple (line, *probes):
+    one table per query, in the same layout, of the query's lines read
+    right after the MEASURE of its first line, the probes measured there,
+    as on the prefix of `seq` cut after that MEASURE with the probes
+    appended.  One sweep enters every query's operators at its cut, and
+    the queries of each width share one stacked :func:`outcome_table`
+    pass, so t stage tables cost one walk of the sequence and a few array
+    passes instead of t of each.
     """
-    k = len(lines)
-    if k > K_MAX:
-        raise ValueError(f"{k} lines exceed k_max={K_MAX}")
-    if len(set(lines)) != k:
-        raise ValueError("duplicate lines in joint query")
+    stacked = len(lines) > 0 and isinstance(lines[0], tuple)
+    queries = list(lines) if stacked else [tuple(lines)]
     measured = {ins.targets[0] for ins in seq.instructions
                 if ins.op == "MEASURE"}
-    for line in lines:
-        if line not in measured:
-            raise ValueError(f"line {line} is not measured in the sequence")
+    enter: dict[int, list[tuple[int, int]]] = {}
+    starts = []  # each query's lowest frame operator, its last line's
+    start = 0
+    for query in queries:
+        k = len(query)
+        if k > K_MAX:
+            raise ValueError(f"{k} lines exceed k_max={K_MAX}")
+        if len(set(query)) != k:
+            raise ValueError("duplicate lines in joint query")
+        for i, line in enumerate(query):
+            if not 0 <= line < seq.n_lines:
+                raise ValueError(f"line {line} out of range")
+            cut = query[0] if stacked else line
+            if cut not in measured:
+                raise ValueError(f"line {cut} is not measured in the "
+                                 "sequence")
+            enter.setdefault(cut, []).append((line, start + k - 1 - i))
+        starts.append(start)
+        start += k
     frame = PauliFrame(seq.n_lines)
-    for _ in frame.sweep(seq.instructions,
-                         {line: k - 1 - i for i, line in enumerate(lines)}):
+    for _ in frame.sweep(seq.instructions, enter):
         pass
-    return outcome_table(frame, k, seq.inputs)
+    tables = [None] * len(queries)
+    for k in {len(query) for query in queries}:
+        group = [q for q, query in enumerate(queries) if len(query) == k]
+        rows = outcome_table(frame, [starts[q] for q in group], k,
+                             seq.inputs)
+        for q, row in zip(group, rows):
+            tables[q] = row
+    return tables if stacked else tables[0]
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
@@ -180,85 +219,122 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     of a C-contiguous array: entry c becomes sum_S (-1)^|c & S| values[S]."""
     for level in range(values.shape[-1].bit_length() - 1):
         pairs = values.reshape(-1, 2, 1 << level)
-        first = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] = first - pairs[:, 1]
+        first, second = pairs[:, 0], pairs[:, 1]
+        total = first + second
+        np.subtract(first, second, out=second)
+        first[...] = total
     return values
 
 
-def outcome_table(frame: PauliFrame, k: int, inputs: Sequence[InputState],
-                  magic=None, factor=None) -> np.ndarray:
-    """Joint outcome table of the k commuting signed Paulis in `frame`.
+def outcome_table(frame: PauliFrame, starts: Sequence[int], k: int,
+                  inputs: Sequence[InputState], magic=None,
+                  factor=None) -> np.ndarray:
+    """Joint outcome tables of groups of k commuting signed Paulis in
+    `frame`, group g being frame operators starts[g] .. starts[g] + k - 1.
 
     A support line's (<X>, <Y>, <Z>) is `inputs[line].bloch()`, or `magic`
     for a MAGIC line when `magic` is given; no other line is read.  Returns
-    2^k probabilities; bit j of a cell's index is the 0/1 (+1/-1) outcome
-    of frame operator j.  The projector product expands to 2^-k sum_S
-    (-1)^(m.S) <P_S>, and a subset S, read as a cell, meets the frame's
-    slices directly: P_S has x bit |S & xs[u]| mod 2 on line u, z bit
-    |S & zs[u]| mod 2.  With P_j = s_j i^|x_j&z_j| X^x_j Z^z_j, the product
-    in increasing j is i^e X^x_S Z^z_S, e = 2|S & signs| + sum_{j in S}
+    one row of 2^k probabilities per group; bit j of a cell's index is the
+    0/1 (+1/-1) outcome of the group's operator j.  The projector product
+    expands to 2^-k sum_S (-1)^(m.S) <P_S>, and a subset S of a group, read
+    as a cell shifted to the group's operators, meets the frame's slices
+    directly: P_S has x bit |S & xs[u]| mod 2 on line u, z bit |S & zs[u]|
+    mod 2.  With P_j = s_j i^|x_j&z_j| X^x_j Z^z_j, the product in
+    increasing j is i^e X^x_S Z^z_S, e = 2|S & signs| + sum_{j in S}
     |x_j&z_j| + 2q(S) for q(S) the pairs i < j in S whose z_i meets x_j an
     odd number of times; as a sign times a Hermitian Pauli it is
     i^(e - |x_S&z_S|) P.  Each expectation is one factor per support line,
     multiplied in line order, and an inverse Walsh-Hadamard transform gives
-    every outcome's signed sum.  Cost: O(|U| * 2^k) for a union support of
-    |U| lines, in a fixed number of array passes per block of cells, plus k
-    butterfly passes.  A `factor` multiplies each <P_S> before the
+    every outcome's signed sum.  A line of the union support outside a
+    group's own support gives that group the factor 1.0, so each row is bit
+    for bit the table of its group alone.  Cost: O(G * |U| * 2^k) for G
+    groups on a union support of |U| lines, in a fixed number of array
+    passes per block of cells, plus k butterfly passes over all rows at
+    once; groups spread over more than 63 operators split into passes that
+    each fit a 64-bit cell.  A `factor` multiplies each <P_S> before the
     transform (a channel diagonal in it).
     """
-    xs, zs = frame.xs, frame.zs
-    lines = [line for line in sorted(frame.touched) if xs[line] | zs[line]]
+    base = min(starts, default=0)
+    span = max(starts, default=0) + k - base
+    if span > 63 and len(starts) > 1:
+        half = len(starts) // 2
+        return np.concatenate([
+            outcome_table(frame, part, k, inputs, magic, factor)
+            for part in (starts[:half], starts[half:])])
+    # the pass reads frame operators base .. base + span - 1 as bits 0 ..
+    # span - 1 of a cell
+    window = (1 << span) - 1
+    lines = [line for line in sorted(frame.touched)
+             if ((frame.xs[line] | frame.zs[line]) >> base) & window]
+    xs = [(frame.xs[line] >> base) & window for line in lines]
+    zs = [(frame.zs[line] >> base) & window for line in lines]
     # bits 0 and 1 of each operator's count of Y factors; cross[j]: the
     # operators i < j whose z bits meet j's x bits an odd number of times
     y_bit0 = y_bit1 = 0
-    cross = [0] * k
-    for line in lines:
-        x, z = xs[line], zs[line]
+    cross = [0] * span
+    for x, z in zip(xs, zs):
         y_bit1 ^= y_bit0 & x & z
         y_bit0 ^= x & z
         while x:
             bit = x & -x
             cross[bit.bit_length() - 1] ^= z & (bit - 1)
             x ^= bit
-    crossing = [(j, mask) for j, mask in enumerate(cross) if mask]
+    # with bit j set where operator j is turned (bit 1 of its Y count xor
+    # its sign), sum_j [j in S] |S & cross[j]| is q(S) + |S & turned| mod 2;
+    # a cell holds one group's operators only, so no other group's term
+    # counts
+    turned = y_bit1 ^ (frame.signs >> base)
+    crossing = []
+    for j, row in enumerate(cross):
+        row |= ((turned >> j) & 1) << j
+        if row:
+            crossing.append((j, row))
     count = len(lines)
-    turned = y_bit1 ^ frame.signs
-    masks = np.array([xs[line] for line in lines]
-                     + [zs[line] for line in lines] + [y_bit0, turned]
-                     + [mask for _, mask in crossing], np.int64)[:, None]
-    shifts = np.array([j for j, _ in crossing], np.int64)[:, None]
+    masks = np.array(xs + zs + [y_bit0] + [row for _, row in crossing],
+                     np.int64)[:, None, None]
+    shifts = np.array([j for j, _ in crossing], np.int64)[:, None, None]
+    # a group's subset S is the cell S << group_shift
+    group_shift = np.array(starts, np.int64)[:, None] - base
     # factors[4u + 2x + z]: support line u's factor for I/Z/X/Y
-    bloch = [magic if magic is not None and inputs[line].kind == MAGIC
-             else inputs[line].bloch() for line in lines]
-    factors = np.array([(1.0, ez, ex, ey) for ex, ey, ez in bloch]).ravel()
-    offsets = np.arange(0, 4 * count, 4,
-                        dtype=np.min_scalar_type(4 * count))[:, None]
+    factors = []
+    for line in lines:
+        ex, ey, ez = magic if magic is not None \
+            and inputs[line].kind == MAGIC else inputs[line].bloch()
+        factors += (1.0, ez, ex, ey)
+    factors = np.array(factors)
+    line_index = np.arange(0, 4 * count, 4,
+                           dtype=np.min_scalar_type(4 * count))[:, None, None]
 
-    # cells are filled in blocks of at most 2^18 array entries
-    block = 1 << min(k, ((1 << 18) // len(masks)).bit_length() - 1)
+    # blocks of at most 2^18 array entries: a run of cells for a run of
+    # groups
     size = 1 << k
-    values = np.empty(size)
-    for start in range(0, size, block):
-        cells = np.arange(start, start + block)
-        ones = np.bitwise_count(cells & masks)
-        # index[u]: the index 4u + 2x + z of line u's factor
-        index = offsets + (((ones[:count] & 1) << 1)
-                           | (ones[count:2 * count] & 1))
-        # e mod 4 of the product i^e X^x Z^z (uint8 wraps mod 256, a
-        # multiple), then back to a sign times the Hermitian Pauli: less one
-        # per Y factor
-        exponent = ones[2 * count] + 2 * (ones[2 * count + 1] + (
-            ones[2 * count + 2:] & (cells >> shifts)).sum(
-                axis=0, dtype=np.uint8)) \
-            - ((index & 3) == 3).sum(axis=0, dtype=np.uint8)
-        if np.any(exponent & 1):
-            raise AssertionError("projector expansion produced a non-"
-                                 "Hermitian term")
-        # the factor product runs over the lines in order, as one scalar
-        # expectation would
-        values[start:start + block] = np.where(exponent & 2, -1.0, 1.0) \
-            * np.multiply.reduce(factors.take(index), axis=0)
+    block = 1 << min(k, ((1 << 18) // len(masks)).bit_length() - 1)
+    step = max(1, (1 << 18) // (len(masks) * block))
+    values = np.empty((len(starts), size))
+    for first in range(0, len(starts), step):
+        for start in range(0, size, block):
+            cells = np.arange(start, start + block) \
+                << group_shift[first:first + step]
+            ones = np.bitwise_count(cells & masks)
+            # each line's x and z bit of P_S, and its factor's index
+            # 4u + 2x + z
+            odd = ones[:2 * count] & 1
+            x, z = odd[:count], odd[count:]
+            index = line_index + ((x << 1) | z)
+            # e mod 4 of the product i^e X^x Z^z (uint8 wraps mod 256, a
+            # multiple), then back to a sign times the Hermitian Pauli:
+            # less one per Y factor
+            exponent = ones[2 * count] - (x & z).sum(axis=0, dtype=np.uint8) \
+                + 2 * (ones[2 * count + 1:] & (cells >> shifts)).sum(
+                    axis=0, dtype=np.uint8)
+            if (exponent & 1).any():
+                raise AssertionError("projector expansion produced a non-"
+                                     "Hermitian term")
+            # the factor product runs over the lines in order, as one
+            # scalar expectation would
+            np.multiply(np.where(exponent & 2, -1.0, 1.0),
+                        np.multiply.reduce(factors.take(index), axis=0),
+                        out=values[first:first + step, start:start + block])
 
     if factor is not None:
         values *= factor

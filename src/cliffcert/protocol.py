@@ -9,7 +9,10 @@ One verification campaign runs, in order:
    after that gadget's ancilla measurement (earlier gadgets frozen to the
    recorded outcomes) re-run to check the ancilla outcome frequency against
    1/2 and the joint distribution of a few extra probe lines against
-   classically computed values,
+   classically computed values; one forward walk of the recorded sequence
+   builds every stage's prefix, and one `joint_output_probability` call,
+   one backward sweep plus one stacked table pass per probe-table width,
+   computes every stage's classical table before the first batch runs,
 4. error composition and an accept/reject verdict.
 
 Repetition counts come from the Hoeffding bound at failure probability
@@ -28,6 +31,8 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
+
+import numpy as np
 
 from .circuit import AdaptiveCircuit, FixedSequence, Instruction
 from .pauli import joint_output_probability, single_output_probability
@@ -253,34 +258,37 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
     )
 
 
-def build_stage_prefix(resolved: FixedSequence, stage: int,
-                       extra_check_lines: int
-                       ) -> tuple[FixedSequence, int, tuple[int, ...]]:
-    """Prefix sequence for measurement-test stage `stage` (1-based).
+def stage_prefixes(resolved: FixedSequence, extra_check_lines: int
+                   ) -> list[tuple[FixedSequence, int, tuple[int, ...]]]:
+    """(prefix sequence, ancilla, probe lines) of every measurement-test
+    stage, in order, from one forward walk of the recorded sequence.
 
-    The recorded sequence cut after gadget `stage`'s ancilla readout, so
-    earlier gadgets stay frozen to the recorded outcomes, followed by
-    terminal probe measurements on the lowest-index still-unmeasured lines.
-    Every gadget's ancilla MEASURE is a gadget slot of the prefix, the
-    stage's last.
+    Stage s's prefix is the recorded sequence cut after gadget s's ancilla
+    readout, so earlier gadgets stay frozen to the recorded outcomes,
+    followed by terminal probe measurements on the lowest-index
+    still-unmeasured lines.  Every gadget's ancilla MEASURE is a gadget
+    slot of the prefix, the stage's last.
     """
-    slots = resolved.gadget_slots
-    if not (1 <= stage <= len(slots)):
-        raise ValueError(f"stage {stage} outside 1..{len(slots)}")
-    instructions = list(resolved.instructions[:slots[stage - 1] + 1])
-    ancilla = instructions[-1].targets[0]
-    measured = {ins.targets[0] for ins in instructions if ins.op == "MEASURE"}
-    extras = tuple(islice((line for line in range(resolved.n_lines)
-                           if line not in measured), extra_check_lines))
-    for j, line in enumerate(extras):
-        instructions.append(Instruction("MEASURE", (line,), label=f"chk{j}"))
-    prefix = FixedSequence(
-        n_lines=resolved.n_lines,
-        inputs=resolved.inputs,
-        instructions=tuple(instructions),
-        gadget_slots=slots[:stage],
-    )
-    return prefix, ancilla, extras
+    instructions, slots = resolved.instructions, resolved.gadget_slots
+    measured: set[int] = set()
+    walked = 0
+    stages = []
+    for stage, slot in enumerate(slots, 1):
+        measured.update(ins.targets[0] for ins in instructions[walked:slot + 1]
+                        if ins.op == "MEASURE")
+        walked = slot + 1
+        extras = tuple(islice((line for line in range(resolved.n_lines)
+                               if line not in measured), extra_check_lines))
+        prefix = FixedSequence(
+            n_lines=resolved.n_lines,
+            inputs=resolved.inputs,
+            instructions=instructions[:walked] + tuple(
+                Instruction("MEASURE", (line,), label=f"chk{j}")
+                for j, line in enumerate(extras)),
+            gadget_slots=slots[:stage],
+        )
+        stages.append((prefix, instructions[slot].targets[0], extras))
+    return stages
 
 
 def campaign_table_sizes(circuit: AdaptiveCircuit,
@@ -290,7 +298,7 @@ def campaign_table_sizes(circuit: AdaptiveCircuit,
 
     The computational run and the gate test have one slot per MEASURE and
     gadget; stage s's prefix has the MEASUREs before gadget s, s gadget
-    readouts and its probes, as `build_stage_prefix` lays them out.  Stage
+    readouts and its probes, as `stage_prefixes` lays them out.  Stage
     1 leaves the most lines unmeasured, so its probe table is the largest.
     """
     measured: set[int] = set()
@@ -309,22 +317,20 @@ def campaign_table_sizes(circuit: AdaptiveCircuit,
     return max(largest, measures + gadgets), probe_lines
 
 
-def run_measurement_stage(device, transcript: Transcript,
+def run_measurement_stage(device, stage_prefix, theory: np.ndarray,
                           test_plan: TestPlan, stage: int,
                           seed: int) -> MeasurementStageResult:
-    """One gadget stage on a prefix of the recorded sequence: ancilla
-    frequency versus 1/2 plus the joint distribution of the probe lines
-    versus classical values."""
-    prefix, ancilla, extras = build_stage_prefix(
-        transcript.resolved, stage, test_plan.extra_check_lines)
+    """One gadget stage on its (prefix, ancilla, probe lines) from
+    :func:`stage_prefixes`: ancilla frequency versus 1/2 plus the joint
+    distribution of the probe lines versus `theory`, the classical table
+    of the ancilla and the probes."""
+    prefix, ancilla, extras = stage_prefix
     batch = device.run_fixed_batch(prefix, test_plan.r_meas, seed)
     # the ancilla readout and the probes are a record's last slots
-    joint_lines = (ancilla,) + extras
-    theory = joint_output_probability(prefix, joint_lines)
-    empirical = batch.tail_counts(len(joint_lines))
+    empirical = batch.tail_counts(1 + len(extras))
 
     impossible = bool((theory[empirical > 0] < PROB_TOL).any())
-    # the ancilla is joint_lines[0], the leading bit of both tables
+    # the ancilla is the leading bit of both tables
     p_hat = int(empirical.reshape(2, -1)[1].sum()) / batch.repetitions
     tv_distance = None
     if extras:
@@ -349,10 +355,19 @@ def run_measurement_tests(device, transcript: Transcript,
                           test_plan: TestPlan,
                           seed: int) -> list[MeasurementStageResult]:
     """All gadget stages in order, stopping early only on an outcome the
-    classical computation assigns probability zero."""
+    classical computation assigns probability zero.  One walk of the
+    recorded sequence builds every stage's prefix, and one joint-table
+    call computes every stage's theory table before the first batch."""
+    resolved = transcript.resolved
+    stages = stage_prefixes(resolved, test_plan.extra_check_lines)
+    queries = [(ancilla,) + extras for _, ancilla, extras in stages]
+    # an empty list would ask for the table of no lines
+    theories = joint_output_probability(resolved, queries) if queries \
+        else []
     results: list[MeasurementStageResult] = []
-    for stage in range(1, test_plan.t + 1):
-        result = run_measurement_stage(device, transcript, test_plan, stage,
+    for stage, (stage_prefix, theory) in enumerate(zip(stages, theories), 1):
+        result = run_measurement_stage(device, stage_prefix, theory,
+                                       test_plan, stage,
                                        derive_seed(seed, 1 + stage))
         results.append(result)
         if result.impossible_observed:

@@ -265,7 +265,8 @@ def record_table(seq: FixedSequence, fault: FaultModel
     frame = PauliFrame(seq.n_lines)
     flips = ([], [])  # the flip masks of the one- and the two-line gates
     for ins in frame.sweep(seq.instructions, {
-            ev.line: m - 1 - slot for slot, ev in enumerate(events)}):
+            ev.line: ((ev.line, m - 1 - slot),)
+            for slot, ev in enumerate(events)}):
         if depolarizing:
             flips[len(ins.targets) - 1].extend(_flip_masks(frame, ins))
     magic = None
@@ -273,9 +274,9 @@ def record_table(seq: FixedSequence, fault: FaultModel
         # the miscalibrated source prepares MAGIC lines at pi/4 + delta_theta
         phase = math.pi / 4 + fault.delta_theta
         magic = (math.cos(phase), math.sin(phase), 0.0)
-    table = outcome_table(frame, m, seq.inputs, magic,
+    table = outcome_table(frame, (0,), m, seq.inputs, magic,
                           _depolarizing_factor(flips, m, fault.p_err)
-                          if depolarizing else None)
+                          if depolarizing else None)[0]
     total = float(table.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise AssertionError(f"record probabilities sum to {total}")
@@ -303,8 +304,10 @@ def _force_slot(table: np.ndarray, slot: int, final: int,
     prefix = joint.sum(axis=1, keepdims=True)
     if slot == final:
         return (prefix * coin).reshape(-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(joint > 0, coin / (joint / prefix), 0.0)
+    # an impossible record prefix keeps its zero cells and divides nothing
+    prefix[prefix == 0] = 1.0
+    scale = np.divide(coin, joint / prefix, out=np.zeros_like(joint),
+                      where=joint > 0)
     return (view * scale[:, :, None]).reshape(-1)
 
 

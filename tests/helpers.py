@@ -356,7 +356,7 @@ def measured_operators(seq: Circuit, lines) -> list[PauliOperator]:
     reused, so later gates leave it as it is), all from one sweep."""
     frame = PauliFrame(seq.n_lines)
     for _ in frame.sweep(seq.instructions,
-                         {line: i for i, line in enumerate(lines)}):
+                         {line: ((line, i),) for i, line in enumerate(lines)}):
         pass
     return frame_operators(frame, len(lines))
 

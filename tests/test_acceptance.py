@@ -16,7 +16,7 @@ from cliffcert import prover
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
 from cliffcert.protocol import (GADGET_BIAS, IMPOSSIBLE_OUTCOME,
-                                OUTPUT_DEVIATION, build_stage_prefix, plan,
+                                OUTPUT_DEVIATION, plan, stage_prefixes,
                                 verify_campaign)
 from cliffcert import statevector as sv
 
@@ -249,9 +249,9 @@ def test_criterion_7_deferred_measurements():
         outcomes = tuple(rng.randint(0, 1)
                          for _ in range(circuit.gadget_count))
         if i % 2:
-            gadgeted, _, _ = build_stage_prefix(
+            gadgeted, _, _ = stage_prefixes(
                 resolve(circuit, outcomes),
-                rng.randint(1, circuit.gadget_count), 2)
+                2)[rng.randint(1, circuit.gadget_count) - 1]
         else:
             gadgeted = resolve(circuit, outcomes)
         assert gadgeted.gadget_slots

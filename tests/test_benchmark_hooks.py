@@ -17,6 +17,8 @@ from cliffcert.prover import (IDEAL, Depolarizing, GadgetCoinBias, Liar,
 from helpers import CIRCUITS, REPO_ROOT
 
 PROBE = gadgetize(parse_circuit((CIRCUITS / "phase_probe.circ").read_text()))
+DET3 = gadgetize(parse_circuit(
+    (CIRCUITS / "deterministic_t3.circ").read_text()))
 
 
 def test_tracer_installs_and_counts_one_validate_per_circuit(monkeypatch):
@@ -47,6 +49,26 @@ def test_tracer_installs_and_counts_one_validate_per_circuit(monkeypatch):
     assert tracer.calls["pauli.single_output_probability"] == 1
     # the device runs on the Pauli engine, not the statevector
     assert tracer.count["statevector.calls"] == 0
+
+
+def test_traced_stages_share_one_joint_table_call(monkeypatch):
+    # the traced pauli.joint_* spans see the one call that builds every
+    # stage's theory table, and each stage is still its own span
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracer.installed(cliffcert):
+        frame = tracer.begin_campaign(0)
+        report = cliffcert.protocol.verify_campaign(
+            tracing.TimedDevice(SimulatedDevice(IDEAL), tracer), DET3,
+            0.05, 0.05, 0.01, 3)
+        tracer.end_campaign(frame)
+    assert report.accepted
+    assert DET3.gadget_count == 3
+    assert tracer.calls["pauli.joint_output_probability"] == 1
+    assert tracer.calls["protocol.run_measurement_stage"] == 3
+    assert tracer.count["protocol.r_meas_total"] == 3 * report.plan.r_meas
 
 
 @pytest.mark.parametrize("fault", [

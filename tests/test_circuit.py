@@ -238,6 +238,30 @@ class TestGadgetSlots:
         with pytest.raises(ValueError, match=reason):
             _slotted(ops, slots)
 
+    def test_gadget_without_correction_rejected(self):
+        # every gadget but the last carries its frozen bit as S or ID on
+        # its target; without the first ID the first gadget would have no
+        # bit, and frozen_outcomes would read (1,) for two gadgets
+        r = resolve(gadgetize(parse_circuit(
+            "qubits 1\nH 0\nT 0\nT 0\nMEASURE 0 out\n")), (0, 1))
+        assert r.instructions[3] == Instruction("ID", (0,))
+        assert r.frozen_outcomes == (0, 1)
+        with pytest.raises(InvalidCircuitError, match="not followed by its "
+                           "correction, S or ID on line 0"):
+            FixedSequence(r.n_lines, r.inputs,
+                          r.instructions[:3] + r.instructions[4:], (2, 4))
+        # a stage prefix: the last gadget has no correction, and builds
+        prefix = FixedSequence(r.n_lines, r.inputs, r.instructions[:6],
+                               (2, 5))
+        assert prefix.frozen_outcomes == (0,)
+        # a gadget readout ending the sequence before a later (here out of
+        # range) slot has no correction either
+        with pytest.raises(InvalidCircuitError, match="not followed"):
+            FixedSequence(2, (InputState(ZERO), InputState(MAGIC)),
+                          (Instruction("CX", (0, 1)),
+                           Instruction("MEASURE", (1,), label="out")),
+                          (1, 5))
+
 
 class TestGadgetize:
     def test_t_free_circuit_unchanged(self):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
-                               ZERO)
+                               ZERO, gadgetize, resolve)
 from cliffcert.pauli import (K_MAX, PauliFrame, backpropagate,
                              joint_output_probability, outcome_table,
                              single_output_probability)
+from cliffcert.protocol import stage_prefixes
 from cliffcert.prover import IDEAL
 
 from helpers import (CLIFFORD_1Q, PauliOperator, commutes,
@@ -20,8 +21,9 @@ from helpers import (CLIFFORD_1Q, PauliOperator, commutes,
                      measured_operators, multiply,
                      outcome_distribution, pauli_matrix, pull_back,
                      random_clifford_sequence, random_fixed_sequence,
-                     random_inputs, random_pauli, scalar_conjugate,
-                     scalar_measured_operators, scalar_pull_back)
+                     random_inputs, random_pauli, random_t_circuit,
+                     scalar_conjugate, scalar_measured_operators,
+                     scalar_pull_back)
 
 ALL_1Q = [from_label(l, s)
           for l in ("I", "X", "Y", "Z") for s in (1, -1)]
@@ -126,7 +128,8 @@ class TestPauliFrame:
                      if ins.op == "MEASURE"]
             frame = PauliFrame(n)
             walk = frame.sweep(seq.instructions,
-                               {line: i for i, line in enumerate(lines)})
+                               {line: ((line, i),)
+                                for i, line in enumerate(lines)})
             carried = dict.fromkeys(lines, PauliOperator(n, 0, 0))
             for ins in reversed(seq.instructions):
                 if ins.op == "MEASURE":
@@ -424,6 +427,48 @@ class TestJointProbability:
             assert np.max(np.abs(got - want)) <= 1e-10
             checked += 1
 
+    def test_stage_queries_match_their_prefixes_exactly(self):
+        # every stage table of one stacked call, read off the recorded
+        # sequence, equals the table built on that stage's own prefix bit
+        # for bit: 1-130 lines (frames past 64 lines), up to 3 mid-circuit
+        # measurements, and late stages with fewer probes than asked, so
+        # one call mixes query widths
+        rng = random.Random(83)
+        mixed = 0
+        for i in range(60):
+            n = rng.randint(1, 4) if i % 2 else rng.randint(1, 126)
+            circuit = gadgetize(random_t_circuit(
+                rng, n, rng.randint(1, 3 * n), rng.randint(1, 4),
+                intermediate=3))
+            resolved = resolve(circuit, [rng.randint(0, 1) for _ in range(
+                circuit.gadget_count)])
+            stages = stage_prefixes(resolved, rng.randint(0, 5))
+            queries = [(ancilla,) + extras for _, ancilla, extras in stages]
+            tables = joint_output_probability(resolved, queries)
+            assert len(tables) == len(stages)
+            for (prefix, ancilla, extras), table in zip(stages, tables):
+                assert np.array_equal(
+                    table, joint_output_probability(prefix,
+                                                    (ancilla,) + extras))
+            mixed += len({len(q) for q in queries}) > 1
+        assert mixed >= 5
+
+    def test_stage_query_checks(self):
+        # a query's cut is its first line's MEASURE; its probes need not be
+        # measured, but must be lines of the sequence
+        seq = FixedSequence(
+            2, (InputState(ZERO),) * 2,
+            (Instruction("H", (0,)),
+             Instruction("MEASURE", (1,), label="out")))
+        assert [t.tolist() for t in joint_output_probability(
+            seq, [(1,), (1, 0)])] == [[1.0, 0.0], [0.5, 0.5, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="line 0 is not measured"):
+            joint_output_probability(seq, [(1,), (0, 1)])
+        with pytest.raises(ValueError, match="line 2 out of range"):
+            joint_output_probability(seq, [(1, 2)])
+        with pytest.raises(ValueError, match="duplicate"):
+            joint_output_probability(seq, [(1, 1)])
+
 
 def scalar_outcome_table(operators, inputs):
     """The expansion one subset at a time, cell bit j selecting
@@ -493,8 +538,8 @@ class TestOutcomeTable:
                                             intermediate=6)
             operators = measured_with_random_signs(rng, seq)
             assert np.array_equal(
-                outcome_table(frame_holding(operators), len(operators),
-                              seq.inputs),
+                outcome_table(frame_holding(operators), (0,),
+                              len(operators), seq.inputs)[0],
                 scalar_outcome_table(operators, seq.inputs))
 
     def test_table_spanning_several_blocks_matches_scalar(self):
@@ -507,15 +552,42 @@ class TestOutcomeTable:
         for p in operators:
             support |= p.support
         assert len(operators) == 11 and support.bit_count() > 128
-        assert np.array_equal(outcome_table(frame_holding(operators), 11,
-                                            seq.inputs),
+        assert np.array_equal(outcome_table(frame_holding(operators), (0,),
+                                            11, seq.inputs)[0],
                               scalar_outcome_table(operators, seq.inputs))
+
+    def test_stacked_groups_match_scalar_expansion_exactly(self):
+        # groups of commuting operators stacked on one frame, past 64
+        # operator bits and at uneven starts: each row is its group's
+        # table alone, bit for bit
+        rng = random.Random(89)
+        for i in range(12):
+            n = rng.choice((3, 9, 70))
+            seq = chain_sequence(rng, n, min(n, 6)) if i % 2 else \
+                random_fixed_sequence(rng, n, rng.randint(n, 4 * n),
+                                      intermediate=5)
+            measured = measured_with_random_signs(rng, seq)
+            k = rng.randint(1, len(measured))
+            groups = [rng.sample(measured, k) for _ in range(rng.randint(
+                1, 12))]
+            starts, operators = [], []
+            for group in groups:
+                operators += [PauliOperator(seq.n_lines, 0, 0)] * \
+                    rng.randint(0, 3)
+                starts.append(len(operators))
+                operators += group
+            rows = outcome_table(frame_holding(operators), starts, k,
+                                 seq.inputs)
+            assert rows.shape == (len(groups), 1 << k)
+            for group, row in zip(groups, rows):
+                assert np.array_equal(
+                    row, scalar_outcome_table(group, seq.inputs))
 
     def test_non_hermitian_term_raises(self):
         # X and Z on one line anticommute: XZ = -iY is no observable
         with pytest.raises(AssertionError, match="non-Hermitian"):
             outcome_table(frame_holding([from_label("X"), from_label("Z")]),
-                          2, (InputState(ZERO),))
+                          (0,), 2, (InputState(ZERO),))
 
 
 class TestPauliOperator:

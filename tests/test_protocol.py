@@ -13,15 +13,15 @@ from cliffcert.circuit import (InputState, gadgetize, parse_circuit,
                                resolve)
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
-from cliffcert import protocol
+from cliffcert import protocol, prover
 from cliffcert.pauli import PauliFrame
 from cliffcert.protocol import (ACCEPT, EXTRA_LINE_DEVIATION, GADGET_BIAS,
                                 IMPOSSIBLE_OUTCOME, OUTPUT_DEVIATION, REJECT,
                                 GateTestResult, MeasurementStageResult,
-                                build_stage_prefix, campaign_table_sizes,
-                                compose_error, plan, report_summary,
-                                report_to_json_dict, run_computational,
-                                run_gate_tests, run_measurement_tests,
+                                campaign_table_sizes, compose_error, plan,
+                                report_summary, report_to_json_dict,
+                                run_computational, run_gate_tests,
+                                run_measurement_tests, stage_prefixes,
                                 verdict, verify_campaign)
 
 from helpers import (CIRCUITS, random_fixed_sequence, random_t_circuit,
@@ -132,7 +132,7 @@ class TestGateTests:
 class TestStagePrefix:
     def test_prefix_structure(self):
         tr = SimulatedDevice(IDEAL).run_adaptive(DET3, 7)
-        prefix, ancilla, extras = build_stage_prefix(tr.resolved, 2, 2)
+        prefix, ancilla, extras = stage_prefixes(tr.resolved, 2)[1]
         labels = [i.label for i in prefix.instructions if i.op == "MEASURE"]
         assert labels == ["m1", "m2", "chk0", "chk1"]
         assert [prefix.instructions[s].label
@@ -149,12 +149,12 @@ class TestStagePrefix:
     def test_extras_are_lowest_unmeasured_lines(self):
         # the stage gadget's target (line 0) is unmeasured, so it is probed
         tr = SimulatedDevice(IDEAL).run_adaptive(DET3, 7)
-        _, _, extras = build_stage_prefix(tr.resolved, 1, 2)
+        _, _, extras = stage_prefixes(tr.resolved, 2)[0]
         assert extras == (0, 1)
 
     def test_extras_capped_by_available_lines(self):
         tr = SimulatedDevice(IDEAL).run_adaptive(PROBE, 7)
-        _, _, extras = build_stage_prefix(tr.resolved, 1, 5)
+        _, _, extras = stage_prefixes(tr.resolved, 5)[0]
         assert extras == (0,)
 
     def test_widest_sequence_probes_next_unmeasured_lines(self):
@@ -164,13 +164,17 @@ class TestStagePrefix:
             "qubits 65535\nMEASURE 0 a\nMEASURE 1 b\nT 2\n"
             "MEASURE 2 out\n"))
         assert c.n_lines == 65536
-        _, ancilla, extras = build_stage_prefix(resolve(c, (0,)), 1, 3)
+        _, ancilla, extras = stage_prefixes(resolve(c, (0,)), 3)[0]
         assert ancilla == 65535
         assert extras == (2, 3, 4)
 
     def test_stage_bounds(self):
-        with pytest.raises(ValueError):
-            build_stage_prefix(resolve(DET3, (0, 0, 0)), 4, 2)
+        # one prefix per gadget, the s-th ending on gadget s, none beyond
+        stages = stage_prefixes(resolve(DET3, (0, 0, 0)), 2)
+        assert [len(prefix.gadget_slots) for prefix, _, _ in stages] == \
+            [1, 2, 3]
+        assert stage_prefixes(resolve(parse_circuit(
+            "qubits 1\nH 0\nMEASURE 0 out\n"), ()), 2) == []
 
     def test_table_sizes_match_built_tables(self):
         # the pre-campaign size check counts what the campaign builds
@@ -183,9 +187,7 @@ class TestStagePrefix:
             resolved = resolve(circuit, (0,) * circuit.gadget_count)
             slots = [_measures(resolved)]
             probe_lines = 0
-            for stage in range(1, circuit.gadget_count + 1):
-                prefix, _, extras = build_stage_prefix(resolved, stage,
-                                                       extra)
+            for prefix, _, extras in stage_prefixes(resolved, extra):
                 slots.append(_measures(prefix))
                 probe_lines = max(probe_lines, 1 + len(extras))
             assert campaign_table_sizes(circuit, extra) == \
@@ -253,9 +255,9 @@ class TestMeasurementTests:
                     for bits in np.ndindex(*(2,) * width)]
 
     def test_stage_builds_its_theory_table_in_one_pass(self, monkeypatch):
-        # one joint-table call, and one frame sweep pulls back every stage
-        # line for it; a pull-back per line would make k + 1 sweeps and a
-        # per-cell theory table 2^(k+1) calls
+        # one joint-table call and one verifier sweep serve every stage: the
+        # t theory tables come from one walk of the recorded sequence, not
+        # one prefix sweep and one table per stage
         calls = Counter()
 
         def count(owner, name):
@@ -270,12 +272,17 @@ class TestMeasurementTests:
         tr = run_computational(dev, DET3, 11)
         p = plan(DET3.gadget_count, 0.05, 0.05, 0.01)
         count(protocol, "joint_output_probability")
+        count(protocol, "run_measurement_stage")
+        count(prover, "record_table")
         count(PauliFrame, "sweep")
-        result = protocol.run_measurement_stage(dev, tr, p, 1, 11)
-        assert len(result.extra_lines) == 2
+        results = protocol.run_measurement_tests(dev, tr, p, 11)
+        assert [len(r.extra_lines) for r in results] == [2, 2, 2]
+        assert calls["run_measurement_stage"] == DET3.gadget_count == 3
         assert calls["joint_output_probability"] == 1
-        # one sweep for the device's record table, one for the theory table
-        assert calls["sweep"] == 2
+        # one sweep per stage for the device's record table, and one for
+        # every theory table
+        assert calls["record_table"] == 3
+        assert calls["sweep"] == calls["record_table"] + 1
 
 
 def _parent_kinds(result) -> list[str]:
