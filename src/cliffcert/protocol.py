@@ -19,10 +19,11 @@ Repetition counts come from the Hoeffding bound at failure probability
 delta per batch: the gate batch for half-width eta, each gadget batch for
 half-width d/2.  Every check fails unless |observed - expected| <= its
 tolerance: eta for the output frequency and the probe-line total variation,
-d for a gadget frequency against 1/2.  The per-batch failure budgets are not
-yet composed into one campaign bound (ROADMAP item 1).  The verifier
-consumes only classical data: bits, counts, and probabilities it computed
-itself.
+d for a gadget frequency against 1/2.  A batch's R is its counts' total,
+never what it claims: one off the plan fails BATCH_SIZE, and an empty
+batch's frequencies are NaN.  The per-batch failure budgets are not yet
+composed into one campaign bound (ROADMAP item 1).  The verifier consumes
+only classical data: bits, counts, and probabilities it computed itself.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ OUTPUT_DEVIATION = "OUTPUT_DEVIATION"
 GADGET_BIAS = "GADGET_BIAS"
 EXTRA_LINE_DEVIATION = "EXTRA_LINE_DEVIATION"
 IMPOSSIBLE_OUTCOME = "IMPOSSIBLE_OUTCOME"
+BATCH_SIZE = "BATCH_SIZE"
 INCOMPLETE = "INCOMPLETE"
 
 # numpy's multinomial draws at most 2^63 - 1 runs in one batch
@@ -91,8 +93,9 @@ def hoeffding_repetitions(tolerance: float, delta: float, key: str) -> int:
 
 def hoeffding_halfwidth(repetitions: int, delta: float) -> float:
     """Two-sided confidence-interval half width at failure probability
-    delta for R repetitions."""
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * repetitions))
+    delta for R repetitions; no runs bound nothing."""
+    return math.sqrt(math.log(2.0 / delta) / (2.0 * repetitions)) \
+        if repetitions else math.inf
 
 
 def plan(t: int, epsilon: float, eta: float, delta: float,
@@ -242,18 +245,18 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
     resolved = transcript.resolved
     p_classical = single_output_probability(resolved, 0)
     batch = device.run_fixed_batch(resolved, test_plan.r_gate, seed)
+    runs = sum(batch.counts.values())
     # the final output is the last slot
     zeros = int(batch.tail_counts(1)[0])
-    p_hat = zeros / batch.repetitions
+    p_hat = zeros / (runs or math.nan)
     impossible = ((p_classical < PROB_TOL and zeros > 0)
-                  or (p_classical > 1.0 - PROB_TOL
-                      and zeros < batch.repetitions))
+                  or (p_classical > 1.0 - PROB_TOL and zeros < runs))
     return GateTestResult(
-        repetitions=batch.repetitions,
+        repetitions=runs,
         p_hat=p_hat,
         p_classical=p_classical,
         eta=test_plan.eta,
-        ci_halfwidth=hoeffding_halfwidth(batch.repetitions, test_plan.delta),
+        ci_halfwidth=hoeffding_halfwidth(runs, test_plan.delta),
         impossible_observed=impossible,
     )
 
@@ -326,24 +329,25 @@ def run_measurement_stage(device, stage_prefix, theory: np.ndarray,
     of the ancilla and the probes."""
     prefix, ancilla, extras = stage_prefix
     batch = device.run_fixed_batch(prefix, test_plan.r_meas, seed)
+    runs = sum(batch.counts.values())
     # the ancilla readout and the probes are a record's last slots
     empirical = batch.tail_counts(1 + len(extras))
 
     impossible = bool((theory[empirical > 0] < PROB_TOL).any())
     # the ancilla is the leading bit of both tables
-    p_hat = int(empirical.reshape(2, -1)[1].sum()) / batch.repetitions
+    p_hat = int(empirical.reshape(2, -1)[1].sum()) / (runs or math.nan)
     tv_distance = None
     if extras:
         tv_distance = 0.5 * sum(
-            abs(count / batch.repetitions - prob)
+            abs(count / (runs or math.nan) - prob)
             for count, prob in zip(empirical.tolist(), theory.tolist()))
     return MeasurementStageResult(
         stage=stage,
         ancilla_line=ancilla,
-        repetitions=batch.repetitions,
+        repetitions=runs,
         p_hat=p_hat,
         d_gadget=test_plan.d_gadget,
-        ci_halfwidth=hoeffding_halfwidth(batch.repetitions, test_plan.delta),
+        ci_halfwidth=hoeffding_halfwidth(runs, test_plan.delta),
         extra_lines=extras,
         tv_distance=tv_distance,
         eta=test_plan.eta,
@@ -394,12 +398,23 @@ def compose_error(test_plan: TestPlan, gate: GateTestResult,
     return pi_bound, epsilon_prime
 
 
+def _batch_size(stage: Optional[int], runs: int,
+                planned: int) -> tuple[FailedCheck, ...]:
+    return _check(BATCH_SIZE, stage, runs, planned, 0.0,
+                  f"{'gate' if stage is None else f'stage {stage}'} batch "
+                  f"counts {runs} runs where the plan asks for {planned}")
+
+
 def verdict(transcript: Transcript, test_plan: TestPlan, p_classical: float,
             gate: Optional[GateTestResult], stages) -> VerdictReport:
-    """Combine all test results into the final report."""
+    """Combine all test results into the final report: each batch's size
+    check, then its own checks, in batch order."""
     stages = tuple(stages)
-    failures = (() if gate is None else gate.failures) + tuple(
-        failure for s in stages for failure in s.failures)
+    failures = () if gate is None else (
+        _batch_size(None, gate.repetitions, test_plan.r_gate) + gate.failures)
+    for s in stages:
+        failures += (_batch_size(s.stage, s.repetitions, test_plan.r_meas)
+                     + s.failures)
     if not failures and (gate is None or len(stages) != test_plan.t):
         failures = (FailedCheck(INCOMPLETE, None, None, None, None,
                                 "not every test batch was executed"),)

@@ -18,8 +18,8 @@ verdict: bit m-1-i is slot i's outcome (slot i is frame operator m-1-i),
 so slot 0 is the most significant bit.  A batch counts the cells of one
 multinomial sample from the record table of a fixed sequence.  Each fault
 model acts as a channel on that table: miscalibration changes the prepared
-inputs, a liar replaces the final bit, a biased coin reweights gadget
-slots by coin(b) / P(b | earlier bits), and a gate error XOR-shifts it by
+inputs, a liar replaces the final bit, a biased coin scales gadget slots by
+2 coin(b) (P(b | earlier bits) is 1/2), and a gate error XOR-shifts it by
 a flip mask read off the frame's slices as the sweep passes the gate (as
 in Stim, Gidney arXiv:2103.02202): depolarizing noise is one factor per
 subset expectation before the table's inverse transform.  This makes
@@ -257,7 +257,8 @@ def record_table(seq: FixedSequence, fault: FaultModel
     backward sweep carries slot i's Z from its own MEASURE (a measured line
     is never reused) as frame operator m-1-i and reads each gate's flip
     masks as it passes; the table is the swept frame's outcome table on the
-    prepared inputs, depolarizing noise folded in before its transform.
+    prepared inputs, depolarizing noise folded in before its transform, and
+    then a coin bias scales gadget slots in place and a liar the final bit.
     """
     events = tuple(_plan_events(seq))
     m = len(events)
@@ -281,34 +282,18 @@ def record_table(seq: FixedSequence, fault: FaultModel
     if not abs(total - 1.0) <= 1e-9:
         raise AssertionError(f"record probabilities sum to {total}")
     table[table < PROB_TOL] = 0.0
-    final = m - 1
     if isinstance(fault, GadgetCoinBias):
-        coin = np.array([0.5 - fault.bias, 0.5 + fault.bias])
+        # exact: P(b | earlier record) is 1/2 at a gadget slot, so 2 coin(b)
+        # times it is coin(b), and every other conditional is kept
+        weight = np.array([[1.0 - 2.0 * fault.bias], [1.0 + 2.0 * fault.bias]])
         for slot, event in enumerate(events):
             if event.is_gadget:
-                table = _force_slot(table, slot, final, coin)
+                table.reshape(1 << slot, 2, -1)[...] *= weight
     elif isinstance(fault, Liar):
-        table = _force_slot(table, final, final,
-                            np.array([fault.q, 1.0 - fault.q]))
+        # the final output is bit 0: keep the earlier bits' distribution
+        table = (table.reshape(-1, 2).sum(axis=1, keepdims=True)
+                 * [fault.q, 1.0 - fault.q]).reshape(-1)
     return events, table
-
-
-def _force_slot(table: np.ndarray, slot: int, final: int,
-                coin: np.ndarray) -> np.ndarray:
-    """Replace slot `slot`'s conditional distribution by `coin`, keeping the
-    distribution of earlier bits and of later bits given this one.  Only a
-    terminal readout can be forced onto an impossible bit; a gadget readout
-    is a fair coin given any earlier record."""
-    view = table.reshape(1 << slot, 2, -1)
-    joint = view.sum(axis=2)
-    prefix = joint.sum(axis=1, keepdims=True)
-    if slot == final:
-        return (prefix * coin).reshape(-1)
-    # an impossible record prefix keeps its zero cells and divides nothing
-    prefix[prefix == 0] = 1.0
-    scale = np.divide(coin, joint / prefix, out=np.zeros_like(joint),
-                      where=joint > 0)
-    return (view * scale[:, :, None]).reshape(-1)
 
 
 def _flip_masks(frame: PauliFrame, gate) -> list[int]:

@@ -6,7 +6,10 @@ test-only device, statevector and Pauli-algebra API.
 
 The device runs on the Pauli engine, so every oracle here that a device
 result is checked against is computed with `cliffcert.statevector` or
-dense matrices, never with `cliffcert.pauli`."""
+dense matrices, never with `cliffcert.pauli`.  The one exception checks a
+fault channel alone: `renormalised_record_table` applies the biased-coin
+and lying devices' sequential renormalisation to the device's own honest
+table."""
 
 from __future__ import annotations
 
@@ -22,8 +25,9 @@ import numpy as np
 from cliffcert import statevector as sv
 from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                Circuit, FixedSequence, InputState, Instruction,
-                               resolve)
+                               gadgetize, parse_circuit, resolve)
 from cliffcert.pauli import PauliFrame
+from cliffcert.protocol import stage_prefixes
 from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
                               FaultModel, GadgetCoinBias, Ideal, Liar,
                               MagicMiscalibration, MeasurementEvent,
@@ -718,6 +722,62 @@ def adaptive_record_table(circuit: AdaptiveCircuit, fault: FaultModel
             mask &= bits == bit
         table[mask] = resolved[mask]
     return events, table
+
+
+def gadget_sequences(count: int, seed: int) -> list[FixedSequence]:
+    """Resolved sequences and their stage prefixes: of `count` random
+    gadgetized circuits on random gadget bits, then of both bundled
+    campaign circuits on every gadget outcome."""
+    rng = random.Random(seed)
+    resolved = []
+    for _ in range(count):
+        circuit = gadgetize(random_t_circuit(
+            rng, rng.randint(1, 4), rng.randint(4, 20), rng.randint(1, 4),
+            intermediate=2))
+        resolved.append(resolve(circuit, [rng.randrange(2) for _ in
+                                          range(circuit.gadget_count)]))
+    for name in ("deterministic_t3.circ", "phase_probe.circ"):
+        circuit = gadgetize(parse_circuit((CIRCUITS / name).read_text()))
+        resolved += [resolve(circuit, bits) for bits in itertools.product(
+            (0, 1), repeat=circuit.gadget_count)]
+    return [seq for r in resolved for seq in
+            [r] + [prefix for prefix, _, _ in
+                   stage_prefixes(r, rng.randint(0, 3))]]
+
+
+def force_slot(table: np.ndarray, slot: int, final: int,
+               coin: np.ndarray) -> np.ndarray:
+    """Replace slot `slot`'s conditional distribution by `coin`, keeping the
+    distribution of earlier bits and of later bits given this one: the
+    conditional is read off the table and divided out."""
+    view = table.reshape(1 << slot, 2, -1)
+    joint = view.sum(axis=2)
+    prefix = joint.sum(axis=1, keepdims=True)
+    if slot == final:
+        return (prefix * coin).reshape(-1)
+    # an impossible record prefix keeps its zero cells and divides nothing
+    prefix[prefix == 0] = 1.0
+    scale = np.divide(coin, joint / prefix, out=np.zeros_like(joint),
+                      where=joint > 0)
+    return (view * scale[:, :, None]).reshape(-1)
+
+
+def renormalised_record_table(seq: FixedSequence,
+                              fault: FaultModel) -> np.ndarray:
+    """The record table of a biased-coin or lying device by sequential
+    renormalisation: the honest table with each gadget slot, in order, or
+    the final slot forced onto the fault's coin by `force_slot`."""
+    events, table = record_table(seq, IDEAL)
+    final = len(events) - 1
+    if isinstance(fault, GadgetCoinBias):
+        coin = np.array([0.5 - fault.bias, 0.5 + fault.bias])
+        for slot, event in enumerate(events):
+            if event.is_gadget:
+                table = force_slot(table, slot, final, coin)
+    elif isinstance(fault, Liar):
+        table = force_slot(table, final, final,
+                           np.array([fault.q, 1.0 - fault.q]))
+    return table
 
 
 def run_adaptive_batch(device: SimulatedDevice, circuit: AdaptiveCircuit,

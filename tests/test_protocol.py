@@ -15,8 +15,9 @@ from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
 from cliffcert import protocol, prover
 from cliffcert.pauli import PauliFrame
-from cliffcert.protocol import (ACCEPT, EXTRA_LINE_DEVIATION, GADGET_BIAS,
-                                IMPOSSIBLE_OUTCOME, OUTPUT_DEVIATION, REJECT,
+from cliffcert.protocol import (ACCEPT, BATCH_SIZE, EXTRA_LINE_DEVIATION,
+                                GADGET_BIAS, IMPOSSIBLE_OUTCOME,
+                                OUTPUT_DEVIATION, REJECT,
                                 GateTestResult, MeasurementStageResult,
                                 campaign_table_sizes, compose_error, plan,
                                 report_summary, report_to_json_dict,
@@ -358,20 +359,40 @@ class TestDecisionRule:
                 if f.kind != IMPOSSIBLE_OUTCOME:
                     assert abs(f.observed - f.expected) > f.tolerance
 
+    def _failing_batches(self, test_plan, gate_runs, stage_runs):
+        gate = dataclasses.replace(self.GATE, p_hat=self.ABOVE,
+                                   repetitions=gate_runs)
+        stages = [dataclasses.replace(self.STAGE, stage=1,
+                                      tv_distance=self.TV_OVER,
+                                      repetitions=stage_runs),
+                  dataclasses.replace(self.STAGE, p_hat=self.ABOVE,
+                                      tv_distance=self.TV_OVER,
+                                      repetitions=stage_runs)]
+        return verdict(None, test_plan, 0.5, gate, stages)
+
     def test_verdict_joins_failures_in_order(self):
         test_plan = plan(2, 0.05, 0.25, 0.01)
-        gate = dataclasses.replace(self.GATE, p_hat=self.ABOVE)
-        stages = [dataclasses.replace(self.STAGE, stage=1,
-                                      tv_distance=self.TV_OVER),
-                  dataclasses.replace(self.STAGE, p_hat=self.ABOVE,
-                                      tv_distance=self.TV_OVER)]
-        report = verdict(None, test_plan, 0.5, gate, stages)
+        report = self._failing_batches(test_plan, test_plan.r_gate,
+                                       test_plan.r_meas)
         assert report.decision == REJECT
         assert [(f.kind, f.stage) for f in report.failures] == [
             (OUTPUT_DEVIATION, None), (EXTRA_LINE_DEVIATION, 1),
             (GADGET_BIAS, 2), (EXTRA_LINE_DEVIATION, 2)]
         assert report.pi_bound is None and report.epsilon_prime is None
         assert report.confidence_lower_bound is None
+
+    def test_verdict_checks_each_batch_size_first(self):
+        test_plan = plan(2, 0.05, 0.25, 0.01)
+        report = self._failing_batches(test_plan, 4, test_plan.r_meas + 1)
+        assert [(f.kind, f.stage) for f in report.failures] == [
+            (BATCH_SIZE, None), (OUTPUT_DEVIATION, None),
+            (BATCH_SIZE, 1), (EXTRA_LINE_DEVIATION, 1),
+            (BATCH_SIZE, 2), (GADGET_BIAS, 2), (EXTRA_LINE_DEVIATION, 2)]
+        size = report.failures[0]
+        assert (size.observed, size.expected, size.tolerance) == \
+            (4, test_plan.r_gate, 0.0)
+        assert size.message == (f"gate batch counts 4 runs where the plan "
+                                f"asks for {test_plan.r_gate}")
 
 
 class TestComposeError:
@@ -479,6 +500,95 @@ class TestVerdict:
         assert (GADGET_BIAS, 1) in [(f.kind, f.stage)
                                     for f in report.failures]
         assert all(f.kind != protocol.INCOMPLETE for f in report.failures)
+
+
+class EditedDevice:
+    """A simulated device whose fixed batches pass through
+    `edit(device, index, seq, repetitions, seed)`, index 0 being the gate
+    batch and index s stage s's."""
+
+    def __init__(self, fault, edit):
+        self.inner = SimulatedDevice(fault)
+        self.edit = edit
+        self.batches = 0
+
+    def run_adaptive(self, circuit, seed):
+        return self.inner.run_adaptive(circuit, seed)
+
+    def run_fixed_batch(self, seq, repetitions, seed):
+        index, self.batches = self.batches, self.batches + 1
+        return self.edit(self.inner, index, seq, repetitions, seed)
+
+
+# gadget-free, P(output 0) = cos^2(pi/6) = 0.75
+THREE_QUARTERS = parse_circuit(
+    "qubits 1\ninput 0 GENERAL 1.0471975511965976 0\nMEASURE 0 out\n")
+
+
+class TestBatchSize:
+    """R is what a batch's counts hold, and every batch must hold the
+    planned R."""
+
+    def test_short_gate_batch_rejected(self):
+        # the planned 1060 runs tell Liar(0.9) from p_cl = 0.75; twenty
+        # runs pass the output check now and then
+        def short(device, index, seq, repetitions, seed):
+            return device.run_fixed_batch(
+                seq, 20 if index == 0 else repetitions, seed)
+
+        assert plan(0, 0.05, 0.05, 0.01).r_gate == 1060
+        statistic_passed = 0
+        for seed in range(400):
+            report = verify_campaign(EditedDevice(Liar(0.9), short),
+                                     THREE_QUARTERS, 0.05, 0.05, 0.01, seed)
+            assert report.decision == REJECT
+            assert (report.failures[0].kind, report.failures[0].stage) == \
+                (BATCH_SIZE, None)
+            assert report.gate.repetitions == 20
+            statistic_passed += report.gate.passed
+        assert statistic_passed > 0
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_counts_that_do_not_sum_rejected(self, index, shift):
+        def miscount(device, i, seq, repetitions, seed):
+            batch = device.run_fixed_batch(seq, repetitions, seed)
+            if i != index:
+                return batch
+            counts = dict(batch.counts)
+            counts[max(counts, key=counts.get)] += shift
+            return dataclasses.replace(batch, counts=counts)
+
+        report = verify_campaign(EditedDevice(IDEAL, miscount), DET3, 0.05,
+                                 0.05, 0.01, seed=21)
+        stage = index or None
+        assert [(f.kind, f.stage) for f in report.failures] == \
+            [(BATCH_SIZE, stage)]
+        result, planned = (report.gate, report.plan.r_gate) if index == 0 \
+            else (report.stages[index - 1], report.plan.r_meas)
+        assert result.repetitions == planned + shift
+        assert report.failures[0].observed == planned + shift
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_empty_batch_rejected(self, index):
+        def empty(device, i, seq, repetitions, seed):
+            batch = device.run_fixed_batch(seq, repetitions, seed)
+            return dataclasses.replace(batch, counts={}) if i == index \
+                else batch
+
+        report = verify_campaign(EditedDevice(IDEAL, empty), DET3, 0.05,
+                                 0.05, 0.01, seed=21)
+        stage = index or None
+        assert report.decision == REJECT
+        assert (report.failures[0].kind, report.failures[0].stage) == \
+            (BATCH_SIZE, stage)
+        assert {f.stage for f in report.failures} == {stage}
+        result = report.gate if index == 0 else report.stages[index - 1]
+        assert result.repetitions == 0 and math.isnan(result.p_hat)
+        assert result.ci_halfwidth == math.inf
+        assert len(report.stages) == DET3.gadget_count
+        assert "REJECT" in report_summary(report)
+        json.dumps(report_to_json_dict(report))
 
 
 class TestStatisticalProperties:

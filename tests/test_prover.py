@@ -24,11 +24,12 @@ from helpers import (CIRCUITS, adaptive_record_table, assert_records_follow,
                      fault_to_text, final_output_probability,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
-                     frequency_of_one, gadget_born_probabilities, loop_counts,
+                     frequency_of_one, gadget_born_probabilities,
+                     gadget_sequences, loop_counts,
                      loop_depolarize, random_clifford_sequence,
                      random_fixed_sequence, random_inputs, random_t_circuit,
-                     record_counts,
-                     reference_run, reference_transcript, run_adaptive_batch,
+                     record_counts, reference_run, reference_transcript,
+                     renormalised_record_table, run_adaptive_batch,
                      run_fixed, sv_fidelity, sv_norm, sv_remove_line)
 
 
@@ -364,6 +365,51 @@ class TestFaultModels:
                 Instruction("MEASURE", (1,), label="out")))
         assert [(v.code, v.index) for v in err.value.violations] == \
             [(MEASURED_LINE_REUSED, 1)]
+
+
+@pytest.fixture(scope="module")
+def gadget_corpus():
+    return gadget_sequences(200, 97)
+
+
+class TestCoinChannel:
+    """A gadget readout is an exact fair coin given any earlier record, so
+    a biased coin weights each gadget slot's halves by 2 coin(b) without
+    reading a marginal; the sequential renormalisation is its oracle."""
+
+    @pytest.mark.parametrize("fault", [IDEAL, MagicMiscalibration(0.3)])
+    def test_gadget_readout_is_a_fair_coin(self, fault, gadget_corpus):
+        checked = 0
+        for seq in gadget_corpus:
+            events, table = prover.record_table(seq, fault)
+            for slot, event in enumerate(events):
+                if not event.is_gadget:
+                    continue
+                zero, one = table.reshape(1 << slot, 2, -1).sum(axis=2).T
+                possible = zero + one > 0
+                conditional = one[possible] / (zero + one)[possible]
+                assert np.all(np.abs(conditional - 0.5) <= 1e-14)
+                checked += int(possible.sum())
+        assert checked > 1000
+
+    @pytest.mark.parametrize("bias", [-0.5, -0.2, 0.1, 0.37, 0.5])
+    def test_coin_bias_matches_renormalisation(self, bias, gadget_corpus):
+        fault = GadgetCoinBias(bias)
+        for seq in gadget_corpus:
+            _, table = prover.record_table(seq, fault)
+            want = renormalised_record_table(seq, fault)
+            assert np.array_equal(table == 0, want == 0)
+            cells = want != 0
+            assert np.all(np.abs(table[cells] - want[cells])
+                          <= 4e-15 * want[cells])
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.9, 1.0])
+    def test_liar_matches_renormalisation_bit_for_bit(self, q,
+                                                      gadget_corpus):
+        for seq in gadget_corpus:
+            _, table = prover.record_table(seq, Liar(q))
+            assert np.array_equal(table,
+                                  renormalised_record_table(seq, Liar(q)))
 
 
 class TestReferenceRun:
