@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Union
 
 ZERO = "ZERO"
 ONE = "ONE"
@@ -142,6 +143,13 @@ class Instruction:
         return self.targets
 
 
+class MeasurementEvent(NamedTuple):
+    """One record slot: the line it reads and whether it is a gadget coin."""
+
+    line: int
+    is_gadget: bool
+
+
 class _ValidCircuit:
     """What both circuit types share: validated once, when built."""
 
@@ -149,6 +157,18 @@ class _ValidCircuit:
         violations = validate(self)
         if violations:
             raise InvalidCircuitError(violations)
+
+    @cached_property
+    def events(self) -> tuple[MeasurementEvent, ...]:
+        """The record slots in execution order, computed once; the gadget
+        ones are TGADGET readouts and a fixed sequence's `gadget_slots`."""
+        slots = set(getattr(self, "gadget_slots", ()))
+        # from a list: tuple() of a generator resizes it, raising peak RSS
+        return tuple([
+            MeasurementEvent(ins.ancilla, True) if ins.op == "TGADGET"
+            else MeasurementEvent(ins.targets[0], idx in slots)
+            for idx, ins in enumerate(self.instructions)
+            if ins.op in ("MEASURE", "TGADGET")])
 
     @property
     def output_line(self) -> int:

@@ -180,8 +180,7 @@ def joint_output_probability(seq: FixedSequence, lines):
     """
     stacked = len(lines) > 0 and isinstance(lines[0], tuple)
     queries = list(lines) if stacked else [tuple(lines)]
-    measured = {ins.targets[0] for ins in seq.instructions
-                if ins.op == "MEASURE"}
+    measured = {event.line for event in seq.events}
     enter: dict[int, list[tuple[int, int]]] = {}
     starts = []  # each query's lowest frame operator, its last line's
     start = 0

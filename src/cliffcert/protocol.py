@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import AdaptiveCircuit, FixedSequence, Instruction
+from .circuit import AdaptiveCircuit, Circuit, FixedSequence, Instruction
 from .pauli import joint_output_probability, single_output_probability
 from .prover import PROB_TOL, Transcript, derive_seed
 
@@ -261,10 +261,25 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
     )
 
 
+def _stage_layouts(circuit: Circuit, extra_check_lines: int
+                   ) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(record slots up to its gadget, ancilla, probe lines) of each stage,
+    the probes being the lowest-index lines those slots leave unmeasured."""
+    measured: set[int] = set()
+    stages = []
+    for slots, (line, is_gadget) in enumerate(circuit.events, 1):
+        measured.add(line)
+        if is_gadget:
+            stages.append((slots, line, tuple(islice(
+                (free for free in range(circuit.n_lines)
+                 if free not in measured), extra_check_lines))))
+    return stages
+
+
 def stage_prefixes(resolved: FixedSequence, extra_check_lines: int
                    ) -> list[tuple[FixedSequence, int, tuple[int, ...]]]:
     """(prefix sequence, ancilla, probe lines) of every measurement-test
-    stage, in order, from one forward walk of the recorded sequence.
+    stage, in order, from the recorded sequence's slot layout.
 
     Stage s's prefix is the recorded sequence cut after gadget s's ancilla
     readout, so earlier gadgets stay frozen to the recorded outcomes,
@@ -273,51 +288,27 @@ def stage_prefixes(resolved: FixedSequence, extra_check_lines: int
     slot of the prefix, the stage's last.
     """
     instructions, slots = resolved.instructions, resolved.gadget_slots
-    measured: set[int] = set()
-    walked = 0
     stages = []
-    for stage, slot in enumerate(slots, 1):
-        measured.update(ins.targets[0] for ins in instructions[walked:slot + 1]
-                        if ins.op == "MEASURE")
-        walked = slot + 1
-        extras = tuple(islice((line for line in range(resolved.n_lines)
-                               if line not in measured), extra_check_lines))
-        prefix = FixedSequence(
+    for stage, (slot, (_, ancilla, extras)) in enumerate(
+            zip(slots, _stage_layouts(resolved, extra_check_lines)), 1):
+        stages.append((FixedSequence(
             n_lines=resolved.n_lines,
             inputs=resolved.inputs,
-            instructions=instructions[:walked] + tuple(
+            instructions=instructions[:slot + 1] + tuple(
                 Instruction("MEASURE", (line,), label=f"chk{j}")
                 for j, line in enumerate(extras)),
             gadget_slots=slots[:stage],
-        )
-        stages.append((prefix, instructions[slot].targets[0], extras))
+        ), ancilla, extras))
     return stages
 
 
 def campaign_table_sizes(circuit: AdaptiveCircuit,
                          extra_check_lines: int) -> tuple[int, int]:
     """(record slots of the largest device table, lines of the largest
-    probe table) a campaign on `circuit` asks for, from its structure alone.
-
-    The computational run and the gate test have one slot per MEASURE and
-    gadget; stage s's prefix has the MEASUREs before gadget s, s gadget
-    readouts and its probes, as `stage_prefixes` lays them out.  Stage
-    1 leaves the most lines unmeasured, so its probe table is the largest.
-    """
-    measured: set[int] = set()
-    measures = gadgets = largest = probe_lines = 0
-    for ins in circuit.instructions:
-        if ins.op == "MEASURE":
-            measures += 1
-            measured.add(ins.targets[0])
-        elif ins.op == "TGADGET":
-            gadgets += 1
-            measured.add(ins.ancilla)
-            probes = min(extra_check_lines,
-                         circuit.n_lines - len(measured))
-            largest = max(largest, measures + gadgets + probes)
-            probe_lines = max(probe_lines, 1 + probes)
-    return max(largest, measures + gadgets), probe_lines
+    probe table) a campaign on `circuit` asks for, from its layout alone."""
+    stages = _stage_layouts(circuit, extra_check_lines)
+    return (max([len(circuit.events)] + [s + len(p) for s, _, p in stages]),
+            max([0] + [1 + len(p) for _, _, p in stages]))
 
 
 def run_measurement_stage(device, stage_prefix, theory: np.ndarray,
@@ -431,9 +422,13 @@ def verdict(transcript: Transcript, test_plan: TestPlan, p_classical: float,
 
 
 def report_to_json_dict(report: VerdictReport) -> dict:
-    """Report as a JSON-ready dict with deterministic field ordering: each
-    result section lists its dataclass's fields in declaration order, gate
-    and stage results followed by `passed`."""
+    """Report as a strict-JSON-ready dict with deterministic field ordering:
+    each result section's fields in declaration order, gate and stage
+    results followed by `passed`, and a non-finite float written as None."""
+    def fields(result, **extra) -> dict:
+        return {k: None if isinstance(v, float) and not math.isfinite(v)
+                else v for k, v in dict(vars(result), **extra).items()}
+
     gate = report.gate
     return {
         "decision": report.decision,
@@ -441,13 +436,13 @@ def report_to_json_dict(report: VerdictReport) -> dict:
         "epsilon_prime": report.epsilon_prime,
         "pi_bound": list(report.pi_bound) if report.pi_bound else None,
         "p_classical": report.p_classical,
-        "plan": dict(vars(report.plan)),
+        "plan": fields(report.plan),
         "transcript": report.transcript.to_json_dict(),
         "gate_test": None if gate is None
-        else dict(vars(gate), passed=gate.passed),
-        "measurement_tests": [dict(vars(s), passed=s.passed)
+        else fields(gate, passed=gate.passed),
+        "measurement_tests": [fields(s, passed=s.passed)
                               for s in report.stages],
-        "failures": [dict(vars(f)) for f in report.failures],
+        "failures": [fields(f) for f in report.failures],
     }
 
 

@@ -14,14 +14,15 @@ exact joint distribution off the swept frame in O(|U| * 2^m) for |U|
 support lines (at most MAX_RECORD_SLOTS slots).
 
 A record is a cell of that table, one layout from the frame to the
-verdict: bit m-1-i is slot i's outcome (slot i is frame operator m-1-i),
-so slot 0 is the most significant bit.  A batch counts the cells of one
-multinomial sample from the record table of a fixed sequence.  Each fault
-model acts as a channel on that table: miscalibration changes the prepared
-inputs, a liar replaces the final bit, a biased coin scales gadget slots by
-2 coin(b) (P(b | earlier bits) is 1/2), and a gate error XOR-shifts it by
-a flip mask read off the frame's slices as the sweep passes the gate (as
-in Stim, Gidney arXiv:2103.02202): depolarizing noise is one factor per
+verdict: the slots are the circuit's cached `events`, and bit m-1-i is
+slot i's outcome (slot i is frame operator m-1-i), so slot 0 is the most
+significant bit.  A batch counts the cells of one multinomial sample from
+the record table of a fixed sequence.  Each fault model acts as a channel
+on that table: miscalibration changes the prepared inputs, a liar
+replaces the final bit, a biased coin scales gadget slots by 2 coin(b)
+(P(b | earlier bits) is 1/2), and a gate error XOR-shifts it by a flip
+mask read off the frame's slices as the sweep passes the gate (as in
+Stim, Gidney arXiv:2103.02202): depolarizing noise is one factor per
 subset expectation before the table's inverse transform.  This makes
 10^5..10^7-repetition test batches affordable for every fault model.
 
@@ -45,8 +46,8 @@ from typing import Union
 
 import numpy as np
 
-from .circuit import (AdaptiveCircuit, Circuit, FixedSequence, resolve,
-                      serialize)
+from .circuit import (AdaptiveCircuit, Circuit, FixedSequence,
+                      MeasurementEvent, resolve, serialize)
 from .pauli import PauliFrame, outcome_table, walsh_hadamard
 
 PROB_TOL = 1e-12
@@ -170,21 +171,14 @@ class Transcript:
 
 
 @dataclass(frozen=True)
-class MeasurementEvent:
-    """One measurement slot of a sequence, in execution order."""
-
-    line: int
-    is_gadget: bool
-
-
-@dataclass(frozen=True)
 class BatchResult:
     """Outcome-record counts for a batch of identically prepared runs.
 
     A record is a cell of the record table: bit m-1-i of the integer is
     slot i's outcome, so slot 0 is the most significant bit and the final
     output is bit 0.  `counts` maps each record drawn to its count, in
-    increasing cell order."""
+    increasing cell order.  `events` is the sent sequence's own layout,
+    which the verifier never reads; it is kept for the benchmark tracer."""
 
     events: tuple[MeasurementEvent, ...]
     counts: dict[int, int]
@@ -200,26 +194,6 @@ class BatchResult:
         return marginal
 
 
-def _plan_events(circuit: Circuit) -> list[MeasurementEvent]:
-    """Measurement slots of a circuit in execution order.
-
-    The gadget readouts are the TGADGET ancilla readouts of an adaptive
-    circuit and the `gadget_slots` of a fixed sequence.
-    """
-    slots = () if isinstance(circuit, AdaptiveCircuit) \
-        else circuit.gadget_slots
-    events: list[MeasurementEvent] = []
-    for idx, ins in enumerate(circuit.instructions):
-        if ins.op == "TGADGET":
-            events.append(MeasurementEvent(ins.ancilla, True))
-        elif ins.op == "MEASURE":
-            events.append(MeasurementEvent(ins.targets[0], idx in slots))
-    if len(events) > MAX_RECORD_SLOTS:
-        raise ValueError(f"{len(events)} measurement slots exceed the "
-                         f"device's maximum {MAX_RECORD_SLOTS}")
-    return events
-
-
 def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
     """One adaptive run: its record bits, resolved sequence and its table.
 
@@ -227,41 +201,42 @@ def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
     they resolve the circuit before any other slot is read; every other
     slot reads P(1 | record so far) off that sequence's one record table.
     """
-    events = _plan_events(circuit)
+    events = circuit.events
     draws = np.random.default_rng(seed).random(len(events)).tolist()
     coin = 0.5 + fault.bias if isinstance(fault, GadgetCoinBias) else 0.5
     resolved = resolve(circuit, [int(u < coin) for u, event
                                  in zip(draws, events) if event.is_gadget])
-    built = _, table = record_table(resolved, fault)
-    gadget_bits = iter(resolved.frozen_outcomes)
+    table = record_table(resolved, fault)
     record: list[int] = []
     cell = 0  # the record so far as a table prefix
     for slot, (u, event) in enumerate(zip(draws, events)):
         if event.is_gadget:
-            bit = next(gadget_bits)
+            bit = int(u < coin)
         else:
             zero, one = table.reshape(1 << slot, 2, -1)[cell].sum(axis=1)
             bit = int(u < one / (zero + one))
         record.append(bit)
         cell = 2 * cell + bit
-    return tuple(record), resolved, built
+    return tuple(record), resolved, table
 
 
-def record_table(seq: FixedSequence, fault: FaultModel
-                 ) -> tuple[tuple[MeasurementEvent, ...], np.ndarray]:
+def record_table(seq: FixedSequence, fault: FaultModel) -> np.ndarray:
     """Exact joint distribution over measurement records under `fault`.
 
-    Returns the measurement slots and a table of 2^m probabilities; bit
-    m-1-i of a cell's index is slot i's outcome, so slot 0 is the most
-    significant bit and cells run in lexicographic record order.  One
+    Returns the table alone, 2^m probabilities over the m slots of
+    `seq.events` (at most MAX_RECORD_SLOTS): bit m-1-i of a cell's index
+    is slot i's outcome, so slot 0 is the most significant bit.  One
     backward sweep carries slot i's Z from its own MEASURE (a measured line
     is never reused) as frame operator m-1-i and reads each gate's flip
     masks as it passes; the table is the swept frame's outcome table on the
     prepared inputs, depolarizing noise folded in before its transform, and
     then a coin bias scales gadget slots in place and a liar the final bit.
     """
-    events = tuple(_plan_events(seq))
+    events = seq.events
     m = len(events)
+    if m > MAX_RECORD_SLOTS:
+        raise ValueError(f"{m} measurement slots exceed the "
+                         f"device's maximum {MAX_RECORD_SLOTS}")
     depolarizing = isinstance(fault, Depolarizing) and fault.p_err
     frame = PauliFrame(seq.n_lines)
     flips = ([], [])  # the flip masks of the one- and the two-line gates
@@ -293,7 +268,7 @@ def record_table(seq: FixedSequence, fault: FaultModel
         # the final output is bit 0: keep the earlier bits' distribution
         table = (table.reshape(-1, 2).sum(axis=1, keepdims=True)
                  * [fault.q, 1.0 - fault.q]).reshape(-1)
-    return events, table
+    return table
 
 
 def _flip_masks(frame: PauliFrame, gate) -> list[int]:
@@ -326,7 +301,7 @@ def _depolarizing_factor(flips, m: int, p_err: float) -> np.ndarray:
     return np.prod((1 - p_err * weight / (weight - 1)) ** nontrivial, axis=0)
 
 
-def _sample_table(events, table: np.ndarray, repetitions: int,
+def _sample_table(seq: Circuit, table: np.ndarray, repetitions: int,
                   seed: int) -> BatchResult:
     rng = np.random.default_rng(seed)
     cells = np.flatnonzero(table > 0)
@@ -334,7 +309,8 @@ def _sample_table(events, table: np.ndarray, repetitions: int,
     draws = rng.multinomial(repetitions, probs / probs.sum())
     drawn = draws > 0
     counts = dict(zip(cells[drawn].tolist(), draws[drawn].tolist()))
-    return BatchResult(events=events, counts=counts, repetitions=repetitions)
+    return BatchResult(events=seq.events, counts=counts,
+                       repetitions=repetitions)
 
 
 class SimulatedDevice:
@@ -348,8 +324,8 @@ class SimulatedDevice:
     def run_adaptive(self, circuit: AdaptiveCircuit, seed: int) -> Transcript:
         """One adaptive run: gadget corrections applied immediately after
         their ancilla measurements, everything recorded."""
-        record, resolved, built = _sample_run(circuit, self.fault, seed)
-        self._last_table = (resolved, built)
+        record, resolved, table = _sample_run(circuit, self.fault, seed)
+        self._last_table = (resolved, table)
         return Transcript(
             circuit_id=circuit_id(circuit),
             final_output=record[-1],
@@ -362,6 +338,6 @@ class SimulatedDevice:
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
         last, self._last_table = self._last_table, None
-        events, table = last[1] if last and last[0] is seq \
+        table = last[1] if last and last[0] is seq \
             else record_table(seq, self.fault)
-        return _sample_table(events, table, repetitions, seed)
+        return _sample_table(seq, table, repetitions, seed)

@@ -25,15 +25,15 @@ import numpy as np
 from cliffcert import statevector as sv
 from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                Circuit, FixedSequence, InputState, Instruction,
-                               gadgetize, parse_circuit, resolve)
+                               MeasurementEvent, gadgetize, parse_circuit,
+                               resolve)
 from cliffcert.pauli import PauliFrame
 from cliffcert.protocol import stage_prefixes
 from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
                               FaultModel, GadgetCoinBias, Ideal, Liar,
-                              MagicMiscalibration, MeasurementEvent,
-                              SimulatedDevice, Transcript, _FAULT_NAMES,
-                              _plan_events, _sample_table, circuit_id,
-                              derive_seed, record_table)
+                              MagicMiscalibration, SimulatedDevice,
+                              Transcript, _FAULT_NAMES, _sample_table,
+                              circuit_id, derive_seed, record_table)
 from cliffcert.statevector import GATES_1Q, GATES_2Q
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +53,22 @@ def fault_to_text(fault: FaultModel) -> str:
         return name
     value = next(iter(vars(fault).values()))
     return f"{name} {value!r}"
+
+
+def plan_events(circuit: Circuit) -> list[MeasurementEvent]:
+    """Reference for a circuit's `events` layout, walked afresh: its
+    record slots in execution order, the gadget readouts being the TGADGET
+    ancilla readouts of an adaptive circuit and the `gadget_slots` of a
+    fixed sequence."""
+    slots = () if isinstance(circuit, AdaptiveCircuit) \
+        else circuit.gadget_slots
+    events: list[MeasurementEvent] = []
+    for idx, ins in enumerate(circuit.instructions):
+        if ins.op == "TGADGET":
+            events.append(MeasurementEvent(ins.ancilla, True))
+        elif ins.op == "MEASURE":
+            events.append(MeasurementEvent(ins.targets[0], idx in slots))
+    return events
 
 
 def random_input(rng: random.Random) -> InputState:
@@ -493,7 +509,7 @@ def outcome_distribution(circuit, fault: FaultModel,
                          "distribution")
     shift = fault.delta_theta if isinstance(fault, MagicMiscalibration) \
         else 0.0
-    events = _plan_events(circuit)
+    events = plan_events(circuit)
     final_index = len(events) - 1
     branches: list[tuple[object, float, tuple[int, ...]]] = \
         [(sv.init_state(circuit.inputs, magic_phase_shift=shift), 1.0, ())]
@@ -699,8 +715,8 @@ def record_counts(batch: BatchResult, slots) -> Counter:
     return counts
 
 
-def adaptive_record_table(circuit: AdaptiveCircuit, fault: FaultModel
-                          ) -> tuple[tuple[MeasurementEvent, ...], np.ndarray]:
+def adaptive_record_table(circuit: AdaptiveCircuit,
+                          fault: FaultModel) -> np.ndarray:
     """Joint record table of an adaptive circuit on the device, composed
     from the device's tables of its resolved sequences.
 
@@ -709,19 +725,19 @@ def adaptive_record_table(circuit: AdaptiveCircuit, fault: FaultModel
     depolarizing noise, their gate errors) are exactly the ones the
     adaptive run applies after reading g.
     """
-    events = tuple(_plan_events(circuit))
+    events = circuit.events
     m = len(events)
     cells = np.arange(1 << m)
     gadget_bits = [(cells >> (m - 1 - slot)) & 1
                    for slot, ev in enumerate(events) if ev.is_gadget]
     table = np.zeros(1 << m)
     for outcomes in itertools.product((0, 1), repeat=len(gadget_bits)):
-        _, resolved = record_table(resolve(circuit, outcomes), fault)
+        resolved = record_table(resolve(circuit, outcomes), fault)
         mask = np.ones(1 << m, dtype=bool)
         for bits, bit in zip(gadget_bits, outcomes):
             mask &= bits == bit
         table[mask] = resolved[mask]
-    return events, table
+    return table
 
 
 def gadget_sequences(count: int, seed: int) -> list[FixedSequence]:
@@ -767,11 +783,11 @@ def renormalised_record_table(seq: FixedSequence,
     """The record table of a biased-coin or lying device by sequential
     renormalisation: the honest table with each gadget slot, in order, or
     the final slot forced onto the fault's coin by `force_slot`."""
-    events, table = record_table(seq, IDEAL)
-    final = len(events) - 1
+    table = record_table(seq, IDEAL)
+    final = len(seq.events) - 1
     if isinstance(fault, GadgetCoinBias):
         coin = np.array([0.5 - fault.bias, 0.5 + fault.bias])
-        for slot, event in enumerate(events):
+        for slot, event in enumerate(seq.events):
             if event.is_gadget:
                 table = force_slot(table, slot, final, coin)
     elif isinstance(fault, Liar):
@@ -784,8 +800,8 @@ def run_adaptive_batch(device: SimulatedDevice, circuit: AdaptiveCircuit,
                        repetitions: int, seed: int) -> BatchResult:
     """A batch of adaptive runs on `device`, drawn from its composed record
     table."""
-    events, table = adaptive_record_table(circuit, device.fault)
-    return _sample_table(events, table, repetitions, seed)
+    return _sample_table(circuit, adaptive_record_table(circuit, device.fault),
+                         repetitions, seed)
 
 
 # -- statevector oracles ---------------------------------------------------
@@ -816,7 +832,7 @@ def dense_record_table(circuit: Circuit,
             state = sv.apply_matrix_2q(state, _CS, ins.ancilla, target)
         elif ins.op not in ("MEASURE", "ID"):
             state = sv.apply_gate(state, ins)
-    events = _plan_events(circuit)
+    events = plan_events(circuit)
     m = len(events)
     probs = np.moveaxis(np.abs(state) ** 2, [ev.line for ev in events],
                         list(range(m)))
@@ -906,7 +922,7 @@ def reference_run(circuit: Circuit, fault: FaultModel, seed: int):
     only."""
     rng = np.random.default_rng(seed)
     ex = _Executor(circuit.inputs, fault)
-    events = _plan_events(circuit)
+    events = plan_events(circuit)
     final_index = len(events) - 1
     state = ex.initial
     record: list[int] = []

@@ -213,10 +213,10 @@ def _table_vs_oracle(circuit, fault):
     adaptive circuit's table is composed from its resolved sequences'."""
     events, dist = outcome_distribution(circuit, fault)
     if isinstance(circuit, AdaptiveCircuit):
-        table_events, table = adaptive_record_table(circuit, fault)
+        table = adaptive_record_table(circuit, fault)
     else:
-        table_events, table = prover.record_table(circuit, fault)
-    assert table_events == events
+        table = prover.record_table(circuit, fault)
+    assert circuit.events == events
     return (float(np.max(np.abs(table - distribution_table(
         dist, len(events))))), abs(float(table.sum()) - 1.0))
 

@@ -63,6 +63,29 @@ def test_table_flags_a_metric_past_its_bound():
     assert lines[2].endswith("PAST BOUND")
 
 
+def test_a_spread_past_the_bound_is_unresolved():
+    # parent p50 runs 1.0, 1.4, 0.8, 1.2: an IQR of 0.3 is 27 % of their
+    # median 1.1, past the 0.15 bound; rates spread 14 % against 0.1
+    wide = [(result(p, r), result(c, s)) for p, c, r, s in (
+        (1.0, 0.95, 10.0, 13.0), (1.4, 1.3, 12.0, 13.5),
+        (0.8, 0.9, 9.0, 12.5), (1.2, 1.1, 11.0, 13.0))]
+    p50, rate = bench_pairs.summarize(DECLARED, wide)
+    assert p50["parent_spread"] == pytest.approx(0.3 / 1.1)
+    assert p50["unresolved"] and not p50["past_bound"]
+    # every change rate beats every parent rate: resolved despite spread
+    assert rate["parent_spread"] > rate["bound"]
+    assert not rate["unresolved"]
+    lines = bench_pairs.format_rows([p50, rate]).splitlines()
+    assert lines[1].endswith("UNRESOLVED") and "UNRESOLVED" not in lines[2]
+    # a narrow parent spread resolves, whatever the change runs read
+    assert not any(row["unresolved"]
+                   for row in bench_pairs.summarize(DECLARED, PAIRS))
+    # every change run beating every parent run resolves a lower metric
+    faster = [(p, result(c["metrics"]["campaign_p50_ref"]["value"] - 0.7,
+                         10.0)) for p, c in wide]
+    assert not bench_pairs.summarize(DECLARED, faster)[0]["unresolved"]
+
+
 @pytest.mark.parametrize("bad, code", [
     (None, 0), (dict(correct=False), 1), (dict(failed=2), 1)])
 def test_runs_alternate_and_failures_set_the_exit_code(

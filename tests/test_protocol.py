@@ -178,13 +178,17 @@ class TestStagePrefix:
             "qubits 1\nH 0\nMEASURE 0 out\n"), ()), 2) == []
 
     def test_table_sizes_match_built_tables(self):
-        # the pre-campaign size check counts what the campaign builds
+        # the pre-campaign size check counts what the campaign builds: on
+        # random circuits, and on both bundled campaign circuits with 0..4
+        # probes
         rng = random.Random(131)
+        cases = [(circuit, extra) for circuit in (DET3, PROBE)
+                 for extra in range(5)]
         for _ in range(60):
-            circuit = gadgetize(random_t_circuit(
+            cases.append((gadgetize(random_t_circuit(
                 rng, rng.randint(1, 6), rng.randint(1, 16),
-                rng.randint(0, 3), intermediate=3))
-            extra = rng.randint(0, 6)
+                rng.randint(0, 3), intermediate=3)), rng.randint(0, 6)))
+        for circuit, extra in cases:
             resolved = resolve(circuit, (0,) * circuit.gadget_count)
             slots = [_measures(resolved)]
             probe_lines = 0
@@ -588,7 +592,13 @@ class TestBatchSize:
         assert result.ci_halfwidth == math.inf
         assert len(report.stages) == DET3.gadget_count
         assert "REJECT" in report_summary(report)
-        json.dumps(report_to_json_dict(report))
+        # strict JSON: an empty batch's NaN and infinity are written null
+        written = json.loads(json.dumps(report_to_json_dict(report),
+                                        allow_nan=False))
+        section = written["gate_test"] if index == 0 \
+            else written["measurement_tests"][index - 1]
+        assert section["p_hat"] is None and section["ci_halfwidth"] is None
+        assert section["repetitions"] == 0
 
 
 class TestStatisticalProperties:

@@ -26,7 +26,7 @@ from helpers import (CIRCUITS, adaptive_record_table, assert_records_follow,
                      final_output_probability_unitary_only,
                      frequency_of_one, gadget_born_probabilities,
                      gadget_sequences, loop_counts,
-                     loop_depolarize, random_clifford_sequence,
+                     loop_depolarize, plan_events, random_clifford_sequence,
                      random_fixed_sequence, random_inputs, random_t_circuit,
                      record_counts, reference_run, reference_transcript,
                      renormalised_record_table, run_adaptive_batch,
@@ -38,9 +38,9 @@ def circuit_from(text):
 
 
 def assert_depolarized_like_loop(seq, p_err):
-    events, ideal = prover.record_table(seq, IDEAL)
-    _, table = prover.record_table(seq, Depolarizing(p_err))
-    want = loop_depolarize(ideal, seq, events, p_err)
+    ideal = prover.record_table(seq, IDEAL)
+    table = prover.record_table(seq, Depolarizing(p_err))
+    want = loop_depolarize(ideal, seq, seq.events, p_err)
     assert np.max(np.abs(table - want)) <= 1e-12
     assert np.all(table[want == 0] == 0)
 
@@ -294,7 +294,7 @@ class TestFaultModels:
                          "CZ 0 2\nH 2\nMEASURE 2 x2\nH 0\nMEASURE 0 out\n")
         seq = resolve(c, ())
         dev = SimulatedDevice(Depolarizing(0.2))
-        _, table = prover.record_table(seq, dev.fault)
+        table = prover.record_table(seq, dev.fault)
         assert_records_follow(loop_counts(dev, seq, 2000, 41), table)
 
     def test_depolarizing_table_matches_density_matrix_oracle(self):
@@ -303,9 +303,9 @@ class TestFaultModels:
             seq = random_fixed_sequence(rng, rng.randint(2, 4),
                                         rng.randint(3, 20), intermediate=2)
             p_err = rng.uniform(0.0, 1.0)
-            events, table = prover.record_table(seq, Depolarizing(p_err))
+            table = prover.record_table(seq, Depolarizing(p_err))
             want = distribution_table(depolarized_distribution(seq, p_err),
-                                      len(events))
+                                      len(seq.events))
             assert np.max(np.abs(table - want)) < 1e-10
 
     def test_depolarizing_table_equals_per_slot_loop(self):
@@ -333,7 +333,7 @@ class TestFaultModels:
     def test_depolarizing_table_with_many_slots(self):
         seq = random_clifford_sequence(random.Random(103), 20, 140,
                                        intermediate=14)
-        assert len(prover._plan_events(seq)) >= 12
+        assert len(seq.events) >= 12
         assert_depolarized_like_loop(seq, 0.1)
 
     def test_depolarized_table_checked_to_sum_to_one(self, monkeypatch):
@@ -349,7 +349,7 @@ class TestFaultModels:
         # the adaptive table composed from resolved sequences' noisy tables
         # against statevector trajectories that draw each error as it runs
         fault = Depolarizing(0.2)
-        _, table = adaptive_record_table(three_gadget, fault)
+        table = adaptive_record_table(three_gadget, fault)
         counts = Counter(cell_of(reference_run(three_gadget, fault,
                                                derive_seed(43, rep))[0])
                          for rep in range(1500))
@@ -372,6 +372,44 @@ def gadget_corpus():
     return gadget_sequences(200, 97)
 
 
+class TestSlotLayout:
+    """Every circuit computes its record-slot layout once, as `events`,
+    and the device reads that one layout."""
+
+    def test_events_match_reference_walk(self, gadget_corpus):
+        rng = random.Random(137)
+        circuits = [gadgetize(parse_circuit((CIRCUITS / name).read_text()))
+                    for name in ("deterministic_t3.circ", "phase_probe.circ")]
+        for _ in range(100):
+            circuit = gadgetize(random_t_circuit(
+                rng, rng.randint(1, 5), rng.randint(1, 20),
+                rng.randint(0, 3), intermediate=3))
+            circuits += [circuit, resolve(circuit, [
+                rng.randrange(2) for _ in range(circuit.gadget_count)])]
+        assert sum(not ev.is_gadget for c in circuits
+                   for ev in c.events[:-1]) > 50
+        for circuit in circuits + gadget_corpus:
+            assert circuit.events == tuple(plan_events(circuit))
+
+    def test_layout_built_once(self, three_gadget):
+        seq = resolve(three_gadget, (1, 0, 1))
+        assert seq.events is seq.events
+        assert three_gadget.events is three_gadget.events
+        batch = SimulatedDevice(IDEAL).run_fixed_batch(seq, 100, 3)
+        assert batch.events is seq.events
+
+    def test_device_slot_limit(self):
+        # the device's own check, apart from the command line's pre-check
+        circuit = circuit_from("qubits 21\n" + "".join(
+            f"MEASURE {line} x{line}\n" for line in range(20))
+            + "MEASURE 20 out\n")
+        message = "21 measurement slots exceed the device's maximum 20"
+        with pytest.raises(ValueError, match=message):
+            prover.record_table(resolve(circuit, ()), IDEAL)
+        with pytest.raises(ValueError, match=message):
+            SimulatedDevice(IDEAL).run_adaptive(circuit, 1)
+
+
 class TestCoinChannel:
     """A gadget readout is an exact fair coin given any earlier record, so
     a biased coin weights each gadget slot's halves by 2 coin(b) without
@@ -381,8 +419,8 @@ class TestCoinChannel:
     def test_gadget_readout_is_a_fair_coin(self, fault, gadget_corpus):
         checked = 0
         for seq in gadget_corpus:
-            events, table = prover.record_table(seq, fault)
-            for slot, event in enumerate(events):
+            table = prover.record_table(seq, fault)
+            for slot, event in enumerate(seq.events):
                 if not event.is_gadget:
                     continue
                 zero, one = table.reshape(1 << slot, 2, -1).sum(axis=2).T
@@ -396,7 +434,7 @@ class TestCoinChannel:
     def test_coin_bias_matches_renormalisation(self, bias, gadget_corpus):
         fault = GadgetCoinBias(bias)
         for seq in gadget_corpus:
-            _, table = prover.record_table(seq, fault)
+            table = prover.record_table(seq, fault)
             want = renormalised_record_table(seq, fault)
             assert np.array_equal(table == 0, want == 0)
             cells = want != 0
@@ -407,7 +445,7 @@ class TestCoinChannel:
     def test_liar_matches_renormalisation_bit_for_bit(self, q,
                                                       gadget_corpus):
         for seq in gadget_corpus:
-            _, table = prover.record_table(seq, Liar(q))
+            table = prover.record_table(seq, Liar(q))
             assert np.array_equal(table,
                                   renormalised_record_table(seq, Liar(q)))
 
@@ -441,8 +479,9 @@ class TestReferenceRun:
         # the records of many runs against the exact adaptive table
         # composed from every resolved sequence's table
         circuit = gadgetize(circuit_from(MID_MEASURE))
-        events, table = adaptive_record_table(circuit, fault)
-        assert [ev.is_gadget for ev in events] == [True, False, True, False]
+        table = adaptive_record_table(circuit, fault)
+        assert [ev.is_gadget for ev in circuit.events] == \
+            [True, False, True, False]
         counts = Counter()
         for rep in range(1500):
             record, resolved, _ = prover._sample_run(circuit, fault,
@@ -533,7 +572,7 @@ class TestDistributionEngine:
         for _ in range(20):
             seq = random_fixed_sequence(rng, rng.randint(1, 5),
                                         rng.randint(0, 20), intermediate=2)
-            _, table = prover.record_table(seq, IDEAL)
+            table = prover.record_table(seq, IDEAL)
             assert abs(table.sum() - 1.0) < 1e-12
 
     def test_roundoff_records_have_probability_zero(self):
@@ -541,7 +580,7 @@ class TestDistributionEngine:
         c = circuit_from("qubits 2\nH 0\nS 0\nH 0\nCX 0 1\nS 1\nH 1\n"
                          "S 1\nH 1\nMEASURE 1 x\nH 0\nS 0\nH 0\n"
                          "MEASURE 0 out\n")
-        _, table = prover.record_table(resolve(c, ()), IDEAL)
+        table = prover.record_table(resolve(c, ()), IDEAL)
         assert table[0] == 0.0 and table[3] == 0.0
         assert abs(table[1] - 0.5) < 1e-12
 

@@ -8,8 +8,13 @@ order swapping from pair to pair so that a drift of the host's speed
 falls on both sides alike.  For every end-to-end metric that PARENT's
 BENCHMARK.json declares, the summary gives both medians, the relative
 change of the medians, each side's interquartile range (the parent's also
-over its median), the pairs the change won and the metric's bound.  The
-exit code is 1 when any run was incorrect or any campaign failed.
+over its median), the pairs the change won and the metric's bound.  A
+metric is flagged PAST BOUND when the change's median is worse than the
+parent's by more than the bound, and UNRESOLVED when the parent's own
+spread (its interquartile range over its median) exceeds the bound and
+not every change run beats every parent run: such pairs can tell neither
+a gain nor a regression within the bound.  The exit code is 1 when any
+run was incorrect or any campaign failed.
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]
         lower = spec["better"] == "lower"
         p50, c50 = statistics.median(parent), statistics.median(change)
         relative = c50 / p50 - 1.0 if p50 else 0.0
+        spread = iqr(parent) / p50 if p50 else 0.0
+        beats_all = max(change) < min(parent) if lower \
+            else min(change) > max(parent)
         rows.append({
             "name": name,
             "unit": spec["unit"],
@@ -64,12 +72,14 @@ def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]
             "change_median": c50,
             "relative": relative,
             "parent_iqr": iqr(parent),
+            "parent_spread": spread,
             "change_iqr": iqr(change),
             "wins": sum((c < p) if lower else (c > p)
                         for p, c in zip(parent, change)),
             "pairs": len(pairs),
             "bound": spec["bound"],
             "past_bound": (relative if lower else -relative) > spec["bound"],
+            "unresolved": spread > spec["bound"] and not beats_all,
         })
     return rows
 
@@ -78,14 +88,14 @@ def format_rows(rows: list[dict]) -> str:
     lines = [f"{'metric':<18} {'parent':>10} {'change':>10} {'rel':>8} "
              f"{'p_iqr':>9} {'p_iqr/p50':>9} {'c_iqr':>9} {'wins':>6} bound"]
     for r in rows:
-        spread = r["parent_iqr"] / r["parent_median"] \
-            if r["parent_median"] else 0.0
-        flag = "  PAST BOUND" if r["past_bound"] else ""
+        flag = ("  PAST BOUND" if r["past_bound"] else "") \
+            + ("  UNRESOLVED" if r["unresolved"] else "")
         lines.append(
             f"{r['name']:<18} {r['parent_median']:>10.4g} "
             f"{r['change_median']:>10.4g} {r['relative']:>+8.2%} "
-            f"{r['parent_iqr']:>9.3g} {spread:>9.2%} {r['change_iqr']:>9.3g} "
-            f"{r['wins']:>3}/{r['pairs']:<2} {r['bound']}{flag}")
+            f"{r['parent_iqr']:>9.3g} {r['parent_spread']:>9.2%} "
+            f"{r['change_iqr']:>9.3g} {r['wins']:>3}/{r['pairs']:<2} "
+            f"{r['bound']}{flag}")
     return "\n".join(lines)
 
 
