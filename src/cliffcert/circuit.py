@@ -223,6 +223,23 @@ class FixedSequence(_ValidCircuit):
 Circuit = Union[AdaptiveCircuit, FixedSequence]
 
 
+class Stage(NamedTuple):
+    """A measurement-test stage, no prefix built: `sequence` cut after its
+    slots-th record slot, a gadget readout, then MEASUREs of the unmeasured
+    `probes`, for (slots, probes) = cuts[index]; a campaign shares `cuts`."""
+
+    sequence: FixedSequence
+    cuts: tuple[tuple[int, tuple[int, ...]], ...]
+    index: int
+
+    @property
+    def events(self) -> tuple[MeasurementEvent, ...]:
+        """The sequence's first slots, then one per probe."""
+        slots, probes = self.cuts[self.index]
+        return self.sequence.events[:slots] + tuple(
+            MeasurementEvent(line, False) for line in probes)
+
+
 @dataclass(frozen=True)
 class Violation:
     """One structural-invariant violation found by :func:`validate`."""

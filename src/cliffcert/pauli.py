@@ -13,18 +13,19 @@ of a swept frame's k commuting operators (:func:`outcome_table`, shared by
 the verifier and the simulated device) reads every subset product off the
 frame's slices, operator j as bit j of a cell: O(|U| * 2^k) for a union
 support of |U| lines in a fixed number of array passes, plus the k passes
-of one Walsh-Hadamard transform.  Groups of k operators stack on one
-frame and share those passes, one table row per group; the device's
-record table is the one-group case.  :func:`joint_output_probability`
-serves all t stage tables of a campaign this way: their operators enter
-one sweep of the recorded sequence, each group at its stage's cut, and
-each query width takes one stacked pass, so a campaign pays the fixed
-per-call cost of the array passes once per width instead of once per
-stage.
+of one Walsh-Hadamard transform.  Groups of operators stack on one frame
+and share those passes, one table row per group, each packed at its own
+width.  :func:`joint_output_probability` serves all t stage tables of a
+campaign this way, and the device's record tables of all t stages come
+the same way (`prover.record_tables`): their operators enter one sweep of
+the recorded sequence, each group at its stage's cut, and one pass builds
+every row, so a campaign pays the fixed per-call cost of the array passes
+once instead of once per stage.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -174,9 +175,9 @@ def joint_output_probability(seq: FixedSequence, lines):
     right after the MEASURE of its first line, the probes measured there,
     as on the prefix of `seq` cut after that MEASURE with the probes
     appended.  One sweep enters every query's operators at its cut, and
-    the queries of each width share one stacked :func:`outcome_table`
-    pass, so t stage tables cost one walk of the sequence and a few array
-    passes instead of t of each.
+    one :func:`outcome_table` pass packs every query's row at its own
+    width, so t stage tables cost one walk of the sequence and one set of
+    array passes instead of t of each.
     """
     stacked = len(lines) > 0 and isinstance(lines[0], tuple)
     queries = list(lines) if stacked else [tuple(lines)]
@@ -203,21 +204,19 @@ def joint_output_probability(seq: FixedSequence, lines):
     frame = PauliFrame(seq.n_lines)
     for _ in frame.sweep(seq.instructions, enter):
         pass
-    tables = [None] * len(queries)
-    for k in {len(query) for query in queries}:
-        group = [q for q, query in enumerate(queries) if len(query) == k]
-        rows = outcome_table(frame, [starts[q] for q in group], k,
-                             seq.inputs)
-        for q, row in zip(group, rows):
-            tables[q] = row
+    tables = outcome_table(frame, starts, list(map(len, queries)), seq.inputs)
     return tables if stacked else tables[0]
 
 
-def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform, in place, over the last axis
-    of a C-contiguous array: entry c becomes sum_S (-1)^|c & S| values[S]."""
-    for level in range(values.shape[-1].bit_length() - 1):
-        pairs = values.reshape(-1, 2, 1 << level)
+def walsh_hadamard(values: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform, in place, of each row of a
+    C-contiguous array of rows of power-of-two `sizes`, largest first: row
+    entry c becomes sum_S (-1)^|c & S| row[S]."""
+    flat, rows, end = values.reshape(-1), list(sizes), values.size
+    for level in range(max(sizes, default=1).bit_length() - 1):
+        while rows[-1] >> level < 2:  # a row of 2^level cells is done
+            end -= rows.pop()
+        pairs = flat[:end].reshape(-1, 2, 1 << level)
         first, second = pairs[:, 0], pairs[:, 1]
         total = first + second
         np.subtract(first, second, out=second)
@@ -225,41 +224,68 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def outcome_table(frame: PauliFrame, starts: Sequence[int], k: int,
-                  inputs: Sequence[InputState], magic=None,
-                  factor=None) -> np.ndarray:
-    """Joint outcome tables of groups of k commuting signed Paulis in
-    `frame`, group g being frame operators starts[g] .. starts[g] + k - 1.
+def outcome_table(frame: PauliFrame, starts: Sequence[int],
+                  widths: Sequence[int], inputs: Sequence[InputState],
+                  magic=None, factor=None) -> list[np.ndarray]:
+    """Joint outcome tables of groups of commuting signed Paulis in `frame`,
+    group g being frame operators starts[g] .. starts[g] + k_g - 1 for k_g
+    = widths[g].
 
     A support line's (<X>, <Y>, <Z>) is `inputs[line].bloch()`, or `magic`
     for a MAGIC line when `magic` is given; no other line is read.  Returns
-    one row of 2^k probabilities per group; bit j of a cell's index is the
-    0/1 (+1/-1) outcome of the group's operator j.  The projector product
-    expands to 2^-k sum_S (-1)^(m.S) <P_S>, and a subset S of a group, read
-    as a cell shifted to the group's operators, meets the frame's slices
-    directly: P_S has x bit |S & xs[u]| mod 2 on line u, z bit |S & zs[u]|
-    mod 2.  With P_j = s_j i^|x_j&z_j| X^x_j Z^z_j, the product in
-    increasing j is i^e X^x_S Z^z_S, e = 2|S & signs| + sum_{j in S}
-    |x_j&z_j| + 2q(S) for q(S) the pairs i < j in S whose z_i meets x_j an
-    odd number of times; as a sign times a Hermitian Pauli it is
+    one row of 2^k_g probabilities per group, in order; bit j of a cell's
+    index is the 0/1 (+1/-1) outcome of the group's operator j.  The
+    projector product expands to 2^-k sum_S (-1)^(m.S) <P_S>, and a subset
+    S of a group, read as a cell shifted to the group's operators, meets
+    the frame's slices directly: P_S has x bit |S & xs[u]| mod 2 on line u,
+    z bit |S & zs[u]| mod 2.  With P_j = s_j i^|x_j&z_j| X^x_j Z^z_j, the
+    product in increasing j is i^e X^x_S Z^z_S, e = 2|S & signs| + sum_{j
+    in S} |x_j&z_j| + 2q(S) for q(S) the pairs i < j in S whose z_i meets
+    x_j an odd number of times; as a sign times a Hermitian Pauli it is
     i^(e - |x_S&z_S|) P.  Each expectation is one factor per support line,
     multiplied in line order, and an inverse Walsh-Hadamard transform gives
-    every outcome's signed sum.  A line of the union support outside a
-    group's own support gives that group the factor 1.0, so each row is bit
-    for bit the table of its group alone.  Cost: O(G * |U| * 2^k) for G
-    groups on a union support of |U| lines, in a fixed number of array
-    passes per block of cells, plus k butterfly passes over all rows at
-    once; groups spread over more than 63 operators split into passes that
-    each fit a 64-bit cell.  A `factor` multiplies each <P_S> before the
-    transform (a channel diagonal in it).
+    every outcome's signed sum.  A line outside a group's own support gives
+    that group the factor 1.0, so each row is bit for bit the table of its
+    group alone.
+
+    Rows are packed widest first in one flat buffer, cells computed in
+    blocks of at most 2^18 array entries and transform level l run once
+    over every row wider than l: O(|U| * sum_g 2^k_g) for |U| support
+    lines.  `factor`, one array per group, multiplies each <P_S> before
+    the transform (a channel diagonal in it).
     """
-    base = min(starts, default=0)
-    span = max(starts, default=0) + k - base
-    if span > 63 and len(starts) > 1:
-        half = len(starts) // 2
-        return np.concatenate([
-            outcome_table(frame, part, k, inputs, magic, factor)
-            for part in (starts[:half], starts[half:])])
+    order = sorted(range(len(starts)), key=lambda g: -widths[g])
+    sizes = [1 << widths[g] for g in order]
+    bounds = [0, *accumulate(sizes)]
+    values = np.empty(bounds[-1])
+    rows = [None] * len(starts)
+    for at, g in enumerate(order):
+        rows[g] = values[bounds[at]:bounds[at + 1]]
+    # the first position in `order` of each cell pass: rows share one up to
+    # 2^12 cells, past which array work outweighs a pass's fixed cost
+    passes = [0] if starts else []
+    for at in range(1, len(order)):
+        run = order[passes[-1]:at + 1]
+        if bounds[at + 1] - bounds[passes[-1]] > 1 << 12 or max(
+                starts[g] + widths[g] for g in run) - min(
+                    starts[g] for g in run) > 63:
+            passes.append(at)
+    for first, end in zip(passes, passes[1:] + [len(order)]):
+        _cell_pass(frame, [(starts[g], widths[g]) for g in order[first:end]],
+                   inputs, magic, values[bounds[first]:bounds[end]])
+    for row, f in zip(rows, factor if factor is not None else ()):
+        row *= f
+    walsh_hadamard(values, sizes)
+    for row in rows:
+        row /= row.size
+    return rows
+
+
+def _cell_pass(frame: PauliFrame, groups: list[tuple[int, int]],
+               inputs: Sequence[InputState], magic, out: np.ndarray) -> None:
+    """:func:`outcome_table`'s <P_S> of `groups` into their rows in `out`."""
+    base = min(start for start, _ in groups)
+    span = max(start + width for start, width in groups) - base
     # the pass reads frame operators base .. base + span - 1 as bits 0 ..
     # span - 1 of a cell
     window = (1 << span) - 1
@@ -290,10 +316,8 @@ def outcome_table(frame: PauliFrame, starts: Sequence[int], k: int,
             crossing.append((j, row))
     count = len(lines)
     masks = np.array(xs + zs + [y_bit0] + [row for _, row in crossing],
-                     np.int64)[:, None, None]
-    shifts = np.array([j for j, _ in crossing], np.int64)[:, None, None]
-    # a group's subset S is the cell S << group_shift
-    group_shift = np.array(starts, np.int64)[:, None] - base
+                     np.int64)[:, None]
+    shifts = np.array([j for j, _ in crossing], np.int64)[:, None]
     # factors[4u + 2x + z]: support line u's factor for I/Z/X/Y
     factors = []
     for line in lines:
@@ -302,41 +326,29 @@ def outcome_table(frame: PauliFrame, starts: Sequence[int], k: int,
         factors += (1.0, ez, ex, ey)
     factors = np.array(factors)
     line_index = np.arange(0, 4 * count, 4,
-                           dtype=np.min_scalar_type(4 * count))[:, None, None]
-
-    # blocks of at most 2^18 array entries: a run of cells for a run of
-    # groups
-    size = 1 << k
-    block = 1 << min(k, ((1 << 18) // len(masks)).bit_length() - 1)
-    step = max(1, (1 << 18) // (len(masks) * block))
-    values = np.empty((len(starts), size))
-    for first in range(0, len(starts), step):
-        for start in range(0, size, block):
-            cells = np.arange(start, start + block) \
-                << group_shift[first:first + step]
-            ones = np.bitwise_count(cells & masks)
-            # each line's x and z bit of P_S, and its factor's index
-            # 4u + 2x + z
-            odd = ones[:2 * count] & 1
-            x, z = odd[:count], odd[count:]
-            index = line_index + ((x << 1) | z)
-            # e mod 4 of the product i^e X^x Z^z (uint8 wraps mod 256, a
-            # multiple), then back to a sign times the Hermitian Pauli:
-            # less one per Y factor
-            exponent = ones[2 * count] - (x & z).sum(axis=0, dtype=np.uint8) \
-                + 2 * (ones[2 * count + 1:] & (cells >> shifts)).sum(
-                    axis=0, dtype=np.uint8)
-            if (exponent & 1).any():
-                raise AssertionError("projector expansion produced a non-"
-                                     "Hermitian term")
-            # the factor product runs over the lines in order, as one
-            # scalar expectation would
-            np.multiply(np.where(exponent & 2, -1.0, 1.0),
-                        np.multiply.reduce(factors.take(index), axis=0),
-                        out=values[first:first + step, start:start + block])
-
-    if factor is not None:
-        values *= factor
-    walsh_hadamard(values)
-    values /= size
-    return values
+                           dtype=np.min_scalar_type(4 * count))[:, None]
+    # row r's cells are its subsets S, shifted to its operators
+    cells = np.concatenate([np.arange(1 << w, dtype=np.int64) << (s - base)
+                            for s, w in groups])
+    block = 1 << max(0, ((1 << 18) // len(masks)).bit_length() - 1)
+    for start in range(0, cells.size, block):
+        block_cells = cells[start:start + block]
+        ones = np.bitwise_count(block_cells & masks)
+        # each line's x and z bit of P_S, and its factor's index 4u + 2x + z
+        odd = ones[:2 * count] & 1
+        x, z = odd[:count], odd[count:]
+        index = line_index + ((x << 1) | z)
+        # e mod 4 of the product i^e X^x Z^z (uint8 wraps mod 256, a
+        # multiple), then back to a sign times the Hermitian Pauli: less one
+        # per Y factor
+        exponent = ones[2 * count] - (x & z).sum(axis=0, dtype=np.uint8) \
+            + 2 * (ones[2 * count + 1:] & (block_cells >> shifts)).sum(
+                axis=0, dtype=np.uint8)
+        if (exponent & 1).any():
+            raise AssertionError("projector expansion produced a non-"
+                                 "Hermitian term")
+        # the factor product runs over the lines in order, as one scalar
+        # expectation would
+        np.multiply(np.where(exponent & 2, -1.0, 1.0),
+                    np.multiply.reduce(factors.take(index), axis=0),
+                    out=out[start:start + block])

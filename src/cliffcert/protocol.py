@@ -9,10 +9,9 @@ One verification campaign runs, in order:
    after that gadget's ancilla measurement (earlier gadgets frozen to the
    recorded outcomes) re-run to check the ancilla outcome frequency against
    1/2 and the joint distribution of a few extra probe lines against
-   classically computed values; one forward walk of the recorded sequence
-   builds every stage's prefix, and one `joint_output_probability` call,
-   one backward sweep plus one stacked table pass per probe-table width,
-   computes every stage's classical table before the first batch runs,
+   classically computed values; a stage is sent as the recorded sequence
+   with its cut and probe lines (`circuit.Stage`), and one sweep and table
+   pass compute every stage's classical table before the first batch,
 4. error composition and an accept/reject verdict.
 
 Repetition counts come from the Hoeffding bound at failure probability
@@ -20,10 +19,11 @@ delta per batch: the gate batch for half-width eta, each gadget batch for
 half-width d/2.  Every check fails unless |observed - expected| <= its
 tolerance: eta for the output frequency and the probe-line total variation,
 d for a gadget frequency against 1/2.  A batch's R is its counts' total,
-never what it claims: one off the plan fails BATCH_SIZE, and an empty
-batch's frequencies are NaN.  The per-batch failure budgets are not yet
-composed into one campaign bound (ROADMAP item 1).  The verifier consumes
-only classical data: bits, counts, and probabilities it computed itself.
+never what it claims: one off the plan fails BATCH_SIZE, a record past
+its table RECORD_OUT_OF_RANGE, and an empty batch's frequencies are NaN.
+The per-batch failure budgets are not yet composed into one campaign
+bound (ROADMAP item 1).  The verifier consumes only classical data: bits,
+counts, and probabilities it computed itself.
 """
 
 from __future__ import annotations
@@ -35,15 +35,16 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import AdaptiveCircuit, Circuit, FixedSequence, Instruction
+from .circuit import AdaptiveCircuit, Circuit, Stage
 from .pauli import joint_output_probability, single_output_probability
-from .prover import PROB_TOL, Transcript, derive_seed
+from .prover import PROB_TOL, BatchResult, Transcript, derive_seed
 
 OUTPUT_DEVIATION = "OUTPUT_DEVIATION"
 GADGET_BIAS = "GADGET_BIAS"
 EXTRA_LINE_DEVIATION = "EXTRA_LINE_DEVIATION"
 IMPOSSIBLE_OUTCOME = "IMPOSSIBLE_OUTCOME"
 BATCH_SIZE = "BATCH_SIZE"
+RECORD_OUT_OF_RANGE = "RECORD_OUT_OF_RANGE"
 INCOMPLETE = "INCOMPLETE"
 
 # numpy's multinomial draws at most 2^63 - 1 runs in one batch
@@ -151,6 +152,7 @@ class GateTestResult:
     eta: float
     ci_halfwidth: float
     impossible_observed: bool
+    out_of_range_runs: int = 0  # its failure carries it; the report does not
 
     @property
     def failures(self) -> tuple[FailedCheck, ...]:
@@ -183,6 +185,7 @@ class MeasurementStageResult:
     tv_distance: Optional[float]
     eta: float
     impossible_observed: bool
+    out_of_range_runs: int = 0  # its failure carries it; the report does not
 
     @property
     def failures(self) -> tuple[FailedCheck, ...]:
@@ -245,9 +248,9 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
     resolved = transcript.resolved
     p_classical = single_output_probability(resolved, 0)
     batch = device.run_fixed_batch(resolved, test_plan.r_gate, seed)
-    runs = sum(batch.counts.values())
     # the final output is the last slot
-    zeros = int(batch.tail_counts(1)[0])
+    runs, stray, tail = _tally(batch, len(resolved.events), 1)
+    zeros = int(tail[0])
     p_hat = zeros / (runs or math.nan)
     impossible = ((p_classical < PROB_TOL and zeros > 0)
                   or (p_classical > 1.0 - PROB_TOL and zeros < runs))
@@ -258,71 +261,58 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
         eta=test_plan.eta,
         ci_halfwidth=hoeffding_halfwidth(runs, test_plan.delta),
         impossible_observed=impossible,
+        out_of_range_runs=stray,
     )
 
 
+def _tally(batch, slots: int, width: int) -> tuple[int, int, np.ndarray]:
+    """(runs, runs outside the 2^slots cells of the sent table, a negative
+    cell too, and the rest's counts by the value of their last `width`)."""
+    runs = sum(batch.counts.values())
+    stray = sum(n for cell, n in batch.counts.items() if cell >> slots)
+    if stray:
+        batch = BatchResult(batch.events, {cell: n for cell, n in
+                            batch.counts.items() if not cell >> slots}, runs)
+    return runs, stray, batch.tail_counts(width)
+
+
 def _stage_layouts(circuit: Circuit, extra_check_lines: int
-                   ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(record slots up to its gadget, ancilla, probe lines) of each stage,
-    the probes being the lowest-index lines those slots leave unmeasured."""
+                   ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(record slots up to its gadget, probe lines) of each stage, the
+    probes being the lowest-index lines those slots leave unmeasured."""
     measured: set[int] = set()
     stages = []
     for slots, (line, is_gadget) in enumerate(circuit.events, 1):
         measured.add(line)
         if is_gadget:
-            stages.append((slots, line, tuple(islice(
+            stages.append((slots, tuple(islice(
                 (free for free in range(circuit.n_lines)
                  if free not in measured), extra_check_lines))))
-    return stages
-
-
-def stage_prefixes(resolved: FixedSequence, extra_check_lines: int
-                   ) -> list[tuple[FixedSequence, int, tuple[int, ...]]]:
-    """(prefix sequence, ancilla, probe lines) of every measurement-test
-    stage, in order, from the recorded sequence's slot layout.
-
-    Stage s's prefix is the recorded sequence cut after gadget s's ancilla
-    readout, so earlier gadgets stay frozen to the recorded outcomes,
-    followed by terminal probe measurements on the lowest-index
-    still-unmeasured lines.  Every gadget's ancilla MEASURE is a gadget
-    slot of the prefix, the stage's last.
-    """
-    instructions, slots = resolved.instructions, resolved.gadget_slots
-    stages = []
-    for stage, (slot, (_, ancilla, extras)) in enumerate(
-            zip(slots, _stage_layouts(resolved, extra_check_lines)), 1):
-        stages.append((FixedSequence(
-            n_lines=resolved.n_lines,
-            inputs=resolved.inputs,
-            instructions=instructions[:slot + 1] + tuple(
-                Instruction("MEASURE", (line,), label=f"chk{j}")
-                for j, line in enumerate(extras)),
-            gadget_slots=slots[:stage],
-        ), ancilla, extras))
-    return stages
+    return tuple(stages)
 
 
 def campaign_table_sizes(circuit: AdaptiveCircuit,
                          extra_check_lines: int) -> tuple[int, int]:
-    """(record slots of the largest device table, lines of the largest
-    probe table) a campaign on `circuit` asks for, from its layout alone."""
-    stages = _stage_layouts(circuit, extra_check_lines)
-    return (max([len(circuit.events)] + [s + len(p) for s, _, p in stages]),
-            max([0] + [1 + len(p) for _, _, p in stages]))
+    """(slots of the largest record table, lines of the largest probe table)
+    of a campaign: a stage of s slots has n_lines - s lines left to probe."""
+    events = circuit.events
+    probes = [(slots, min(extra_check_lines, circuit.n_lines - slots))
+              for slots, (_, is_gadget) in enumerate(events, 1) if is_gadget]
+    return (max([len(events)] + [s + p for s, p in probes]),
+            max([0] + [1 + p for _, p in probes]))
 
 
-def run_measurement_stage(device, stage_prefix, theory: np.ndarray,
-                          test_plan: TestPlan, stage: int,
+def run_measurement_stage(device, stage: Stage, theory: np.ndarray,
+                          test_plan: TestPlan, number: int,
                           seed: int) -> MeasurementStageResult:
-    """One gadget stage on its (prefix, ancilla, probe lines) from
-    :func:`stage_prefixes`: ancilla frequency versus 1/2 plus the joint
-    distribution of the probe lines versus `theory`, the classical table
-    of the ancilla and the probes."""
-    prefix, ancilla, extras = stage_prefix
-    batch = device.run_fixed_batch(prefix, test_plan.r_meas, seed)
-    runs = sum(batch.counts.values())
+    """Stage `number` of a campaign: its ancilla frequency versus 1/2 plus
+    the joint distribution of its probe lines versus `theory`, the
+    classical table of the ancilla and the probes."""
+    batch = device.run_fixed_batch(stage, test_plan.r_meas, seed)
+    slots, extras = stage.cuts[stage.index]
     # the ancilla readout and the probes are a record's last slots
-    empirical = batch.tail_counts(1 + len(extras))
+    runs, stray, empirical = _tally(batch, slots + len(extras),
+                                    1 + len(extras))
 
     impossible = bool((theory[empirical > 0] < PROB_TOL).any())
     # the ancilla is the leading bit of both tables
@@ -333,8 +323,8 @@ def run_measurement_stage(device, stage_prefix, theory: np.ndarray,
             abs(count / (runs or math.nan) - prob)
             for count, prob in zip(empirical.tolist(), theory.tolist()))
     return MeasurementStageResult(
-        stage=stage,
-        ancilla_line=ancilla,
+        stage=number,
+        ancilla_line=stage.sequence.events[slots - 1].line,
         repetitions=runs,
         p_hat=p_hat,
         d_gadget=test_plan.d_gadget,
@@ -343,6 +333,7 @@ def run_measurement_stage(device, stage_prefix, theory: np.ndarray,
         tv_distance=tv_distance,
         eta=test_plan.eta,
         impossible_observed=impossible,
+        out_of_range_runs=stray,
     )
 
 
@@ -350,20 +341,20 @@ def run_measurement_tests(device, transcript: Transcript,
                           test_plan: TestPlan,
                           seed: int) -> list[MeasurementStageResult]:
     """All gadget stages in order, stopping early only on an outcome the
-    classical computation assigns probability zero.  One walk of the
-    recorded sequence builds every stage's prefix, and one joint-table
-    call computes every stage's theory table before the first batch."""
+    classical computation assigns probability zero.  No prefix is built;
+    one joint-table call computes every stage's theory table first."""
     resolved = transcript.resolved
-    stages = stage_prefixes(resolved, test_plan.extra_check_lines)
-    queries = [(ancilla,) + extras for _, ancilla, extras in stages]
+    cuts = _stage_layouts(resolved, test_plan.extra_check_lines)
+    queries = [(resolved.events[slots - 1].line,) + probes
+               for slots, probes in cuts]
     # an empty list would ask for the table of no lines
     theories = joint_output_probability(resolved, queries) if queries \
         else []
     results: list[MeasurementStageResult] = []
-    for stage, (stage_prefix, theory) in enumerate(zip(stages, theories), 1):
-        result = run_measurement_stage(device, stage_prefix, theory,
-                                       test_plan, stage,
-                                       derive_seed(seed, 1 + stage))
+    for number, theory in enumerate(theories, 1):
+        result = run_measurement_stage(
+            device, Stage(resolved, cuts, number - 1), theory, test_plan,
+            number, derive_seed(seed, 1 + number))
         results.append(result)
         if result.impossible_observed:
             break
@@ -389,23 +380,27 @@ def compose_error(test_plan: TestPlan, gate: GateTestResult,
     return pi_bound, epsilon_prime
 
 
-def _batch_size(stage: Optional[int], runs: int,
-                planned: int) -> tuple[FailedCheck, ...]:
+def _batch_checks(stage: Optional[int], result,
+                  planned: int) -> tuple[FailedCheck, ...]:
+    """A batch's size, then that each record is a cell of its table."""
+    name = "gate" if stage is None else f"stage {stage}"
+    runs, stray = result.repetitions, result.out_of_range_runs
     return _check(BATCH_SIZE, stage, runs, planned, 0.0,
-                  f"{'gate' if stage is None else f'stage {stage}'} batch "
-                  f"counts {runs} runs where the plan asks for {planned}")
+                  f"{name} batch counts {runs} runs where the plan asks "
+                  f"for {planned}") + _check(
+        RECORD_OUT_OF_RANGE, stage, stray, 0, 0.0,
+        f"{name} batch records {stray} runs outside its record table")
 
 
 def verdict(transcript: Transcript, test_plan: TestPlan, p_classical: float,
             gate: Optional[GateTestResult], stages) -> VerdictReport:
-    """Combine all test results into the final report: each batch's size
-    check, then its own checks, in batch order."""
+    """Combine all test results into the final report: each batch's checks
+    of its counts, then its own checks, in batch order."""
     stages = tuple(stages)
     failures = () if gate is None else (
-        _batch_size(None, gate.repetitions, test_plan.r_gate) + gate.failures)
+        _batch_checks(None, gate, test_plan.r_gate) + gate.failures)
     for s in stages:
-        failures += (_batch_size(s.stage, s.repetitions, test_plan.r_meas)
-                     + s.failures)
+        failures += _batch_checks(s.stage, s, test_plan.r_meas) + s.failures
     if not failures and (gate is None or len(stages) != test_plan.t):
         failures = (FailedCheck(INCOMPLETE, None, None, None, None,
                                 "not every test batch was executed"),)
@@ -427,7 +422,8 @@ def report_to_json_dict(report: VerdictReport) -> dict:
     results followed by `passed`, and a non-finite float written as None."""
     def fields(result, **extra) -> dict:
         return {k: None if isinstance(v, float) and not math.isfinite(v)
-                else v for k, v in dict(vars(result), **extra).items()}
+                else v for k, v in dict(vars(result), **extra).items()
+                if k != "out_of_range_runs"}
 
     gate = report.gate
     return {

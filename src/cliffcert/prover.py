@@ -17,13 +17,15 @@ A record is a cell of that table, one layout from the frame to the
 verdict: the slots are the circuit's cached `events`, and bit m-1-i is
 slot i's outcome (slot i is frame operator m-1-i), so slot 0 is the most
 significant bit.  A batch counts the cells of one multinomial sample from
-the record table of a fixed sequence.  Each fault model acts as a channel
-on that table: miscalibration changes the prepared inputs, a liar
-replaces the final bit, a biased coin scales gadget slots by 2 coin(b)
-(P(b | earlier bits) is 1/2), and a gate error XOR-shifts it by a flip
-mask read off the frame's slices as the sweep passes the gate (as in
-Stim, Gidney arXiv:2103.02202): depolarizing noise is one factor per
-subset expectation before the table's inverse transform.  This makes
+the record table of a fixed sequence or of a `circuit.Stage` of one; a
+campaign's first stage builds all its stages' tables from one sweep and
+one table pass.  Each fault model acts row by row as a channel on that
+table: miscalibration changes the prepared inputs, a liar replaces the
+final bit, a biased coin scales gadget slots by 2 coin(b) (P(b | earlier
+bits) is 1/2), and a gate error XOR-shifts it by a flip mask read off the
+frame's slices as the sweep passes the gate (as in Stim, Gidney
+arXiv:2103.02202): depolarizing noise is one factor per subset
+expectation before the table's inverse transform.  This makes
 10^5..10^7-repetition test batches affordable for every fault model.
 
 The one adaptive run reads its record off one such table, built once.  It
@@ -47,7 +49,7 @@ from typing import Union
 import numpy as np
 
 from .circuit import (AdaptiveCircuit, Circuit, FixedSequence,
-                      MeasurementEvent, resolve, serialize)
+                      MeasurementEvent, Stage, resolve, serialize)
 from .pauli import PauliFrame, outcome_table, walsh_hadamard
 
 PROB_TOL = 1e-12
@@ -221,28 +223,33 @@ def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
 
 
 def record_table(seq: FixedSequence, fault: FaultModel) -> np.ndarray:
-    """Exact joint distribution over measurement records under `fault`.
+    """The one-stage case of :func:`record_tables`: all of `seq.events`."""
+    return record_tables(seq, ((len(seq.events), ()),), fault)[0]
 
-    Returns the table alone, 2^m probabilities over the m slots of
-    `seq.events` (at most MAX_RECORD_SLOTS): bit m-1-i of a cell's index
-    is slot i's outcome, so slot 0 is the most significant bit.  One
-    backward sweep carries slot i's Z from its own MEASURE (a measured line
-    is never reused) as frame operator m-1-i and reads each gate's flip
-    masks as it passes; the table is the swept frame's outcome table on the
-    prepared inputs, depolarizing noise folded in before its transform, and
-    then a coin bias scales gadget slots in place and a liar the final bit.
-    """
-    events = seq.events
-    m = len(events)
-    if m > MAX_RECORD_SLOTS:
-        raise ValueError(f"{m} measurement slots exceed the "
-                         f"device's maximum {MAX_RECORD_SLOTS}")
+
+def record_tables(seq: FixedSequence, cuts, fault: FaultModel
+                  ) -> list[np.ndarray]:
+    """Record tables under `fault` of the stages (slots, probes) of `seq` in
+    `cuts`, each its literal prefix's bit for bit (2^w cells, slot i being
+    bit w-1-i): one sweep enters each stage's slots at their MEASUREs and
+    its probes at its cut, reading each gate's flip masks, then one outcome
+    table pass (depolarizing noise folded in), a coin bias and a liar."""
+    events, enter, starts, widths = seq.events, {}, [], []
+    for slots, probes in cuts:
+        starts.append(sum(widths))
+        widths.append(slots + len(probes))
+        if widths[-1] > MAX_RECORD_SLOTS:
+            raise ValueError(f"{widths[-1]} measurement slots exceed the "
+                             f"device's maximum {MAX_RECORD_SLOTS}")
+        # slot i, a probe being a slot past `slots`, is operator start+w-1-i
+        lines = [event.line for event in events[:slots]] + list(probes)
+        for slot, line in enumerate(lines):
+            enter.setdefault(lines[min(slot, slots - 1)], []).append(
+                (line, starts[-1] + widths[-1] - 1 - slot))
     depolarizing = isinstance(fault, Depolarizing) and fault.p_err
     frame = PauliFrame(seq.n_lines)
     flips = ([], [])  # the flip masks of the one- and the two-line gates
-    for ins in frame.sweep(seq.instructions, {
-            ev.line: ((ev.line, m - 1 - slot),)
-            for slot, ev in enumerate(events)}):
+    for ins in frame.sweep(seq.instructions, enter):
         if depolarizing:
             flips[len(ins.targets) - 1].extend(_flip_masks(frame, ins))
     magic = None
@@ -250,25 +257,29 @@ def record_table(seq: FixedSequence, fault: FaultModel) -> np.ndarray:
         # the miscalibrated source prepares MAGIC lines at pi/4 + delta_theta
         phase = math.pi / 4 + fault.delta_theta
         magic = (math.cos(phase), math.sin(phase), 0.0)
-    table = outcome_table(frame, (0,), m, seq.inputs, magic,
-                          _depolarizing_factor(flips, m, fault.p_err)
-                          if depolarizing else None)[0]
-    total = float(table.sum())
-    if not abs(total - 1.0) <= 1e-9:
-        raise AssertionError(f"record probabilities sum to {total}")
-    table[table < PROB_TOL] = 0.0
-    if isinstance(fault, GadgetCoinBias):
-        # exact: P(b | earlier record) is 1/2 at a gadget slot, so 2 coin(b)
-        # times it is coin(b), and every other conditional is kept
-        weight = np.array([[1.0 - 2.0 * fault.bias], [1.0 + 2.0 * fault.bias]])
-        for slot, event in enumerate(events):
-            if event.is_gadget:
-                table.reshape(1 << slot, 2, -1)[...] *= weight
-    elif isinstance(fault, Liar):
-        # the final output is bit 0: keep the earlier bits' distribution
-        table = (table.reshape(-1, 2).sum(axis=1, keepdims=True)
-                 * [fault.q, 1.0 - fault.q]).reshape(-1)
-    return table
+    # a lone stage holds every operator; others read their own bits
+    factor = [_depolarizing_factor(flips if len(cuts) == 1 else tuple(
+        [(mask >> start) & ((1 << width) - 1) for mask in masks]
+        for masks in flips), width, fault.p_err)
+        for start, width in zip(starts, widths)] if depolarizing else None
+    tables = outcome_table(frame, starts, widths, seq.inputs, magic, factor)
+    for t, ((slots, _), table) in enumerate(zip(cuts, tables)):
+        total = float(table.sum())
+        if not abs(total - 1.0) <= 1e-9:
+            raise AssertionError(f"record probabilities sum to {total}")
+        table[table < PROB_TOL] = 0.0
+        if isinstance(fault, GadgetCoinBias):
+            # exact: P(b | earlier record) is 1/2 at a gadget slot, so 2
+            # coin(b) times it is coin(b), and every other one is kept
+            weight = np.array([[1 - 2 * fault.bias], [1 + 2 * fault.bias]])
+            for slot, event in enumerate(events[:slots]):
+                if event.is_gadget:
+                    table.reshape(1 << slot, 2, -1)[...] *= weight
+        elif isinstance(fault, Liar):
+            # the final output is bit 0: keep the earlier bits' distribution
+            tables[t] = (table.reshape(-1, 2).sum(axis=1, keepdims=True)
+                         * [fault.q, 1.0 - fault.q]).reshape(-1)
+    return tables
 
 
 def _flip_masks(frame: PauliFrame, gate) -> list[int]:
@@ -295,14 +306,15 @@ def _depolarizing_factor(flips, m: int, p_err: float) -> np.ndarray:
     trivial on every S), n_k(S) = (WHT(h_k)[0] - WHT(h_k)[S]) / 4^k gates,
     an exact integer, act non-trivially: prod_k (1 - lambda_k)^n_k(S)."""
     spectrum = walsh_hadamard(np.array(
-        [np.bincount(masks, minlength=1 << m) for masks in flips], float))
+        [np.bincount(masks, minlength=1 << m) for masks in flips], float),
+        [1 << m] * 2)
     weight = np.array([[4.0], [16.0]])
     nontrivial = ((spectrum[:, :1] - spectrum) / weight).astype(np.int64)
     return np.prod((1 - p_err * weight / (weight - 1)) ** nontrivial, axis=0)
 
 
-def _sample_table(seq: Circuit, table: np.ndarray, repetitions: int,
-                  seed: int) -> BatchResult:
+def _sample_table(seq: Union[Circuit, Stage], table: np.ndarray,
+                  repetitions: int, seed: int) -> BatchResult:
     rng = np.random.default_rng(seed)
     cells = np.flatnonzero(table > 0)
     probs = table[cells]
@@ -319,13 +331,14 @@ class SimulatedDevice:
 
     def __init__(self, fault: FaultModel = IDEAL):
         self.fault = fault
-        self._last_table = None  # the last adaptive run's, for the gate test
+        # (sequence, {(slots, probes): table}) built ahead, or None
+        self._memo = None
 
     def run_adaptive(self, circuit: AdaptiveCircuit, seed: int) -> Transcript:
         """One adaptive run: gadget corrections applied immediately after
         their ancilla measurements, everything recorded."""
         record, resolved, table = _sample_run(circuit, self.fault, seed)
-        self._last_table = (resolved, table)
+        self._memo = (resolved, {(len(resolved.events), ()): table})
         return Transcript(
             circuit_id=circuit_id(circuit),
             final_output=record[-1],
@@ -333,11 +346,18 @@ class SimulatedDevice:
             resolved=resolved,
         )
 
-    def run_fixed_batch(self, seq: FixedSequence, repetitions: int,
-                        seed: int) -> BatchResult:
+    def run_fixed_batch(self, seq: Union[FixedSequence, Stage],
+                        repetitions: int, seed: int) -> BatchResult:
+        """A batch of a fixed sequence or of a stage of one; a stage not in
+        the memo builds its table and its later stages' at once."""
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        last, self._last_table = self._last_table, None
-        table = last[1] if last and last[0] is seq \
-            else record_table(seq, self.fault)
+        sequence, cuts = (seq.sequence, seq.cuts[seq.index:]) \
+            if isinstance(seq, Stage) else (seq, ((len(seq.events), ()),))
+        memo = self._memo
+        if memo is None or memo[0] is not sequence or cuts[0] not in memo[1]:
+            memo = (sequence, dict(zip(cuts, record_tables(
+                sequence, cuts, self.fault))))
+        table = memo[1].pop(cuts[0])
+        self._memo = memo if memo[1] else None
         return _sample_table(seq, table, repetitions, seed)

@@ -25,10 +25,9 @@ import numpy as np
 from cliffcert import statevector as sv
 from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                Circuit, FixedSequence, InputState, Instruction,
-                               MeasurementEvent, gadgetize, parse_circuit,
-                               resolve)
+                               MeasurementEvent, Stage, gadgetize,
+                               parse_circuit, resolve)
 from cliffcert.pauli import PauliFrame
-from cliffcert.protocol import stage_prefixes
 from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
                               FaultModel, GadgetCoinBias, Ideal, Liar,
                               MagicMiscalibration, SimulatedDevice,
@@ -738,6 +737,65 @@ def adaptive_record_table(circuit: AdaptiveCircuit,
             mask &= bits == bit
         table[mask] = resolved[mask]
     return table
+
+
+def stage_prefixes(resolved: FixedSequence, extra_check_lines: int
+                   ) -> list[tuple[FixedSequence, int, tuple[int, ...]]]:
+    """The literal-prefix oracle of the measurement-test stages: (prefix
+    sequence, ancilla, probe lines) of every stage, in order, walked afresh
+    from the recorded sequence's instructions.
+
+    Stage s's prefix is the recorded sequence cut after gadget s's ancilla
+    readout, so earlier gadgets stay frozen to the recorded outcomes,
+    followed by terminal probe measurements on the lowest-index lines
+    still unmeasured there; it is built, so validated, as a sequence of its
+    own.  Every gadget's ancilla MEASURE is a gadget slot of the prefix,
+    the stage's last.
+    """
+    stages = []
+    for stage, slot in enumerate(resolved.gadget_slots, 1):
+        measured = {ins.targets[0] for ins in resolved.instructions[:slot + 1]
+                    if ins.op == "MEASURE"}
+        extras = tuple(itertools.islice(
+            (line for line in range(resolved.n_lines)
+             if line not in measured), extra_check_lines))
+        stages.append((_cut(resolved, slot, extras),
+                       resolved.instructions[slot].targets[0], extras))
+    return stages
+
+
+def stage_prefix(stage: Stage) -> FixedSequence:
+    """The literal prefix a `circuit.Stage` describes: its sequence cut
+    after the MEASURE of its last slot, then its probes measured."""
+    slots, probes = stage.cuts[stage.index]
+    measures = [idx for idx, ins in enumerate(stage.sequence.instructions)
+                if ins.op == "MEASURE"]
+    return _cut(stage.sequence, measures[slots - 1], probes)
+
+
+def _cut(resolved: FixedSequence, slot: int,
+         probes: tuple[int, ...]) -> FixedSequence:
+    return FixedSequence(
+        n_lines=resolved.n_lines,
+        inputs=resolved.inputs,
+        instructions=resolved.instructions[:slot + 1] + tuple(
+            Instruction("MEASURE", (line,), label=f"chk{j}")
+            for j, line in enumerate(probes)),
+        gadget_slots=tuple(s for s in resolved.gadget_slots if s <= slot))
+
+
+class PrefixDevice(SimulatedDevice):
+    """The simulated device with every stage batch drawn from the table of
+    the stage's literal prefix, built alone: the oracle for the stacked
+    stage tables of `SimulatedDevice`."""
+
+    def run_fixed_batch(self, seq, repetitions, seed):
+        if not isinstance(seq, Stage):
+            return super().run_fixed_batch(seq, repetitions, seed)
+        prefix = stage_prefix(seq)
+        assert prefix.events == seq.events
+        return _sample_table(prefix, record_table(prefix, self.fault),
+                             repetitions, seed)
 
 
 def gadget_sequences(count: int, seed: int) -> list[FixedSequence]:

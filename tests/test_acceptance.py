@@ -16,8 +16,7 @@ from cliffcert import prover
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
 from cliffcert.protocol import (GADGET_BIAS, IMPOSSIBLE_OUTCOME,
-                                OUTPUT_DEVIATION, plan, stage_prefixes,
-                                verify_campaign)
+                                OUTPUT_DEVIATION, plan, verify_campaign)
 from cliffcert import statevector as sv
 
 from helpers import (CIRCUITS, adaptive_record_table, distribution_table,
@@ -27,7 +26,8 @@ from helpers import (CIRCUITS, adaptive_record_table, distribution_table,
                      frequency_of_one, gadget_born_probabilities,
                      outcome_distribution,
                      random_fixed_sequence, random_inputs, random_t_circuit,
-                     run_adaptive_batch, sv_fidelity, sv_norm, sv_remove_line)
+                     run_adaptive_batch, stage_prefixes, sv_fidelity, sv_norm,
+                     sv_remove_line)
 
 DET3 = gadgetize(parse_circuit(
     (CIRCUITS / "deterministic_t3.circ").read_text()))

@@ -50,6 +50,33 @@ def test_summary_medians_spread_and_wins():
     assert rate["past_bound"]
 
 
+def test_sign_test_is_the_exact_binomial_tail():
+    # two-sided, ties dropped: 9 of 10 is 2 * 11 / 1024
+    assert bench_pairs.sign_test(9, 1) == pytest.approx(22 / 1024)
+    assert bench_pairs.sign_test(1, 9) == bench_pairs.sign_test(9, 1)
+    assert bench_pairs.sign_test(10, 0) == pytest.approx(2 / 1024)
+    assert bench_pairs.sign_test(5, 5) == 1.0
+    assert bench_pairs.sign_test(0, 0) == 1.0
+    # against scipy's exact binomial test
+    from scipy.stats import binomtest
+    for wins, losses in ((9, 1), (7, 3), (12, 2), (3, 0)):
+        assert bench_pairs.sign_test(wins, losses) == pytest.approx(
+            binomtest(wins, wins + losses).pvalue)
+
+
+def test_summary_sign_test_drops_ties():
+    # p50 wins 3 of 4 pairs; rate wins 1 and loses 3
+    p50, rate = bench_pairs.summarize(DECLARED, PAIRS)
+    assert p50["sign_p"] == pytest.approx(2 * 5 / 16)
+    assert rate["sign_p"] == pytest.approx(2 * 5 / 16)
+    # a tied pair counts for neither side: 2 wins, 1 loss, 1 tie
+    tied = PAIRS[:3] + [(result(1.2, 10.0), result(1.2, 10.0))]
+    row = bench_pairs.summarize(DECLARED, tied)[0]
+    assert (row["wins"], row["sign_p"]) == (2, 1.0)
+    text = bench_pairs.format_rows([p50, rate]).splitlines()
+    assert "sign_p" in text[0] and " 0.625 " in text[1]
+
+
 def test_one_pair_has_no_spread():
     (row, _) = bench_pairs.summarize(DECLARED, PAIRS[:1])
     assert row["parent_iqr"] == 0.0 and row["wins"] == 1

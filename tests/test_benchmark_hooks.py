@@ -14,7 +14,7 @@ from cliffcert.circuit import gadgetize, parse_circuit
 from cliffcert.prover import (IDEAL, Depolarizing, GadgetCoinBias, Liar,
                               MagicMiscalibration, SimulatedDevice)
 
-from helpers import CIRCUITS, REPO_ROOT
+from helpers import CIRCUITS, REPO_ROOT, stage_prefixes
 
 PROBE = gadgetize(parse_circuit((CIRCUITS / "phase_probe.circ").read_text()))
 DET3 = gadgetize(parse_circuit(
@@ -36,8 +36,9 @@ def test_tracer_installs_and_counts_one_validate_per_circuit(monkeypatch):
     assert circuit.validate is original
     assert report.accepted
     assert PROBE.gadget_count == 1
-    # one walk per circuit built: the resolved sequence and one stage prefix
-    assert tracer.calls["circuit.validate"] == 2
+    # one walk per circuit built, the resolved sequence's: a stage is sent
+    # as that sequence with its cut and probes, no prefix built
+    assert tracer.calls["circuit.validate"] == 1
     assert tracer.calls["prover.run_adaptive"] == 1
     assert tracer.calls["prover.run_fixed_batch"] == 2
     # the traced r_meas_total counter sums these stages' repetitions
@@ -69,6 +70,15 @@ def test_traced_stages_share_one_joint_table_call(monkeypatch):
     assert tracer.calls["pauli.joint_output_probability"] == 1
     assert tracer.calls["protocol.run_measurement_stage"] == 3
     assert tracer.count["protocol.r_meas_total"] == 3 * report.plan.r_meas
+    # the device still takes one batch per stage, each its own span, and a
+    # stage batch's events stay its record layout: the stage's slots and
+    # its probes
+    assert tracer.calls["prover.run_fixed_batch"] == 1 + DET3.gadget_count
+    resolved = report.transcript.resolved
+    prefixes = stage_prefixes(resolved, report.plan.extra_check_lines)
+    assert [len(extras) for _, _, extras in prefixes] == [2, 2, 2]
+    assert tracer.count["prover.record_slots"] == len(resolved.events) + sum(
+        len(prefix.events) for prefix, _, _ in prefixes)
 
 
 @pytest.mark.parametrize("fault", [

@@ -12,7 +12,6 @@ from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
 from cliffcert.pauli import (K_MAX, PauliFrame, backpropagate,
                              joint_output_probability, outcome_table,
                              single_output_probability)
-from cliffcert.protocol import stage_prefixes
 from cliffcert.prover import IDEAL
 
 from helpers import (CLIFFORD_1Q, PauliOperator, commutes,
@@ -22,6 +21,7 @@ from helpers import (CLIFFORD_1Q, PauliOperator, commutes,
                      outcome_distribution, pauli_matrix, pull_back,
                      random_clifford_sequence, random_fixed_sequence,
                      random_inputs, random_pauli, random_t_circuit,
+                     stage_prefixes,
                      scalar_conjugate, scalar_measured_operators,
                      scalar_pull_back)
 
@@ -539,7 +539,7 @@ class TestOutcomeTable:
             operators = measured_with_random_signs(rng, seq)
             assert np.array_equal(
                 outcome_table(frame_holding(operators), (0,),
-                              len(operators), seq.inputs)[0],
+                              [len(operators)], seq.inputs)[0],
                 scalar_outcome_table(operators, seq.inputs))
 
     def test_table_spanning_several_blocks_matches_scalar(self):
@@ -553,32 +553,34 @@ class TestOutcomeTable:
             support |= p.support
         assert len(operators) == 11 and support.bit_count() > 128
         assert np.array_equal(outcome_table(frame_holding(operators), (0,),
-                                            11, seq.inputs)[0],
+                                            [11], seq.inputs)[0],
                               scalar_outcome_table(operators, seq.inputs))
 
     def test_stacked_groups_match_scalar_expansion_exactly(self):
         # groups of commuting operators stacked on one frame, past 64
-        # operator bits and at uneven starts: each row is its group's
-        # table alone, bit for bit
+        # operator bits and at uneven starts, of one width or of mixed
+        # widths packed in one buffer: each row is its group's table alone,
+        # bit for bit
         rng = random.Random(89)
-        for i in range(12):
+        for i in range(24):
             n = rng.choice((3, 9, 70))
             seq = chain_sequence(rng, n, min(n, 6)) if i % 2 else \
                 random_fixed_sequence(rng, n, rng.randint(n, 4 * n),
                                       intermediate=5)
             measured = measured_with_random_signs(rng, seq)
             k = rng.randint(1, len(measured))
-            groups = [rng.sample(measured, k) for _ in range(rng.randint(
-                1, 12))]
+            groups = [rng.sample(measured, k if i % 4 < 2 else rng.randint(
+                1, len(measured))) for _ in range(rng.randint(1, 12))]
             starts, operators = [], []
             for group in groups:
                 operators += [PauliOperator(seq.n_lines, 0, 0)] * \
                     rng.randint(0, 3)
                 starts.append(len(operators))
                 operators += group
-            rows = outcome_table(frame_holding(operators), starts, k,
-                                 seq.inputs)
-            assert rows.shape == (len(groups), 1 << k)
+            rows = outcome_table(frame_holding(operators), starts,
+                                 [len(group) for group in groups], seq.inputs)
+            assert [row.size for row in rows] == \
+                [1 << len(group) for group in groups]
             for group, row in zip(groups, rows):
                 assert np.array_equal(
                     row, scalar_outcome_table(group, seq.inputs))
@@ -587,7 +589,7 @@ class TestOutcomeTable:
         # X and Z on one line anticommute: XZ = -iY is no observable
         with pytest.raises(AssertionError, match="non-Hermitian"):
             outcome_table(frame_holding([from_label("X"), from_label("Z")]),
-                          (0,), 2, (InputState(ZERO),))
+                          (0,), [2], (InputState(ZERO),))
 
 
 class TestPauliOperator:

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cliffcert.circuit import (InputState, gadgetize, parse_circuit,
+from cliffcert.circuit import (InputState, Stage, gadgetize, parse_circuit,
                                resolve)
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
@@ -17,16 +17,17 @@ from cliffcert import protocol, prover
 from cliffcert.pauli import PauliFrame
 from cliffcert.protocol import (ACCEPT, BATCH_SIZE, EXTRA_LINE_DEVIATION,
                                 GADGET_BIAS, IMPOSSIBLE_OUTCOME,
-                                OUTPUT_DEVIATION, REJECT,
+                                OUTPUT_DEVIATION, RECORD_OUT_OF_RANGE, REJECT,
                                 GateTestResult, MeasurementStageResult,
                                 campaign_table_sizes, compose_error, plan,
                                 report_summary, report_to_json_dict,
                                 run_computational, run_gate_tests,
-                                run_measurement_tests, stage_prefixes,
-                                verdict, verify_campaign)
+                                run_measurement_tests, verdict,
+                                verify_campaign)
 
 from helpers import (CIRCUITS, random_fixed_sequence, random_t_circuit,
-                     record_counts, run_adaptive_batch, run_fixed)
+                     record_counts, run_adaptive_batch, run_fixed,
+                     stage_prefix, stage_prefixes)
 
 
 PROBE = gadgetize(parse_circuit((CIRCUITS / "phase_probe.circ").read_text()))
@@ -130,10 +131,19 @@ class TestGateTests:
         assert not result.passed
 
 
+def campaign_stages(resolved, extra):
+    """The stages a campaign sends for `resolved`, each as (the literal
+    prefix its `Stage` describes, ancilla, probe lines)."""
+    cuts = protocol._stage_layouts(resolved, extra)
+    return [(stage_prefix(Stage(resolved, cuts, index)),
+             resolved.events[slots - 1].line, probes)
+            for index, (slots, probes) in enumerate(cuts)]
+
+
 class TestStagePrefix:
     def test_prefix_structure(self):
         tr = SimulatedDevice(IDEAL).run_adaptive(DET3, 7)
-        prefix, ancilla, extras = stage_prefixes(tr.resolved, 2)[1]
+        prefix, ancilla, extras = campaign_stages(tr.resolved, 2)[1]
         labels = [i.label for i in prefix.instructions if i.op == "MEASURE"]
         assert labels == ["m1", "m2", "chk0", "chk1"]
         assert [prefix.instructions[s].label
@@ -150,12 +160,12 @@ class TestStagePrefix:
     def test_extras_are_lowest_unmeasured_lines(self):
         # the stage gadget's target (line 0) is unmeasured, so it is probed
         tr = SimulatedDevice(IDEAL).run_adaptive(DET3, 7)
-        _, _, extras = stage_prefixes(tr.resolved, 2)[0]
+        _, _, extras = campaign_stages(tr.resolved, 2)[0]
         assert extras == (0, 1)
 
     def test_extras_capped_by_available_lines(self):
         tr = SimulatedDevice(IDEAL).run_adaptive(PROBE, 7)
-        _, _, extras = stage_prefixes(tr.resolved, 5)[0]
+        _, _, extras = campaign_stages(tr.resolved, 5)[0]
         assert extras == (0,)
 
     def test_widest_sequence_probes_next_unmeasured_lines(self):
@@ -165,17 +175,35 @@ class TestStagePrefix:
             "qubits 65535\nMEASURE 0 a\nMEASURE 1 b\nT 2\n"
             "MEASURE 2 out\n"))
         assert c.n_lines == 65536
-        _, ancilla, extras = stage_prefixes(resolve(c, (0,)), 3)[0]
+        _, ancilla, extras = campaign_stages(resolve(c, (0,)), 3)[0]
         assert ancilla == 65535
         assert extras == (2, 3, 4)
 
     def test_stage_bounds(self):
         # one prefix per gadget, the s-th ending on gadget s, none beyond
-        stages = stage_prefixes(resolve(DET3, (0, 0, 0)), 2)
+        stages = campaign_stages(resolve(DET3, (0, 0, 0)), 2)
         assert [len(prefix.gadget_slots) for prefix, _, _ in stages] == \
             [1, 2, 3]
-        assert stage_prefixes(resolve(parse_circuit(
+        assert campaign_stages(resolve(parse_circuit(
             "qubits 1\nH 0\nMEASURE 0 out\n"), ()), 2) == []
+
+    def test_stages_describe_the_literal_prefixes(self):
+        # the campaign's stages, read as prefixes, are the oracle's walk of
+        # the recorded instructions, and a stage's events its prefix's
+        rng = random.Random(137)
+        for _ in range(60):
+            circuit = gadgetize(random_t_circuit(
+                rng, rng.randint(1, 6), rng.randint(1, 16),
+                rng.randint(1, 4), intermediate=3))
+            resolved = resolve(circuit, [rng.randint(0, 1) for _ in range(
+                circuit.gadget_count)])
+            extra = rng.randint(0, 5)
+            assert campaign_stages(resolved, extra) == \
+                stage_prefixes(resolved, extra)
+            cuts = protocol._stage_layouts(resolved, extra)
+            for index, (prefix, _, _) in enumerate(
+                    stage_prefixes(resolved, extra)):
+                assert Stage(resolved, cuts, index).events == prefix.events
 
     def test_table_sizes_match_built_tables(self):
         # the pre-campaign size check counts what the campaign builds: on
@@ -262,7 +290,8 @@ class TestMeasurementTests:
     def test_stage_builds_its_theory_table_in_one_pass(self, monkeypatch):
         # one joint-table call and one verifier sweep serve every stage: the
         # t theory tables come from one walk of the recorded sequence, not
-        # one prefix sweep and one table per stage
+        # one prefix sweep and one table per stage; so do the device's t
+        # record tables, on the first stage batch
         calls = Counter()
 
         def count(owner, name):
@@ -278,16 +307,16 @@ class TestMeasurementTests:
         p = plan(DET3.gadget_count, 0.05, 0.05, 0.01)
         count(protocol, "joint_output_probability")
         count(protocol, "run_measurement_stage")
-        count(prover, "record_table")
+        count(prover, "record_tables")
         count(PauliFrame, "sweep")
         results = protocol.run_measurement_tests(dev, tr, p, 11)
         assert [len(r.extra_lines) for r in results] == [2, 2, 2]
         assert calls["run_measurement_stage"] == DET3.gadget_count == 3
         assert calls["joint_output_probability"] == 1
-        # one sweep per stage for the device's record table, and one for
+        # one device sweep for every stage's record table, and one for
         # every theory table
-        assert calls["record_table"] == 3
-        assert calls["sweep"] == calls["record_table"] + 1
+        assert calls["record_tables"] == 1
+        assert calls["sweep"] == 2
 
 
 def _parent_kinds(result) -> list[str]:
@@ -397,6 +426,24 @@ class TestDecisionRule:
             (4, test_plan.r_gate, 0.0)
         assert size.message == (f"gate batch counts 4 runs where the plan "
                                 f"asks for {test_plan.r_gate}")
+
+    def test_verdict_checks_record_range_right_after_size(self):
+        test_plan = plan(2, 0.05, 0.25, 0.01)
+        report = self._failing_batches(test_plan, 4, test_plan.r_meas)
+        gate = dataclasses.replace(report.gate, out_of_range_runs=3)
+        stages = [report.stages[0],
+                  dataclasses.replace(report.stages[1], out_of_range_runs=1)]
+        report = verdict(None, test_plan, 0.5, gate, stages)
+        assert [(f.kind, f.stage) for f in report.failures] == [
+            (BATCH_SIZE, None), (RECORD_OUT_OF_RANGE, None),
+            (OUTPUT_DEVIATION, None), (EXTRA_LINE_DEVIATION, 1),
+            (RECORD_OUT_OF_RANGE, 2), (GADGET_BIAS, 2),
+            (EXTRA_LINE_DEVIATION, 2)]
+        stray = report.failures[1]
+        assert (stray.observed, stray.expected, stray.tolerance) == \
+            (3, 0, 0.0)
+        assert stray.message == \
+            "gate batch records 3 runs outside its record table"
 
 
 class TestComposeError:
@@ -599,6 +646,65 @@ class TestBatchSize:
             else written["measurement_tests"][index - 1]
         assert section["p_hat"] is None and section["ci_halfwidth"] is None
         assert section["repetitions"] == 0
+
+
+def _move_one_run(index, move):
+    """An `EditedDevice` edit: one run of batch `index` moves from its most
+    frequent cell c to move(m, c), m the slots of what the batch was
+    sent."""
+    def edit(device, i, seq, repetitions, seed):
+        batch = device.run_fixed_batch(seq, repetitions, seed)
+        if i != index:
+            return batch
+        counts = dict(batch.counts)
+        cell = max(counts, key=counts.get)
+        counts[cell] -= 1
+        moved = move(len(seq.events), cell)
+        counts[moved] = counts.get(moved, 0) + 1
+        return dataclasses.replace(batch, counts={
+            c: n for c, n in counts.items() if n})
+    return edit
+
+
+class TestRecordRange:
+    """Every record of a batch is a cell of the table of what it was sent:
+    below 2^m for the m slots of the recorded sequence, or of the stage."""
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("move", [
+        lambda m, cell: cell | 1 << (m + 3), lambda m, cell: cell | 1 << m,
+        lambda m, cell: cell - (1 << 40), lambda m, cell: cell | 1 << 70],
+        ids=["bit m+3", "bit m", "negative", "past int64"])
+    def test_a_run_outside_the_table_rejected(self, index, move):
+        # the moved run keeps its low bits, all that the statistics used
+        # to read, so only the range check sees it; a cell past 64 bits is
+        # a REJECT too, not a traceback
+        stage = index or None
+        for seed in range(20):
+            report = verify_campaign(
+                EditedDevice(IDEAL, _move_one_run(index, move)), DET3, 0.05,
+                0.05, 0.01, seed)
+            assert report.decision == REJECT
+            assert [(f.kind, f.stage) for f in report.failures] == \
+                [(RECORD_OUT_OF_RANGE, stage)]
+            assert report.failures[0].observed == 1
+            result = report.gate if index == 0 else report.stages[index - 1]
+            assert result.out_of_range_runs == 1
+            assert len(report.stages) == DET3.gadget_count
+            # the count is its failure's alone: no report section gains a
+            # field
+            written = report_to_json_dict(report)
+            section = written["gate_test"] if index == 0 \
+                else written["measurement_tests"][index - 1]
+            assert "out_of_range_runs" not in section
+            assert written["failures"][0]["observed"] == 1
+
+    def test_honest_batches_lie_inside_their_tables(self):
+        report = verify_campaign(SimulatedDevice(IDEAL), DET3, 0.05, 0.05,
+                                 0.01, 3)
+        assert report.accepted
+        assert report.gate.out_of_range_runs == 0
+        assert [s.out_of_range_runs for s in report.stages] == [0, 0, 0]
 
 
 class TestStatisticalProperties:

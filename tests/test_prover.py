@@ -1,6 +1,7 @@
 """Device behaviour: transcripts, determinism, fault models, batches."""
 
 import dataclasses
+import json
 import random
 from collections import Counter
 
@@ -15,7 +16,11 @@ from cliffcert import prover
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice,
                               derive_seed, parse_fault)
-from cliffcert.protocol import verify_campaign
+from cliffcert import pauli, protocol
+from cliffcert.circuit import Stage
+from cliffcert.protocol import (plan, report_to_json_dict, run_computational,
+                                run_gate_tests, run_measurement_tests,
+                                verdict, verify_campaign)
 from cliffcert import statevector as sv
 from cliffcert.pauli import single_output_probability
 
@@ -30,7 +35,8 @@ from helpers import (CIRCUITS, adaptive_record_table, assert_records_follow,
                      random_fixed_sequence, random_inputs, random_t_circuit,
                      record_counts, reference_run, reference_transcript,
                      renormalised_record_table, run_adaptive_batch,
-                     run_fixed, sv_fidelity, sv_norm, sv_remove_line)
+                     run_fixed, stage_prefix, stage_prefixes, sv_fidelity,
+                     sv_norm, sv_remove_line, PrefixDevice)
 
 
 def circuit_from(text):
@@ -497,14 +503,15 @@ FIVE_FAULTS = (IDEAL, MagicMiscalibration(0.3), GadgetCoinBias(0.2),
 
 @pytest.fixture
 def count_tables(monkeypatch):
-    """The list of sequences `prover.record_table` builds tables for."""
+    """The sequences `prover.record_tables`, which every record table comes
+    from, builds tables for, one entry per call."""
     built = []
-    real = prover.record_table
+    real = prover.record_tables
 
-    def counted(seq, fault):
+    def counted(seq, cuts, fault):
         built.append(seq)
-        return real(seq, fault)
-    monkeypatch.setattr(prover, "record_table", counted)
+        return real(seq, cuts, fault)
+    monkeypatch.setattr(prover, "record_tables", counted)
     return built
 
 
@@ -537,7 +544,7 @@ class TestTableReuse:
             built = len(count_tables)
             batch = dev.run_fixed_batch(resolved, 3000, seed)
             assert len(count_tables) == built
-            assert dev._last_table is None
+            assert dev._memo is None
             assert batch == SimulatedDevice(fault).run_fixed_batch(
                 resolved, 3000, seed)
 
@@ -554,7 +561,182 @@ class TestTableReuse:
         dev.run_adaptive(three_gadget, 5)
         dev.run_fixed_batch(other, 100, 1)
         assert count_tables[-1] is other
-        assert dev._last_table is None
+        assert dev._memo is None
+
+
+DET3 = gadgetize(parse_circuit(
+    (CIRCUITS / "deterministic_t3.circ").read_text()))
+
+
+def report_text(report) -> str:
+    return json.dumps(report_to_json_dict(report), indent=2)
+
+
+class Schedule:
+    """Forwards every call to `device`; before its n-th fixed batch (from
+    0) it runs hooks[n], another campaign's step on the same device."""
+
+    def __init__(self, device, hooks):
+        self.device, self.hooks, self.batches = device, hooks, 0
+
+    def run_adaptive(self, circuit, seed):
+        return self.device.run_adaptive(circuit, seed)
+
+    def run_fixed_batch(self, seq, repetitions, seed):
+        self.hooks.pop(self.batches, lambda: None)()
+        self.batches += 1
+        return self.device.run_fixed_batch(seq, repetitions, seed)
+
+
+class TestStageTables:
+    """A campaign's stage tables come from one sweep of the recorded
+    sequence and one table pass, each row the table of its literal prefix,
+    and the device's memo never changes what a batch draws."""
+
+    @pytest.mark.parametrize("fault", FIVE_FAULTS, ids=fault_to_text)
+    def test_stacked_rows_equal_literal_prefix_tables(self, fault,
+                                                      gadget_corpus):
+        # the corpus's resolved sequences (both bundled circuits on every
+        # outcome among them) at 0..4 probes; stages with fewer probes than
+        # asked and one-stage campaigns included
+        resolved = [seq for seq in gadget_corpus
+                    if len(seq.frozen_outcomes) == len(seq.gadget_slots)]
+        assert len(resolved) == 210
+        capped = single = 0
+        for seq in resolved:
+            for extra in range(5):
+                cuts = protocol._stage_layouts(seq, extra)
+                prefixes = stage_prefixes(seq, extra)
+                tables = prover.record_tables(seq, cuts, fault)
+                assert len(tables) == len(prefixes) == len(seq.gadget_slots)
+                for (prefix, _, probes), table in zip(prefixes, tables):
+                    assert np.array_equal(
+                        table, prover.record_table(prefix, fault))
+                    capped += len(probes) < extra
+                single += len(cuts) == 1
+        assert capped > 100 and single > 100
+
+    @pytest.mark.parametrize("fault", FIVE_FAULTS, ids=fault_to_text)
+    def test_wide_stages_split_into_passes(self, fault, monkeypatch):
+        # 8 stages of 7..14 slots: 84 frame operators, past one 64-bit
+        # cell, and rows of 2^12 cells or more take cell passes of their
+        # own while the small ones share one; every row stays its literal
+        # prefix's table
+        passes = []
+        real = pauli._cell_pass
+
+        def counted(frame, groups, *args):
+            passes.append([width for _, width in groups])
+            return real(frame, groups, *args)
+        monkeypatch.setattr(pauli, "_cell_pass", counted)
+        rng = random.Random(151)
+        circuit = gadgetize(random_t_circuit(rng, 14, 60, 8))
+        seq = resolve(circuit, [rng.randrange(2) for _ in range(8)])
+        cuts = protocol._stage_layouts(seq, 6)
+        tables = prover.record_tables(seq, cuts, fault)
+        assert [slots + len(probes) for slots, probes in cuts] == \
+            list(range(7, 15))
+        assert passes == [[14], [13], [12], [11, 10, 9, 8, 7]]
+        for (prefix, _, _), table in zip(stage_prefixes(seq, 6), tables):
+            assert np.array_equal(table, prover.record_table(prefix, fault))
+
+    @pytest.mark.parametrize("fault", FIVE_FAULTS, ids=fault_to_text)
+    def test_reports_equal_literal_prefix_device(self, fault, three_gadget):
+        for circuit, seed in ((DET3, 4), (PROBE, 5), (three_gadget, 6)):
+            for extra in (0, 2, 4):
+                args = (circuit, 0.05, 0.05, 0.01, seed, extra)
+                assert report_text(verify_campaign(
+                    SimulatedDevice(fault), *args)) == report_text(
+                        verify_campaign(PrefixDevice(fault), *args))
+
+    @pytest.mark.parametrize("fault", FIVE_FAULTS, ids=fault_to_text)
+    def test_interleaved_campaigns_equal_fresh_devices(self, fault,
+                                                       three_gadget,
+                                                       count_tables):
+        # B's adaptive run lands before A's stages, and B's gate batch
+        # between A's stages 1 and 2, on one device: every memo miss
+        # rebuilds, and both reports equal those of fresh devices.  A reads
+        # no probes, so no fault model stops it early on a probe outcome
+        # of classical probability zero
+        dev = SimulatedDevice(fault)
+        b_plan = plan(PROBE.gadget_count, 0.05, 0.05, 0.01)
+        b = {}
+
+        def b_adaptive():
+            b["transcript"] = run_computational(dev, PROBE,
+                                                prover.derive_seed(8, 0))
+
+        def b_gate():
+            b["gate"] = run_gate_tests(dev, b["transcript"], b_plan,
+                                       prover.derive_seed(8, 1))
+
+        schedule = Schedule(dev, {1: b_adaptive, 2: b_gate})
+        a = verify_campaign(schedule, three_gadget, 0.05, 0.05, 0.01, 7, 0)
+        assert schedule.batches == 1 + three_gadget.gadget_count == 4
+        assert not schedule.hooks
+        b_report = verdict(b["transcript"], b_plan, b["gate"].p_classical,
+                           b["gate"], run_measurement_tests(
+                               dev, b["transcript"], b_plan, 8))
+        # two adaptive runs; A's stages 1-3 on a miss after B's run; B's
+        # gate table, as A's stage tables replaced its run's; A's stages
+        # 2-3 again after B's gate batch; B's one stage
+        assert len(count_tables) == 6
+        assert report_text(a) == report_text(verify_campaign(
+            SimulatedDevice(fault), three_gadget, 0.05, 0.05, 0.01, 7, 0))
+        assert report_text(b_report) == report_text(verify_campaign(
+            SimulatedDevice(fault), PROBE, 0.05, 0.05, 0.01, 8))
+
+    @pytest.mark.parametrize("fault", FIVE_FAULTS, ids=fault_to_text)
+    def test_alternating_stage_lists_keep_their_own_tables(self, fault,
+                                                           three_gadget):
+        # two recorded sequences of one circuit, other gadget bits, have
+        # stage lists with the same cuts; batches alternating between them
+        # on one device each draw from their own sequence's table, as a
+        # fresh device's do
+        outcomes = ((0, 1, 1), (1, 0, 0))
+        lists = []
+        for bits in outcomes:
+            seq = resolve(three_gadget, bits)
+            cuts = protocol._stage_layouts(seq, 2)
+            lists.append([Stage(seq, cuts, i) for i in range(len(cuts))])
+        assert lists[0][0].cuts == lists[1][0].cuts
+        dev = SimulatedDevice(fault)
+        for index in range(3):
+            for stages in lists:
+                stage = stages[index]
+                fresh = SimulatedDevice(fault).run_fixed_batch(
+                    stage_prefix(stage), 5000, index)
+                assert dev.run_fixed_batch(stage, 5000, index).counts == \
+                    fresh.counts
+
+    def test_campaign_stopped_at_stage_one_keeps_its_report(self):
+        # an honest adaptive run and gate batch, then stage batches from a
+        # liar: DET3's stage-1 probe on line 1 can never read 0, so the
+        # campaign stops at stage 1 with stages 2 and 3 left in the memo
+        def campaign(stage_device, seed):
+            honest = SimulatedDevice(IDEAL)
+
+            class Split:
+                def run_adaptive(self, circuit, seed):
+                    return honest.run_adaptive(circuit, seed)
+
+                def run_fixed_batch(self, seq, repetitions, seed):
+                    device = stage_device if isinstance(seq, Stage) \
+                        else honest
+                    return device.run_fixed_batch(seq, repetitions, seed)
+            return verify_campaign(Split(), DET3, 0.05, 0.05, 0.01, seed)
+
+        liar = SimulatedDevice(Liar(0.5))
+        first = campaign(liar, 11)
+        assert [s.impossible_observed for s in first.stages] == [True]
+        assert liar._memo is not None and len(liar._memo[1]) == 2
+        assert report_text(first) == report_text(
+            campaign(PrefixDevice(Liar(0.5)), 11))
+        # the leftover tables belong to another sequence object: the next
+        # campaign on the same device rebuilds and draws as a fresh one
+        for seed in (11, 12):
+            assert report_text(campaign(liar, seed)) == report_text(
+                campaign(SimulatedDevice(Liar(0.5)), seed))
 
 
 class TestSeedDerivation:

@@ -8,12 +8,14 @@ order swapping from pair to pair so that a drift of the host's speed
 falls on both sides alike.  For every end-to-end metric that PARENT's
 BENCHMARK.json declares, the summary gives both medians, the relative
 change of the medians, each side's interquartile range (the parent's also
-over its median), the pairs the change won and the metric's bound.  A
-metric is flagged PAST BOUND when the change's median is worse than the
-parent's by more than the bound, and UNRESOLVED when the parent's own
-spread (its interquartile range over its median) exceeds the bound and
-not every change run beats every parent run: such pairs can tell neither
-a gain nor a regression within the bound.  The exit code is 1 when any
+over its median), the pairs the change won, the exact two-sided sign-test
+p-value of those wins (binomial(n, 1/2) over the n pairs that were not
+ties) and the metric's bound.  A metric is flagged PAST BOUND when the
+change's median is worse than the parent's by more than the bound, and
+UNRESOLVED when the parent's own spread (its interquartile range over its
+median) exceeds the bound and not every change run beats every parent
+run: such pairs can tell neither a gain nor a regression within the
+bound.  The exit code is 1 when any
 run was incorrect or any campaign failed.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -50,6 +53,15 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """Exact two-sided p-value of `wins` against `losses` under a fair
+    coin, ties already dropped: twice the binomial(n, 1/2) tail of the
+    rarer side, at most 1; 1 when no pair decided."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]
               ) -> list[dict]:
     """One row per declared end-to-end metric from (parent result, change
@@ -65,6 +77,10 @@ def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]
         spread = iqr(parent) / p50 if p50 else 0.0
         beats_all = max(change) < min(parent) if lower \
             else min(change) > max(parent)
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(parent, change))
+        losses = sum((c > p) if lower else (c < p)
+                     for p, c in zip(parent, change))
         rows.append({
             "name": name,
             "unit": spec["unit"],
@@ -74,9 +90,9 @@ def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]
             "parent_iqr": iqr(parent),
             "parent_spread": spread,
             "change_iqr": iqr(change),
-            "wins": sum((c < p) if lower else (c > p)
-                        for p, c in zip(parent, change)),
+            "wins": wins,
             "pairs": len(pairs),
+            "sign_p": sign_test(wins, losses),
             "bound": spec["bound"],
             "past_bound": (relative if lower else -relative) > spec["bound"],
             "unresolved": spread > spec["bound"] and not beats_all,
@@ -86,7 +102,8 @@ def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]
 
 def format_rows(rows: list[dict]) -> str:
     lines = [f"{'metric':<18} {'parent':>10} {'change':>10} {'rel':>8} "
-             f"{'p_iqr':>9} {'p_iqr/p50':>9} {'c_iqr':>9} {'wins':>6} bound"]
+             f"{'p_iqr':>9} {'p_iqr/p50':>9} {'c_iqr':>9} {'wins':>6} "
+             f"{'sign_p':>8} bound"]
     for r in rows:
         flag = ("  PAST BOUND" if r["past_bound"] else "") \
             + ("  UNRESOLVED" if r["unresolved"] else "")
@@ -95,7 +112,7 @@ def format_rows(rows: list[dict]) -> str:
             f"{r['change_median']:>10.4g} {r['relative']:>+8.2%} "
             f"{r['parent_iqr']:>9.3g} {r['parent_spread']:>9.2%} "
             f"{r['change_iqr']:>9.3g} {r['wins']:>3}/{r['pairs']:<2} "
-            f"{r['bound']}{flag}")
+            f"{r['sign_p']:>8.3g} {r['bound']}{flag}")
     return "\n".join(lines)
 
 
