@@ -15,12 +15,12 @@ frame's slices, operator j as bit j of a cell: O(|U| * 2^k) for a union
 support of |U| lines in a fixed number of array passes, plus the k passes
 of one Walsh-Hadamard transform.  Groups of operators stack on one frame
 and share those passes, one table row per group, each packed at its own
-width.  :func:`joint_output_probability` serves all t stage tables of a
-campaign this way, and the device's record tables of all t stages come
-the same way (`prover.record_tables`): their operators enter one sweep of
-the recorded sequence, each group at its stage's cut, and one pass builds
-every row, so a campaign pays the fixed per-call cost of the array passes
-once instead of once per stage.
+width.  A group enters a sweep at one MEASURE, its cut, a measured line
+being never touched again.  :func:`joint_output_probability` serves all t
+stage tables of a campaign this way, and the device's record tables of
+all t stages come the same way (`prover.record_tables`): one sweep of the
+recorded sequence, each stage entering at its cut, and one pass for every
+row, so a campaign pays the array passes' fixed cost once, not per stage.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ class PauliFrame:
         """Walk `instructions` backwards, replacing every operator p by
         gate^dagger * p * gate at each gate (MEASURE and ID pass), which
         leaves U^dagger p U for their unitary U.  The MEASURE of a line in
-        `enter` adds, for each (line, operator) pair of its entry, that
-        line's Z as that operator, so it is pulled back through the gates
-        before the MEASURE only: a line's own readout, or a probe read
-        right after it.  Yields each gate with the frame holding every
-        operator as it stands just after that gate."""
+        `enter`, a cut, adds for each (line, operator) pair of its entry
+        that line's Z as that operator: a line measured by then is never
+        touched again, so from the cut it gets the bits its own MEASURE
+        would give, and any other is a probe read there.  Yields each gate
+        with the frame holding every operator just after that gate."""
         xs, zs, touched = self.xs, self.zs, self.touched
         signs = self.signs
         for gate in reversed(instructions):
@@ -165,28 +165,25 @@ def joint_output_probability(seq: FixedSequence, lines):
 
     With `lines` a sequence of measured lines: 2^k probabilities; bit
     k-1-i of a cell's index is the outcome of lines[i], so lines[0] is the
-    most significant bit (the layout of `prover.record_table`).  One sweep
-    pulls every line's measurement operator back from its own MEASURE; they
-    commute because distinct measured lines are never reused, so
-    :func:`outcome_table` applies.
+    most significant bit (the layout of `prover.record_table`).  With
+    `lines` a list of stage queries, each a tuple (line, *probes): one
+    table per query, in the same layout, of its lines read right after its
+    first line's MEASURE, the probes measured there, as on the prefix of
+    `seq` cut there with the probes appended.
 
-    With `lines` a list of stage queries, each a tuple (line, *probes):
-    one table per query, in the same layout, of the query's lines read
-    right after the MEASURE of its first line, the probes measured there,
-    as on the prefix of `seq` cut after that MEASURE with the probes
-    appended.  One sweep enters every query's operators at its cut, and
-    one :func:`outcome_table` pass packs every query's row at its own
-    width, so t stage tables cost one walk of the sequence and one set of
-    array passes instead of t of each.
+    One sweep enters each query's operators at one MEASURE, its cut: a
+    stage query's first line's, or a flat query's last-measured line's.
+    They commute, distinct measured lines never being reused, and one
+    :func:`outcome_table` pass packs every query's row at its own width,
+    so t stage tables cost one walk and one set of array passes.
     """
     stacked = len(lines) > 0 and isinstance(lines[0], tuple)
     queries = list(lines) if stacked else [tuple(lines)]
-    measured = {event.line for event in seq.events}
+    slot = {event.line: i for i, event in enumerate(seq.events)}
+    widths = list(map(len, queries))
+    starts = list(accumulate(widths[:-1], initial=0))
     enter: dict[int, list[tuple[int, int]]] = {}
-    starts = []  # each query's lowest frame operator, its last line's
-    start = 0
-    for query in queries:
-        k = len(query)
+    for query, k, start in zip(queries, widths, starts):
         if k > K_MAX:
             raise ValueError(f"{k} lines exceed k_max={K_MAX}")
         if len(set(query)) != k:
@@ -194,17 +191,15 @@ def joint_output_probability(seq: FixedSequence, lines):
         for i, line in enumerate(query):
             if not 0 <= line < seq.n_lines:
                 raise ValueError(f"line {line} out of range")
-            cut = query[0] if stacked else line
-            if cut not in measured:
-                raise ValueError(f"line {cut} is not measured in the "
-                                 "sequence")
-            enter.setdefault(cut, []).append((line, start + k - 1 - i))
-        starts.append(start)
-        start += k
+            if line not in slot and not (stacked and i):
+                raise ValueError(f"line {line} is not measured")
+        cut = query[0] if stacked else max(query, key=slot.get, default=-1)
+        enter.setdefault(cut, []).extend(
+            zip(query, reversed(range(start, start + k))))
     frame = PauliFrame(seq.n_lines)
     for _ in frame.sweep(seq.instructions, enter):
         pass
-    tables = outcome_table(frame, starts, list(map(len, queries)), seq.inputs)
+    tables = outcome_table(frame, starts, widths, seq.inputs)
     return tables if stacked else tables[0]
 
 

@@ -18,12 +18,12 @@ Repetition counts come from the Hoeffding bound at failure probability
 delta per batch: the gate batch for half-width eta, each gadget batch for
 half-width d/2.  Every check fails unless |observed - expected| <= its
 tolerance: eta for the output frequency and the probe-line total variation,
-d for a gadget frequency against 1/2.  A batch's R is its counts' total,
-never what it claims: one off the plan fails BATCH_SIZE, a record past
-its table RECORD_OUT_OF_RANGE, and an empty batch's frequencies are NaN.
-The per-batch failure budgets are not yet composed into one campaign
-bound (ROADMAP item 1).  The verifier consumes only classical data: bits,
-counts, and probabilities it computed itself.
+d for a gadget frequency against 1/2.  One reader takes every batch: its
+R is the counts' total, one off the plan fails BATCH_SIZE, a record past
+its table or a malformed entry RECORD_OUT_OF_RANGE, and an empty batch's
+frequencies are NaN.  The per-batch failure budgets are not yet composed
+into one campaign bound (ROADMAP item 1).  The verifier consumes only
+classical data: bits, counts, and probabilities it computed itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .circuit import AdaptiveCircuit, Circuit, Stage
 from .pauli import joint_output_probability, single_output_probability
-from .prover import PROB_TOL, BatchResult, Transcript, derive_seed
+from .prover import PROB_TOL, Transcript, derive_seed
 
 OUTPUT_DEVIATION = "OUTPUT_DEVIATION"
 GADGET_BIAS = "GADGET_BIAS"
@@ -248,15 +248,11 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
     resolved = transcript.resolved
     p_classical = single_output_probability(resolved, 0)
     batch = device.run_fixed_batch(resolved, test_plan.r_gate, seed)
-    # the final output is the last slot
-    runs, stray, tail = _tally(batch, len(resolved.events), 1)
-    zeros = int(tail[0])
-    p_hat = zeros / (runs or math.nan)
-    impossible = ((p_classical < PROB_TOL and zeros > 0)
-                  or (p_classical > 1.0 - PROB_TOL and zeros < runs))
+    theory = np.array([p_classical, 1.0 - p_classical])  # the last slot's
+    runs, stray, tail, impossible = _read(batch, len(resolved.events), theory)
     return GateTestResult(
         repetitions=runs,
-        p_hat=p_hat,
+        p_hat=int(tail[0]) / (runs or math.nan),
         p_classical=p_classical,
         eta=test_plan.eta,
         ci_halfwidth=hoeffding_halfwidth(runs, test_plan.delta),
@@ -265,15 +261,34 @@ def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
     )
 
 
-def _tally(batch, slots: int, width: int) -> tuple[int, int, np.ndarray]:
-    """(runs, runs outside the 2^slots cells of the sent table, a negative
-    cell too, and the rest's counts by the value of their last `width`)."""
-    runs = sum(batch.counts.values())
-    stray = sum(n for cell, n in batch.counts.items() if cell >> slots)
-    if stray:
-        batch = BatchResult(batch.events, {cell: n for cell, n in
-                            batch.counts.items() if not cell >> slots}, runs)
-    return runs, stray, batch.tail_counts(width)
+def _read(batch, slots: int, theory: np.ndarray) -> tuple:
+    """(runs, runs outside the 2^slots cells of the sent table, the rest's
+    counts by the value of their last log2(len(theory)) slots, whether a
+    value drawn has classical probability in `theory` below PROB_TOL).  Any
+    entry but an integer cell of the table below 2^63 with an integer count
+    in [0, 2^64) is outside, as one run when its count is not such."""
+    counts = batch.counts
+    try:  # a float or numpy value turns a sum's type; fromiter would cast it
+        cells = np.fromiter(counts, np.uint64, len(counts))
+        tallies = np.fromiter(counts.values(), np.uint64, len(counts))
+        runs = sum(counts.values())
+        if type(runs) is not int or type(sum(counts)) is not int:
+            raise TypeError
+    except (TypeError, ValueError, OverflowError):
+        integer, outside = (int, np.integer), 1 << 63
+        cells, tallies = np.array([
+            (c if isinstance(c, integer) and 0 <= c < outside else outside, n)
+            if isinstance(n, integer) and 0 <= n < 1 << 64
+            else (outside, 1) for c, n in counts.items()], np.uint64).T
+        runs = sum(tallies.tolist())
+    stray, bits = 0, min(slots, 63)
+    if np.bitwise_or.reduce(cells) >> bits:
+        inside = cells >> bits == 0
+        stray = sum(tallies[~inside].tolist())
+        cells, tallies = cells[inside], tallies[inside]
+    tail = np.zeros(len(theory), np.uint64)
+    np.add.at(tail, cells & (len(theory) - 1), tallies)
+    return runs, stray, tail, bool(tail.dot(theory < PROB_TOL))
 
 
 def _stage_layouts(circuit: Circuit, extra_check_lines: int
@@ -311,17 +326,13 @@ def run_measurement_stage(device, stage: Stage, theory: np.ndarray,
     batch = device.run_fixed_batch(stage, test_plan.r_meas, seed)
     slots, extras = stage.cuts[stage.index]
     # the ancilla readout and the probes are a record's last slots
-    runs, stray, empirical = _tally(batch, slots + len(extras),
-                                    1 + len(extras))
-
-    impossible = bool((theory[empirical > 0] < PROB_TOL).any())
+    runs, stray, empirical, impossible = _read(batch, slots + len(extras),
+                                               theory)
     # the ancilla is the leading bit of both tables
     p_hat = int(empirical.reshape(2, -1)[1].sum()) / (runs or math.nan)
-    tv_distance = None
-    if extras:
-        tv_distance = 0.5 * sum(
-            abs(count / (runs or math.nan) - prob)
-            for count, prob in zip(empirical.tolist(), theory.tolist()))
+    tv_distance = None if not extras else 0.5 * sum(
+        abs(count / (runs or math.nan) - prob)
+        for count, prob in zip(empirical.tolist(), theory.tolist()))
     return MeasurementStageResult(
         stage=number,
         ancilla_line=stage.sequence.events[slots - 1].line,

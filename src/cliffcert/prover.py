@@ -7,11 +7,11 @@ see crosses this module as classical data: bits, counts, hashes, seeds.
 
 The device holds no amplitudes.  A measured line is never reused and every
 gadget ancilla is fresh, so the measurements of a run are commuting Z
-operators pulled back through the gates before them, on a product input.
-One backward sweep of a `pauli.PauliFrame` pulls all m of them back at
-once, N gate updates for N gates, and `pauli.outcome_table` reads their
-exact joint distribution off the swept frame in O(|U| * 2^m) for |U|
-support lines (at most MAX_RECORD_SLOTS slots).
+operators on a product input, each pulled back alike from any MEASURE at
+or after its own.  One backward sweep of a `pauli.PauliFrame` enters all
+m at the last MEASURE, N gate updates for N gates, and
+`pauli.outcome_table` reads their exact joint distribution off the swept
+frame in O(|U| * 2^m) for |U| support lines (at most MAX_RECORD_SLOTS).
 
 A record is a cell of that table, one layout from the frame to the
 verdict: the slots are the circuit's cached `events`, and bit m-1-i is
@@ -174,26 +174,18 @@ class Transcript:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Outcome-record counts for a batch of identically prepared runs.
+    """Outcome-record counts for a batch of identically prepared runs, as
+    plain counts: the verifier reads nothing else.
 
     A record is a cell of the record table: bit m-1-i of the integer is
     slot i's outcome, so slot 0 is the most significant bit and the final
     output is bit 0.  `counts` maps each record drawn to its count, in
-    increasing cell order.  `events` is the sent sequence's own layout,
-    which the verifier never reads; it is kept for the benchmark tracer."""
+    increasing cell order.  `events`, the sent sequence's own layout, and
+    `repetitions` are kept for the benchmark tracer alone."""
 
     events: tuple[MeasurementEvent, ...]
     counts: dict[int, int]
     repetitions: int
-
-    def tail_counts(self, width: int) -> np.ndarray:
-        """Counts of each value of the last `width` slots, the low `width`
-        bits of a record, indexed by those bits in cell order."""
-        marginal = np.zeros(1 << width, np.int64)
-        np.add.at(marginal,
-                  np.fromiter(self.counts, np.int64) & ((1 << width) - 1),
-                  np.fromiter(self.counts.values(), np.int64))
-        return marginal
 
 
 def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
@@ -231,9 +223,9 @@ def record_tables(seq: FixedSequence, cuts, fault: FaultModel
                   ) -> list[np.ndarray]:
     """Record tables under `fault` of the stages (slots, probes) of `seq` in
     `cuts`, each its literal prefix's bit for bit (2^w cells, slot i being
-    bit w-1-i): one sweep enters each stage's slots at their MEASUREs and
-    its probes at its cut, reading each gate's flip masks, then one outcome
-    table pass (depolarizing noise folded in), a coin bias and a liar."""
+    bit w-1-i): one sweep enters all of a stage's slots and probes at its
+    cut, reading each gate's flip masks, then one outcome table pass
+    (depolarizing noise folded in), a coin bias and a liar."""
     events, enter, starts, widths = seq.events, {}, [], []
     for slots, probes in cuts:
         starts.append(sum(widths))
@@ -243,9 +235,8 @@ def record_tables(seq: FixedSequence, cuts, fault: FaultModel
                              f"device's maximum {MAX_RECORD_SLOTS}")
         # slot i, a probe being a slot past `slots`, is operator start+w-1-i
         lines = [event.line for event in events[:slots]] + list(probes)
-        for slot, line in enumerate(lines):
-            enter.setdefault(lines[min(slot, slots - 1)], []).append(
-                (line, starts[-1] + widths[-1] - 1 - slot))
+        enter.setdefault(lines[slots - 1], []).extend(
+            zip(lines, reversed(range(starts[-1], sum(widths)))))
     depolarizing = isinstance(fault, Depolarizing) and fault.p_err
     frame = PauliFrame(seq.n_lines)
     flips = ([], [])  # the flip masks of the one- and the two-line gates

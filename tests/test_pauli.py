@@ -12,11 +12,12 @@ from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
 from cliffcert.pauli import (K_MAX, PauliFrame, backpropagate,
                              joint_output_probability, outcome_table,
                              single_output_probability)
-from cliffcert.prover import IDEAL
+from cliffcert.prover import IDEAL, _flip_masks
 
 from helpers import (CLIFFORD_1Q, PauliOperator, commutes,
                      dense_record_table, expectation, frame_holding,
-                     frame_operators, from_label, gate_matrix, label,
+                     frame_operators, from_label, gadget_sequences,
+                     gate_matrix, label,
                      measured_operators, multiply,
                      outcome_distribution, pauli_matrix, pull_back,
                      random_clifford_sequence, random_fixed_sequence,
@@ -159,6 +160,59 @@ class TestPauliFrame:
         with pytest.raises(ValueError, match="not unitary"):
             pull_back(PauliOperator.z_on(2, 0),
                       (Instruction("TGADGET", (0,), ancilla=1),))
+
+
+class TestEntryRule:
+    """A measured line is never touched again, so its Z entered at any
+    MEASURE at or after its own is swept to the same frame bits: the one
+    entry rule of the record and theory tables."""
+
+    def test_entering_at_a_later_measure_changes_no_frame_bit(self):
+        # every measured line's Z enters at its own MEASURE, at a random
+        # later one, or at the final one, slot i as operator i.  At every
+        # gate the frames differ only by the bare Z of each operator
+        # entered late whose own MEASURE the walk has not reached, a line
+        # no gate there touches: the same xs and signs, the same flip
+        # masks, and zs and touched equal once those Z are added; after
+        # the walk, everything is equal
+        rng = random.Random(89)
+        checked = 0
+        for seq in gadget_sequences(40, 89):
+            lines = [ins.targets[0] for ins in seq.instructions
+                     if ins.op == "MEASURE"]
+            own = {line: [(line, op)] for op, line in enumerate(lines)}
+            for cuts in ([rng.choice(lines[op:]) for op in range(len(lines))],
+                         [lines[-1]] * len(lines)):
+                late: dict = {}
+                for op, (line, cut) in enumerate(zip(lines, cuts)):
+                    late.setdefault(cut, []).append((line, op))
+                early, exact = PauliFrame(seq.n_lines), PauliFrame(seq.n_lines)
+                walks = (early.sweep(seq.instructions, late),
+                         exact.sweep(seq.instructions, own))
+                entered, reached = set(), set()
+                for ins in reversed(seq.instructions):
+                    if ins.op == "MEASURE":
+                        entered.update(line for line, _ in
+                                       late.get(ins.targets[0], ()))
+                        reached.add(ins.targets[0])
+                    elif ins.op != "ID":
+                        assert [next(walk) for walk in walks] == [ins, ins]
+                        pending = entered - reached
+                        zs = list(exact.zs)
+                        for op, line in enumerate(lines):
+                            if line in pending:
+                                zs[line] |= 1 << op
+                        assert (early.xs, early.zs, early.signs) == \
+                            (exact.xs, zs, exact.signs)
+                        assert early.touched == exact.touched | pending
+                        assert _flip_masks(early, ins) == \
+                            _flip_masks(exact, ins)
+                        checked += bool(pending)
+                assert [next(walk, None) for walk in walks] == [None, None]
+                assert (early.xs, early.zs, early.signs, early.touched) == \
+                    (exact.xs, exact.zs, exact.signs, exact.touched)
+        # the late entry was in force at some gates, not only at the end
+        assert checked > 100
 
 
 class TestMultiply:

@@ -130,6 +130,17 @@ class TestGateTests:
         assert result.impossible_observed
         assert not result.passed
 
+    def test_impossible_outcome_flagged_at_certain_zero(self):
+        # the other end of the gate table: P(0) = 1, and the liar's 1s are
+        # the impossible outcome
+        circuit = parse_circuit("qubits 1\nMEASURE 0 out\n")
+        dev = SimulatedDevice(Liar(0.4))
+        tr = run_computational(dev, circuit, 3)
+        result = run_gate_tests(dev, tr, plan(0, 0.05, 0.05, 0.01), 4)
+        assert result.p_classical == 1.0
+        assert result.impossible_observed
+        assert [f.kind for f in result.failures] == [IMPOSSIBLE_OUTCOME]
+
 
 def campaign_stages(resolved, extra):
     """The stages a campaign sends for `resolved`, each as (the literal
@@ -270,8 +281,9 @@ class TestMeasurementTests:
         assert len(results) < DET3.gadget_count
 
     def test_cell_marginal_matches_tuple_marginal(self):
-        # the low bits of the record cells against the tuple records' last
-        # slots, on seeded batches of several fault models
+        # the verifier's reading of the low bits of the record cells
+        # against the tuple records' last slots, on seeded batches of
+        # several fault models
         rng = random.Random(131)
         faults = (IDEAL, Depolarizing(0.1), Liar(0.3))
         for i in range(30):
@@ -282,7 +294,8 @@ class TestMeasurementTests:
             m = len(batch.events)
             for width in range(1, m + 1):
                 tuples = record_counts(batch, range(m - width, m))
-                cells = batch.tail_counts(width)
+                _, _, cells, _ = protocol._read(
+                    batch, m, np.full(1 << width, 0.5))
                 assert cells.tolist() == [
                     tuples.get(bits, 0)
                     for bits in np.ndindex(*(2,) * width)]
@@ -648,22 +661,23 @@ class TestBatchSize:
         assert section["repetitions"] == 0
 
 
-def _move_one_run(index, move):
-    """An `EditedDevice` edit: one run of batch `index` moves from its most
-    frequent cell c to move(m, c), m the slots of what the batch was
-    sent."""
-    def edit(device, i, seq, repetitions, seed):
+def _replace_entry(index, edit):
+    """An `EditedDevice` edit: in batch `index`, or in every batch when it
+    is None, the entry (c, n) of the most frequent cell c gives way to the
+    entries edit(m, c, n) returns, m the slots of what the batch was sent,
+    each added to what its cell holds; the edit's `replaced` lists each n."""
+    def edited(device, i, seq, repetitions, seed):
         batch = device.run_fixed_batch(seq, repetitions, seed)
-        if i != index:
+        if index is not None and i != index:
             return batch
         counts = dict(batch.counts)
         cell = max(counts, key=counts.get)
-        counts[cell] -= 1
-        moved = move(len(seq.events), cell)
-        counts[moved] = counts.get(moved, 0) + 1
-        return dataclasses.replace(batch, counts={
-            c: n for c, n in counts.items() if n})
-    return edit
+        edited.replaced.append(counts.pop(cell))
+        for c, n in edit(len(seq.events), cell, edited.replaced[-1]).items():
+            counts[c] = counts.get(c, 0) + n
+        return dataclasses.replace(batch, counts=counts)
+    edited.replaced = []
+    return edited
 
 
 class TestRecordRange:
@@ -681,9 +695,11 @@ class TestRecordRange:
         # a REJECT too, not a traceback
         stage = index or None
         for seed in range(20):
+            # one run of the most frequent cell c moves to move(m, c)
             report = verify_campaign(
-                EditedDevice(IDEAL, _move_one_run(index, move)), DET3, 0.05,
-                0.05, 0.01, seed)
+                EditedDevice(IDEAL, _replace_entry(
+                    index, lambda m, c, n: {c: n - 1, move(m, c): 1})),
+                DET3, 0.05, 0.05, 0.01, seed)
             assert report.decision == REJECT
             assert [(f.kind, f.stage) for f in report.failures] == \
                 [(RECORD_OUT_OF_RANGE, stage)]
@@ -705,6 +721,55 @@ class TestRecordRange:
         assert report.accepted
         assert report.gate.out_of_range_runs == 0
         assert [s.out_of_range_runs for s in report.stages] == [0, 0, 0]
+
+
+class TestMalformedEntries:
+    """An entry whose cell or count is no integer, or whose count is
+    negative, is read into no statistic and fails RECORD_OUT_OF_RANGE; it
+    counts its runs there, a count that is no non-negative integer as one
+    run."""
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("edit, count_kept", [
+        (lambda m, c, n: {float(c): n}, True),
+        (lambda m, c, n: {str(c): n}, True),
+        (lambda m, c, n: {c: float(n)}, False),
+        (lambda m, c, n: {c: np.float64(n)}, False)],
+        ids=["float cell", "text cell", "float count", "numpy float count"])
+    def test_a_malformed_entry_rejected(self, index, edit, count_kept):
+        # a float cell was a TypeError; the entry's runs leave every
+        # statistic, so its batch may fail other checks too, but no other
+        # batch fails
+        stage = index or None
+        for seed in (3, 4):
+            replace = _replace_entry(index, edit)
+            report = verify_campaign(EditedDevice(IDEAL, replace), DET3,
+                                     0.05, 0.05, 0.01, seed)
+            assert report.decision == REJECT
+            kinds = [(f.kind, f.stage) for f in report.failures]
+            checks = [(RECORD_OUT_OF_RANGE, stage)] if count_kept else \
+                [(BATCH_SIZE, stage), (RECORD_OUT_OF_RANGE, stage)]
+            assert kinds[:len(checks)] == checks
+            assert {stage for _, stage in kinds} == {stage}
+            assert report.failures[len(checks) - 1].observed == (
+                replace.replaced[0] if count_kept else 1)
+            json.dumps(report_to_json_dict(report), allow_nan=False)
+
+    def test_a_negative_count_cannot_hide_an_impossible_output(self):
+        # 5 runs more on a drawn cell and 5 fewer on that cell with its
+        # final bit flipped, in every batch, keeps every total at the plan;
+        # in the gate batch the -5 sat on an output of classical
+        # probability 0 and hid it
+        report = verify_campaign(
+            EditedDevice(IDEAL, _replace_entry(
+                None, lambda m, c, n: {c: n + 5, c ^ 1: -5})),
+            DET3, 0.05, 0.05, 0.01, 3)
+        assert report.decision == REJECT
+        assert report.gate.p_classical in (0.0, 1.0)
+        gate = [(f.kind, f.observed) for f in report.failures
+                if f.stage is None]
+        assert gate[:2] == [(BATCH_SIZE, report.plan.r_gate + 6),
+                            (RECORD_OUT_OF_RANGE, 1)]
 
 
 class TestStatisticalProperties:
