@@ -14,10 +14,9 @@ from .circuit import (AdaptiveCircuit, CircuitParseError, FixedSequence,
 from .pauli import (backpropagate, joint_output_probability,
                     single_output_probability)
 from .prover import (Depolarizing, FaultModel, GadgetCoinBias, IDEAL, Ideal,
-                     Liar, MagicMiscalibration, SimulatedDevice, Transcript,
-                     parse_fault)
-from .protocol import (TestPlan, VerdictReport, compose_error, plan,
-                       report_summary, report_to_json_dict,
+                     Liar, MagicMiscalibration, SimulatedDevice, parse_fault)
+from .protocol import (TestPlan, Transcript, VerdictReport, compose_error,
+                       plan, report_summary, report_to_json_dict,
                        run_computational, run_gate_tests,
                        run_measurement_tests, verdict, verify_campaign)
 

@@ -28,6 +28,7 @@ sequence's `gadget_slots`), never in a label.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,13 +136,6 @@ class Instruction:
         if self.op != "MEASURE" and self.label is not None:
             raise ValueError(f"{self.op} takes no label")
 
-    @property
-    def lines(self) -> tuple[int, ...]:
-        """All lines touched by this instruction."""
-        if self.op == "TGADGET":
-            return (self.targets[0], self.ancilla)
-        return self.targets
-
 
 class MeasurementEvent(NamedTuple):
     """One record slot: the line it reads and whether it is a gadget coin."""
@@ -184,13 +178,30 @@ class AdaptiveCircuit(_ValidCircuit):
     inputs: tuple[InputState, ...]
     instructions: tuple[Instruction, ...]
 
-    @property
+    @cached_property
     def gadget_count(self) -> int:
         return sum(1 for ins in self.instructions if ins.op == "TGADGET")
 
-    @property
+    @cached_property
     def t_count(self) -> int:
         return sum(1 for ins in self.instructions if ins.op == "T")
+
+    @cached_property
+    def _expansion(self) -> tuple:
+        """What :func:`resolve` copies, built once: gadget i as CX, MEASURE
+        m<i> and ID, the MEASUREs' positions, and each gadget's S."""
+        instructions, slots = [], []
+        for ins in self.instructions:
+            if ins.op != "TGADGET":
+                instructions.append(ins)
+                continue
+            slots.append(len(instructions) + 1)
+            instructions += [
+                Instruction("CX", (ins.targets[0], ins.ancilla)),
+                Instruction("MEASURE", (ins.ancilla,), label=f"m{len(slots)}"),
+                Instruction("ID", (ins.targets[0],))]
+        return tuple(instructions), tuple(slots), [
+            Instruction("S", instructions[slot + 1].targets) for slot in slots]
 
 
 @dataclass(frozen=True)
@@ -209,15 +220,6 @@ class FixedSequence(_ValidCircuit):
     inputs: tuple[InputState, ...]
     instructions: tuple[Instruction, ...]
     gadget_slots: tuple[int, ...] = ()
-
-    @property
-    def frozen_outcomes(self) -> tuple[int, ...]:
-        """Each gadget's frozen bit, read off its correction; a gadget with
-        none (a stage prefix's last) has no bit."""
-        ins = self.instructions
-        return tuple(int(ins[s + 1].op == "S") for s in self.gadget_slots
-                     if s + 1 < len(ins) and ins[s + 1].op in ("S", "ID")
-                     and ins[s + 1].targets == ins[s - 1].targets[:1])
 
 
 Circuit = Union[AdaptiveCircuit, FixedSequence]
@@ -312,7 +314,9 @@ def validate(circuit: Circuit) -> list[Violation]:
     measured: set[int] = set()
     first_touch: dict[int, int] = {}
     for idx, ins in enumerate(circuit.instructions):
-        lines = ins.lines
+        op = ins.op
+        lines = (ins.targets[0], ins.ancilla) if op == "TGADGET" \
+            else ins.targets
         for line in lines:
             if not 0 <= line < n:
                 out.append(Violation(
@@ -322,14 +326,14 @@ def validate(circuit: Circuit) -> list[Violation]:
                 out.append(Violation(
                     MEASURED_LINE_REUSED, idx,
                     f"line {line} used after its measurement"))
-        if fixed and ins.op in ("T", "TGADGET"):
+        if fixed and op in ("T", "TGADGET"):
             out.append(Violation(UNRESOLVED_GADGET, idx,
-                                 f"fixed sequence may not contain {ins.op}"))
+                                 f"fixed sequence may not contain {op}"))
         if idx in slots:
             out.extend(_slot_violations(circuit, idx, first_touch))
-        if ins.op == "MEASURE":
+        if op == "MEASURE":
             measured.add(ins.targets[0])
-        elif ins.op == "TGADGET":
+        elif op == "TGADGET":
             anc = ins.ancilla
             if 0 <= anc < n and circuit.inputs[anc].kind != MAGIC:
                 out.append(Violation(
@@ -413,9 +417,12 @@ def resolve(circuit: AdaptiveCircuit,
     The i-th gadget becomes CX(target, ancilla), MEASURE(ancilla, m<i>),
     then S on the target if outcomes[i] else an explicit ID marker, keeping
     instruction positions identical for every outcome vector.  The MEASURE
-    positions become the sequence's `gadget_slots`.
+    positions become the sequence's `gadget_slots`.  An outcome is 0 or 1.
     """
-    outcomes = tuple(int(b) for b in outcomes)
+    try:
+        outcomes = [operator.index(b) for b in outcomes]
+    except TypeError:
+        raise ValueError("outcomes must be bits") from None
     if any(b not in (0, 1) for b in outcomes):
         raise ValueError("outcomes must be bits")
     if len(outcomes) != circuit.gadget_count:
@@ -423,24 +430,16 @@ def resolve(circuit: AdaptiveCircuit,
             f"got {len(outcomes)} outcomes for {circuit.gadget_count} gadgets")
     if circuit.t_count:
         raise ValueError("gadgetize the circuit before resolving")
-    new_instructions: list[Instruction] = []
-    slots: list[int] = []
-    for ins in circuit.instructions:
-        if ins.op == "TGADGET":
-            target, ancilla = ins.targets[0], ins.ancilla
-            slots.append(len(new_instructions) + 1)
-            new_instructions += [
-                Instruction("CX", (target, ancilla)),
-                Instruction("MEASURE", (ancilla,), label=f"m{len(slots)}"),
-                Instruction("S" if outcomes[len(slots) - 1] else "ID",
-                            (target,))]
-        else:
-            new_instructions.append(ins)
+    template, slots, corrections = circuit._expansion
+    instructions = list(template)
+    for slot, correction, bit in zip(slots, corrections, outcomes):
+        if bit:
+            instructions[slot + 1] = correction
     return FixedSequence(
         n_lines=circuit.n_lines,
         inputs=circuit.inputs,
-        instructions=tuple(new_instructions),
-        gadget_slots=tuple(slots),
+        instructions=tuple(instructions),
+        gadget_slots=slots,
     )
 
 
@@ -461,8 +460,10 @@ def serialize(circuit: Circuit) -> str:
             lines.append(f"MEASURE {ins.targets[0]} {ins.label}")
         elif ins.op == "TGADGET":
             lines.append(f"TGADGET {ins.targets[0]} {ins.ancilla}")
+        elif len(ins.targets) == 1:
+            lines.append(f"{ins.op} {ins.targets[0]}")
         else:
-            lines.append(f"{ins.op} {' '.join(str(t) for t in ins.targets)}")
+            lines.append(f"{ins.op} {ins.targets[0]} {ins.targets[1]}")
     return "\n".join(lines) + "\n"
 
 

@@ -186,6 +186,8 @@ def joint_output_probability(seq: FixedSequence, lines):
     for query, k, start in zip(queries, widths, starts):
         if k > K_MAX:
             raise ValueError(f"{k} lines exceed k_max={K_MAX}")
+        if stacked and not k:
+            raise ValueError("empty stage query: it needs a measured line")
         if len(set(query)) != k:
             raise ValueError("duplicate lines in joint query")
         for i, line in enumerate(query):

@@ -2,7 +2,7 @@
 
 One verification campaign runs, in order:
 
-1. the computational run (one adaptive execution, fully recorded),
+1. the computational run: one record cell, its bits read and resolved here,
 2. gate test runs: the recorded sequence re-run non-adaptively, its output-0
    frequency compared against the classically computed probability,
 3. measurement test runs: for each gadget stage, the recorded sequence cut
@@ -28,6 +28,7 @@ classical data: bits, counts, and probabilities it computed itself.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -35,9 +36,10 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import AdaptiveCircuit, Circuit, Stage
+from .circuit import (AdaptiveCircuit, Circuit, FixedSequence, Stage,
+                      resolve, serialize)
 from .pauli import joint_output_probability, single_output_probability
-from .prover import PROB_TOL, Transcript, derive_seed
+from .prover import PROB_TOL, derive_seed
 
 OUTPUT_DEVIATION = "OUTPUT_DEVIATION"
 GADGET_BIAS = "GADGET_BIAS"
@@ -49,6 +51,8 @@ INCOMPLETE = "INCOMPLETE"
 
 # numpy's multinomial draws at most 2^63 - 1 runs in one batch
 MAX_REPETITIONS = (1 << 63) - 1
+
+INTEGER = (int, np.integer)  # a record cell's types, as `_read` reads them
 
 # probe lines per measurement-test stage when a campaign names no number
 EXTRA_CHECK_LINES = 2
@@ -215,6 +219,23 @@ class MeasurementStageResult:
         return not self.failures
 
 
+def circuit_id(circuit: Circuit) -> str:
+    """SHA-256 of the canonical circuit text."""
+    return hashlib.sha256(serialize(circuit).encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class Transcript:
+    """The computational run's bits and what the verifier derived from
+    them; a record outside the table leaves no bits and no `resolved`."""
+
+    circuit_id: str
+    seed: int
+    gadget_outcomes: tuple[int, ...]
+    final_output: Optional[int]
+    resolved: Optional[FixedSequence]  # the report does not carry it
+
+
 @dataclass(frozen=True)
 class VerdictReport:
     transcript: Transcript
@@ -235,10 +256,17 @@ class VerdictReport:
 
 def run_computational(device, circuit: AdaptiveCircuit,
                       seed: int) -> Transcript:
-    """The single adaptive run whose output is to be certified."""
+    """The single adaptive run to be certified: a record cell (slot i is bit
+    m-1-i) whose gadget bits resolve the circuit, and bit 0 the output."""
     if circuit.t_count:
         raise ValueError("circuit contains raw T gates; gadgetize it first")
-    return device.run_adaptive(circuit, seed)
+    cell, m = device.run_adaptive(circuit, seed), len(circuit.events)
+    if not (isinstance(cell, INTEGER) and 0 <= cell < 1 << m):
+        return Transcript(circuit_id(circuit), seed, (), None, None)
+    bits = tuple(int(cell) >> (m - 1 - slot) & 1 for slot, event
+                 in enumerate(circuit.events) if event.is_gadget)
+    return Transcript(circuit_id(circuit), seed, bits, int(cell) & 1,
+                      resolve(circuit, bits))
 
 
 def run_gate_tests(device, transcript: Transcript, test_plan: TestPlan,
@@ -275,10 +303,10 @@ def _read(batch, slots: int, theory: np.ndarray) -> tuple:
         if type(runs) is not int or type(sum(counts)) is not int:
             raise TypeError
     except (TypeError, ValueError, OverflowError):
-        integer, outside = (int, np.integer), 1 << 63
+        outside = 1 << 63
         cells, tallies = np.array([
-            (c if isinstance(c, integer) and 0 <= c < outside else outside, n)
-            if isinstance(n, integer) and 0 <= n < 1 << 64
+            (c if isinstance(c, INTEGER) and 0 <= c < outside else outside, n)
+            if isinstance(n, INTEGER) and 0 <= n < 1 << 64
             else (outside, 1) for c, n in counts.items()], np.uint64).T
         runs = sum(tallies.tolist())
     stray, bits = 0, min(slots, 63)
@@ -412,7 +440,10 @@ def verdict(transcript: Transcript, test_plan: TestPlan, p_classical: float,
         _batch_checks(None, gate, test_plan.r_gate) + gate.failures)
     for s in stages:
         failures += _batch_checks(s.stage, s, test_plan.r_meas) + s.failures
-    if not failures and (gate is None or len(stages) != test_plan.t):
+    if gate is None and transcript.resolved is None:
+        failures = _check(RECORD_OUT_OF_RANGE, None, 1, 0, 0.0, "computational"
+                          " run records a cell outside its record table")
+    elif not failures and (gate is None or len(stages) != test_plan.t):
         failures = (FailedCheck(INCOMPLETE, None, None, None, None,
                                 "not every test batch was executed"),)
     pi_bound = epsilon_prime = confidence = None
@@ -434,7 +465,7 @@ def report_to_json_dict(report: VerdictReport) -> dict:
     def fields(result, **extra) -> dict:
         return {k: None if isinstance(v, float) and not math.isfinite(v)
                 else v for k, v in dict(vars(result), **extra).items()
-                if k != "out_of_range_runs"}
+                if k not in ("out_of_range_runs", "resolved")}
 
     gate = report.gate
     return {
@@ -442,9 +473,10 @@ def report_to_json_dict(report: VerdictReport) -> dict:
         "confidence_lower_bound": report.confidence_lower_bound,
         "epsilon_prime": report.epsilon_prime,
         "pi_bound": list(report.pi_bound) if report.pi_bound else None,
-        "p_classical": report.p_classical,
+        "p_classical": None if math.isnan(report.p_classical)
+        else report.p_classical,
         "plan": fields(report.plan),
-        "transcript": report.transcript.to_json_dict(),
+        "transcript": fields(report.transcript),
         "gate_test": None if gate is None
         else fields(gate, passed=gate.passed),
         "measurement_tests": [fields(s, passed=s.passed)
@@ -505,6 +537,8 @@ def verify_campaign(device, circuit: AdaptiveCircuit, epsilon: float,
     test_plan = plan(circuit.gadget_count, epsilon, eta, delta,
                      extra_check_lines)
     transcript = run_computational(device, circuit, derive_seed(seed, 0))
+    if transcript.resolved is None:
+        return verdict(transcript, test_plan, math.nan, None, ())
     gate = run_gate_tests(device, transcript, test_plan, derive_seed(seed, 1))
     stages: list[MeasurementStageResult] = []
     if not gate.impossible_observed:

@@ -3,7 +3,7 @@
 The device executes adaptive circuits (gadget corrections fed back from
 ancilla measurements) and fixed sequences (corrections frozen, fresh
 measurement outcomes recorded but never used).  Everything the verifier may
-see crosses this module as classical data: bits, counts, hashes, seeds.
+see crosses this module as classical data: record cells and their counts.
 
 The device holds no amplitudes.  A measured line is never reused and every
 gadget ancilla is fresh, so the measurements of a run are commuting Z
@@ -28,7 +28,7 @@ arXiv:2103.02202): depolarizing noise is one factor per subset
 expectation before the table's inverse transform.  This makes
 10^5..10^7-repetition test batches affordable for every fault model.
 
-The one adaptive run reads its record off one such table, built once.  It
+The one adaptive run returns one cell of one such table, built once.  It
 takes one uniform draw per slot in execution order.  A gadget readout is
 a coin of 1/2 (1/2 + bias under a biased coin) given any earlier record,
 so every gadget bit is known from its draw alone; the circuit resolved on
@@ -41,7 +41,6 @@ record in one place.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -49,7 +48,7 @@ from typing import Union
 import numpy as np
 
 from .circuit import (AdaptiveCircuit, Circuit, FixedSequence,
-                      MeasurementEvent, Stage, resolve, serialize)
+                      MeasurementEvent, Stage, resolve)
 from .pauli import PauliFrame, outcome_table, walsh_hadamard
 
 PROB_TOL = 1e-12
@@ -144,34 +143,6 @@ def derive_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def circuit_id(circuit: Circuit) -> str:
-    """SHA-256 of the canonical circuit text."""
-    return hashlib.sha256(serialize(circuit).encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Record of one adaptive computational run."""
-
-    circuit_id: str
-    final_output: int
-    seed: int
-    resolved: FixedSequence
-
-    @property
-    def gadget_outcomes(self) -> tuple[int, ...]:
-        """The recorded gadget bits, as frozen into `resolved`."""
-        return self.resolved.frozen_outcomes
-
-    def to_json_dict(self) -> dict:
-        return {
-            "circuit_id": self.circuit_id,
-            "seed": self.seed,
-            "gadget_outcomes": list(self.gadget_outcomes),
-            "final_output": self.final_output,
-        }
-
-
 @dataclass(frozen=True)
 class BatchResult:
     """Outcome-record counts for a batch of identically prepared runs, as
@@ -189,7 +160,7 @@ class BatchResult:
 
 
 def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
-    """One adaptive run: its record bits, resolved sequence and its table.
+    """One adaptive run: its record cell, resolved sequence and its table.
 
     One uniform draw per slot, in order.  The gadget bits are coins, so
     they resolve the circuit before any other slot is read; every other
@@ -201,7 +172,6 @@ def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
     resolved = resolve(circuit, [int(u < coin) for u, event
                                  in zip(draws, events) if event.is_gadget])
     table = record_table(resolved, fault)
-    record: list[int] = []
     cell = 0  # the record so far as a table prefix
     for slot, (u, event) in enumerate(zip(draws, events)):
         if event.is_gadget:
@@ -209,9 +179,8 @@ def _sample_run(circuit: AdaptiveCircuit, fault: FaultModel, seed: int):
         else:
             zero, one = table.reshape(1 << slot, 2, -1)[cell].sum(axis=1)
             bit = int(u < one / (zero + one))
-        record.append(bit)
         cell = 2 * cell + bit
-    return tuple(record), resolved, table
+    return cell, resolved, table
 
 
 def record_table(seq: FixedSequence, fault: FaultModel) -> np.ndarray:
@@ -325,28 +294,23 @@ class SimulatedDevice:
         # (sequence, {(slots, probes): table}) built ahead, or None
         self._memo = None
 
-    def run_adaptive(self, circuit: AdaptiveCircuit, seed: int) -> Transcript:
+    def run_adaptive(self, circuit: AdaptiveCircuit, seed: int) -> int:
         """One adaptive run: gadget corrections applied immediately after
-        their ancilla measurements, everything recorded."""
-        record, resolved, table = _sample_run(circuit, self.fault, seed)
+        their ancilla measurements, the record returned as one cell."""
+        cell, resolved, table = _sample_run(circuit, self.fault, seed)
         self._memo = (resolved, {(len(resolved.events), ()): table})
-        return Transcript(
-            circuit_id=circuit_id(circuit),
-            final_output=record[-1],
-            seed=seed,
-            resolved=resolved,
-        )
+        return cell
 
     def run_fixed_batch(self, seq: Union[FixedSequence, Stage],
                         repetitions: int, seed: int) -> BatchResult:
         """A batch of a fixed sequence or of a stage of one; a stage not in
-        the memo builds its table and its later stages' at once."""
+        the memo (of an equal sequence) builds its and later stages' tables."""
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
         sequence, cuts = (seq.sequence, seq.cuts[seq.index:]) \
             if isinstance(seq, Stage) else (seq, ((len(seq.events), ()),))
         memo = self._memo
-        if memo is None or memo[0] is not sequence or cuts[0] not in memo[1]:
+        if memo is None or memo[0] != sequence or cuts[0] not in memo[1]:
             memo = (sequence, dict(zip(cuts, record_tables(
                 sequence, cuts, self.fault))))
         table = memo[1].pop(cuts[0])

@@ -28,11 +28,12 @@ from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                MeasurementEvent, Stage, gadgetize,
                                parse_circuit, resolve)
 from cliffcert.pauli import PauliFrame
+from cliffcert.protocol import Transcript, circuit_id
 from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
                               FaultModel, GadgetCoinBias, Ideal, Liar,
                               MagicMiscalibration, SimulatedDevice,
-                              Transcript, _FAULT_NAMES, _sample_table,
-                              circuit_id, derive_seed, record_table)
+                              _FAULT_NAMES, _sample_table, derive_seed,
+                              record_table)
 from cliffcert.statevector import GATES_1Q, GATES_2Q
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -677,6 +678,40 @@ def structurally_equal(a: Circuit, b: Circuit) -> bool:
             and a.instructions == b.instructions)
 
 
+# -- resolution oracles ---------------------------------------------------
+
+
+def frozen_outcomes(seq: FixedSequence) -> tuple[int, ...]:
+    """Each gadget's frozen bit, read back off its correction (S for 1, ID
+    for 0); a gadget with none (a stage prefix's last) has no bit."""
+    ins = seq.instructions
+    return tuple(int(ins[s + 1].op == "S") for s in seq.gadget_slots
+                 if s + 1 < len(ins) and ins[s + 1].op in ("S", "ID")
+                 and ins[s + 1].targets == ins[s - 1].targets[:1])
+
+
+def resolve_oracle(circuit: AdaptiveCircuit, outcomes) -> FixedSequence:
+    """`resolve` walked afresh: every gadget expanded in one loop, each of
+    its instructions built anew."""
+    outcomes = tuple(outcomes)
+    assert len(outcomes) == circuit.gadget_count and not circuit.t_count
+    instructions: list[Instruction] = []
+    slots: list[int] = []
+    for ins in circuit.instructions:
+        if ins.op == "TGADGET":
+            target, ancilla = ins.targets[0], ins.ancilla
+            slots.append(len(instructions) + 1)
+            instructions += [
+                Instruction("CX", (target, ancilla)),
+                Instruction("MEASURE", (ancilla,), label=f"m{len(slots)}"),
+                Instruction("S" if outcomes[len(slots) - 1] else "ID",
+                            (target,))]
+        else:
+            instructions.append(ins)
+    return FixedSequence(circuit.n_lines, circuit.inputs,
+                         tuple(instructions), tuple(slots))
+
+
 # -- device runs the verifier never makes --------------------------------
 
 
@@ -798,18 +833,26 @@ class PrefixDevice(SimulatedDevice):
                              repetitions, seed)
 
 
+def random_gadget_circuits(rng: random.Random, count: int
+                           ) -> list[tuple[AdaptiveCircuit, list[int]]]:
+    """`count` random gadgetized circuits, each with random gadget bits."""
+    drawn = []
+    for _ in range(count):
+        circuit = gadgetize(random_t_circuit(
+            rng, rng.randint(1, 4), rng.randint(4, 20), rng.randint(1, 4),
+            intermediate=2))
+        drawn.append((circuit, [rng.randrange(2) for _ in
+                                range(circuit.gadget_count)]))
+    return drawn
+
+
 def gadget_sequences(count: int, seed: int) -> list[FixedSequence]:
     """Resolved sequences and their stage prefixes: of `count` random
     gadgetized circuits on random gadget bits, then of both bundled
     campaign circuits on every gadget outcome."""
     rng = random.Random(seed)
-    resolved = []
-    for _ in range(count):
-        circuit = gadgetize(random_t_circuit(
-            rng, rng.randint(1, 4), rng.randint(4, 20), rng.randint(1, 4),
-            intermediate=2))
-        resolved.append(resolve(circuit, [rng.randrange(2) for _ in
-                                          range(circuit.gadget_count)]))
+    resolved = [resolve(circuit, bits)
+                for circuit, bits in random_gadget_circuits(rng, count)]
     for name in ("deterministic_t3.circ", "phase_probe.circ"):
         circuit = gadgetize(parse_circuit((CIRCUITS / name).read_text()))
         resolved += [resolve(circuit, bits) for bits in itertools.product(
@@ -1008,13 +1051,13 @@ def reference_run(circuit: Circuit, fault: FaultModel, seed: int):
 
 def reference_transcript(circuit: AdaptiveCircuit, fault: FaultModel,
                          seed: int) -> Transcript:
-    """The transcript of `reference_run`, built as the device builds its
-    own."""
+    """The transcript of `reference_run`, built from its record as the
+    verifier builds its own from the device's record cell."""
     record, events = reference_run(circuit, fault, seed)
     gadget_bits = tuple(bit for bit, ev in zip(record, events)
                         if ev.is_gadget)
-    return Transcript(circuit_id=circuit_id(circuit),
-                      final_output=record[-1], seed=seed,
+    return Transcript(circuit_id=circuit_id(circuit), seed=seed,
+                      gadget_outcomes=gadget_bits, final_output=record[-1],
                       resolved=resolve(circuit, gadget_bits))
 
 

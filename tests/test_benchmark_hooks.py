@@ -36,9 +36,10 @@ def test_tracer_installs_and_counts_one_validate_per_circuit(monkeypatch):
     assert circuit.validate is original
     assert report.accepted
     assert PROBE.gadget_count == 1
-    # one walk per circuit built, the resolved sequence's: a stage is sent
-    # as that sequence with its cut and probes, no prefix built
-    assert tracer.calls["circuit.validate"] == 1
+    # one walk per circuit built: the device's resolved sequence and the
+    # verifier's own; a stage is sent as the verifier's with its cut and
+    # probes, no prefix built
+    assert tracer.calls["circuit.validate"] == 2
     assert tracer.calls["prover.run_adaptive"] == 1
     assert tracer.calls["prover.run_fixed_batch"] == 2
     # the traced r_meas_total counter sums these stages' repetitions

@@ -1,9 +1,11 @@
 """Parser, serializer, validation, gadgetization, and resolution tests."""
 
 import dataclasses
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,8 @@ from cliffcert.circuit import (ANCILLA_NOT_FRESH, BAD_WIDTH,
                                OUTPUT_NOT_FINAL_MEASUREMENT, ZERO, gadgetize,
                                parse_circuit, resolve, serialize, validate)
 
-from helpers import CIRCUITS, random_t_circuit, structurally_equal
+from helpers import (CIRCUITS, frozen_outcomes, random_gadget_circuits,
+                     random_t_circuit, resolve_oracle, structurally_equal)
 
 
 def simple(text):
@@ -203,7 +206,9 @@ class TestValidate:
             assert validate(g) == []
             seen = set()
             for ins in g.instructions:
-                assert not (set(ins.lines) & seen)
+                lines = (ins.targets[0], ins.ancilla) \
+                    if ins.op == "TGADGET" else ins.targets
+                assert not (set(lines) & seen)
                 if ins.op == "MEASURE":
                     seen.add(ins.targets[0])
                 elif ins.op == "TGADGET":
@@ -245,7 +250,7 @@ class TestGadgetSlots:
         r = resolve(gadgetize(parse_circuit(
             "qubits 1\nH 0\nT 0\nT 0\nMEASURE 0 out\n")), (0, 1))
         assert r.instructions[3] == Instruction("ID", (0,))
-        assert r.frozen_outcomes == (0, 1)
+        assert frozen_outcomes(r) == (0, 1)
         with pytest.raises(InvalidCircuitError, match="not followed by its "
                            "correction, S or ID on line 0"):
             FixedSequence(r.n_lines, r.inputs,
@@ -253,7 +258,7 @@ class TestGadgetSlots:
         # a stage prefix: the last gadget has no correction, and builds
         prefix = FixedSequence(r.n_lines, r.inputs, r.instructions[:6],
                                (2, 5))
-        assert prefix.frozen_outcomes == (0,)
+        assert frozen_outcomes(prefix) == (0,)
         # a gadget readout ending the sequence before a later (here out of
         # range) slot has no correction either
         with pytest.raises(InvalidCircuitError, match="not followed"):
@@ -340,14 +345,13 @@ class TestResolve:
         # bits that disagree with its corrections
         for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
             seq = resolve(two_gadget, bits)
-            assert seq.frozen_outcomes == bits
+            assert frozen_outcomes(seq) == bits
             at = seq.gadget_slots[0] + 1
             flipped = Instruction("ID" if bits[0] else "S",
                                   seq.instructions[at].targets)
-            assert dataclasses.replace(seq, instructions=(
+            assert frozen_outcomes(dataclasses.replace(seq, instructions=(
                 seq.instructions[:at] + (flipped,)
-                + seq.instructions[at + 1:])).frozen_outcomes == \
-                (1 - bits[0], bits[1])
+                + seq.instructions[at + 1:]))) == (1 - bits[0], bits[1])
 
     def test_deterministic_byte_identical(self, two_gadget):
         a = serialize(resolve(two_gadget, (1, 0)))
@@ -372,10 +376,51 @@ class TestResolve:
         with pytest.raises(ValueError):
             resolve(two_gadget, (0,))
 
+    @pytest.mark.parametrize("bad", [0.9, 1.0, "1", "0", 2, -1, None, b"\x01"],
+                             ids=repr)
+    def test_non_bit_outcomes_rejected(self, two_gadget, bad):
+        # nothing is truncated or parsed into a bit: int(0.9) would freeze
+        # 0, and int("1") would freeze 1
+        with pytest.raises(ValueError, match="outcomes must be bits"):
+            resolve(two_gadget, (0, bad))
+
+    def test_integer_outcomes_accepted(self, two_gadget):
+        assert resolve(two_gadget, (np.int64(1), True)) == \
+            resolve(two_gadget, (1, 1))
+
+    def test_resolve_equals_oracle_on_every_outcome(self):
+        # the cached expansion against the loop that builds every gadget
+        # afresh: the bundled circuits and the random circuits of the
+        # prover tests' corpus, gadget_sequences(200, 97), each on every
+        # outcome vector
+        circuits = [gadgetize(simple((CIRCUITS / name).read_text()))
+                    for name in ("deterministic_t3.circ", "phase_probe.circ")]
+        # the parser corpus, its raw T dropped: two TGADGETs around a user
+        # measurement
+        corpus = simple((CIRCUITS / "roundtrip_corpus.circ").read_text())
+        circuits.append(dataclasses.replace(corpus, instructions=tuple(
+            ins for ins in corpus.instructions if ins.op != "T")))
+        circuits += [c for c, _ in random_gadget_circuits(
+            random.Random(97), 200)]
+        compared = 0
+        for circuit in circuits:
+            for bits in itertools.product((0, 1),
+                                          repeat=circuit.gadget_count):
+                seq, want = resolve(circuit, bits), resolve_oracle(
+                    circuit, bits)
+                assert seq == want
+                assert seq.instructions == want.instructions
+                assert [i.label for i in seq.instructions] == \
+                    [i.label for i in want.instructions]
+                assert seq.gadget_slots == want.gadget_slots
+                assert validate(seq) == []
+                compared += 1
+        assert compared > 1000
+
     def test_no_gadgets_left(self, two_gadget):
         seq = resolve(two_gadget, (0, 1))
         assert all(i.op not in ("T", "TGADGET") for i in seq.instructions)
-        assert seq.frozen_outcomes == (0, 1)
+        assert frozen_outcomes(seq) == (0, 1)
 
     def test_raw_t_rejected(self):
         c = simple("qubits 1\nT 0\nMEASURE 0 out\n")

@@ -432,6 +432,12 @@ class TestJointProbability:
         with pytest.raises(ValueError):
             joint_output_probability(self.two_measured, (0, 0))
 
+    def test_empty_stage_query_rejected(self):
+        # a stage query has no cut without its first line
+        for queries in ([()], [(0,), ()]):
+            with pytest.raises(ValueError, match="empty stage query"):
+                joint_output_probability(self.two_measured, queries)
+
     def test_k_max_enforced(self):
         seq = FixedSequence(
             K_MAX + 1, (InputState(ZERO),) * (K_MAX + 1),

@@ -25,9 +25,9 @@ from cliffcert.protocol import (ACCEPT, BATCH_SIZE, EXTRA_LINE_DEVIATION,
                                 run_measurement_tests, verdict,
                                 verify_campaign)
 
-from helpers import (CIRCUITS, random_fixed_sequence, random_t_circuit,
-                     record_counts, run_adaptive_batch, run_fixed,
-                     stage_prefix, stage_prefixes)
+from helpers import (CIRCUITS, frozen_outcomes, random_fixed_sequence,
+                     random_t_circuit, record_counts, run_adaptive_batch,
+                     run_fixed, stage_prefix, stage_prefixes)
 
 
 PROBE = gadgetize(parse_circuit((CIRCUITS / "phase_probe.circ").read_text()))
@@ -153,13 +153,13 @@ def campaign_stages(resolved, extra):
 
 class TestStagePrefix:
     def test_prefix_structure(self):
-        tr = SimulatedDevice(IDEAL).run_adaptive(DET3, 7)
+        tr = run_computational(SimulatedDevice(IDEAL), DET3, 7)
         prefix, ancilla, extras = campaign_stages(tr.resolved, 2)[1]
         labels = [i.label for i in prefix.instructions if i.op == "MEASURE"]
         assert labels == ["m1", "m2", "chk0", "chk1"]
         assert [prefix.instructions[s].label
                 for s in prefix.gadget_slots] == ["m1", "m2"]
-        assert prefix.frozen_outcomes == tr.gadget_outcomes[:1]
+        assert frozen_outcomes(prefix) == tr.gadget_outcomes[:1]
         # second gadget of the bundled circuit sits on line 1, ancilla 6
         assert ancilla == 6
         # nothing from beyond the stage gadget leaks into the prefix: it is
@@ -170,12 +170,12 @@ class TestStagePrefix:
 
     def test_extras_are_lowest_unmeasured_lines(self):
         # the stage gadget's target (line 0) is unmeasured, so it is probed
-        tr = SimulatedDevice(IDEAL).run_adaptive(DET3, 7)
+        tr = run_computational(SimulatedDevice(IDEAL), DET3, 7)
         _, _, extras = campaign_stages(tr.resolved, 2)[0]
         assert extras == (0, 1)
 
     def test_extras_capped_by_available_lines(self):
-        tr = SimulatedDevice(IDEAL).run_adaptive(PROBE, 7)
+        tr = run_computational(SimulatedDevice(IDEAL), PROBE, 7)
         _, _, extras = campaign_stages(tr.resolved, 5)[0]
         assert extras == (0,)
 
@@ -723,6 +723,78 @@ class TestRecordRange:
         assert [s.out_of_range_runs for s in report.stages] == [0, 0, 0]
 
 
+class TestComputationalRecord:
+    """The device returns the computational run as one record cell; the
+    verifier reads the bits, resolves the circuit and names it itself."""
+
+    OTHER = gadgetize(parse_circuit("qubits 1\nT 0\nH 0\nMEASURE 0 out\n"))
+
+    class Recording:
+        """Forwards to `inner`, but runs `adaptive` instead of the circuit
+        asked about, and records every sequence sent to a batch."""
+
+        def __init__(self, inner, adaptive=None, record=None):
+            self.inner, self.adaptive, self.record = inner, adaptive, record
+            self.sent = []
+
+        def run_adaptive(self, circuit, seed):
+            if self.adaptive is None:
+                return self.record
+            return self.inner.run_adaptive(self.adaptive, seed)
+
+        def run_fixed_batch(self, seq, repetitions, seed):
+            self.sent.append(seq)
+            return self.inner.run_fixed_batch(seq, repetitions, seed)
+
+    def test_substituted_run_certifies_the_circuit_asked_about(self):
+        # an honest run of another one-gadget circuit: its cell is read as
+        # phase_probe's record, and every batch runs phase_probe resolved
+        # on the cell's gadget bit
+        want = protocol.circuit_id(PROBE)
+        assert protocol.circuit_id(self.OTHER) != want
+        assert len(self.OTHER.events) == len(PROBE.events)
+        for seed in range(20):
+            device = self.Recording(SimulatedDevice(IDEAL), self.OTHER)
+            report = verify_campaign(device, PROBE, 0.05, 0.05, 0.01, seed)
+            tr = report.transcript
+            assert tr.circuit_id == want
+            assert tr.resolved == resolve(PROBE, tr.gadget_outcomes)
+            assert len(device.sent) == 2
+            for seq in device.sent:
+                sequence = seq.sequence if isinstance(seq, Stage) else seq
+                assert sequence == resolve(PROBE, tr.gadget_outcomes)
+
+    @pytest.mark.parametrize("record", [
+        1 << len(PROBE.events), -1, 2.5, "0", None, np.float64(1)],
+        ids=repr)
+    def test_a_record_outside_the_table_rejected(self, record):
+        device = self.Recording(SimulatedDevice(IDEAL), record=record)
+        report = verify_campaign(device, PROBE, 0.05, 0.05, 0.01, 3)
+        assert report.decision == REJECT
+        assert [(f.kind, f.stage) for f in report.failures] == \
+            [(RECORD_OUT_OF_RANGE, None)]
+        assert report.failures[0].observed == 1
+        assert device.sent == []
+        assert report.gate is None and report.stages == ()
+        assert report.transcript.circuit_id == protocol.circuit_id(PROBE)
+        assert report.transcript.gadget_outcomes == ()
+        assert report.transcript.final_output is None
+        json.dumps(report_to_json_dict(report), allow_nan=False)
+        summary = report_summary(report)
+        assert "failure: RECORD_OUT_OF_RANGE" in summary
+
+    @pytest.mark.parametrize("record", [0, 3, np.int64(2), np.uint8(1)],
+                             ids=repr)
+    def test_integer_cells_read_as_bits(self, record):
+        # m = 2: the gadget slot is bit 1 and the output bit 0
+        device = self.Recording(SimulatedDevice(IDEAL), record=record)
+        tr = run_computational(device, PROBE, 3)
+        assert tr.gadget_outcomes == (int(record) >> 1,)
+        assert tr.final_output == int(record) & 1
+        assert type(tr.final_output) is int
+        assert all(type(bit) is int for bit in tr.gadget_outcomes)
+
+
 class TestMalformedEntries:
     """An entry whose cell or count is no integer, or whose count is
     negative, is read into no statistic and fails RECORD_OUT_OF_RANGE; it
@@ -889,7 +961,9 @@ def _audit_classical(value, path="root"):
 class TestVerifierClassicality:
     def test_device_interface_returns_classical_data_only(self):
         dev = SimulatedDevice(IDEAL)
-        tr = dev.run_adaptive(PROBE, 1)
+        record = dev.run_adaptive(PROBE, 1)
+        assert type(record) is int
+        tr = run_computational(dev, PROBE, 1)
         _audit_classical(tr)
         seq = resolve(PROBE, tr.gadget_outcomes)
         _audit_classical(run_fixed(dev, seq, 2))

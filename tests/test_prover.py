@@ -29,7 +29,8 @@ from helpers import (CIRCUITS, adaptive_record_table, assert_records_follow,
                      fault_to_text, final_output_probability,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
-                     frequency_of_one, gadget_born_probabilities,
+                     frequency_of_one, frozen_outcomes,
+                     gadget_born_probabilities,
                      gadget_sequences, loop_counts,
                      loop_depolarize, plan_events, random_clifford_sequence,
                      random_fixed_sequence, random_inputs, random_t_circuit,
@@ -95,33 +96,52 @@ def three_gadget():
 
 
 class TestTranscripts:
+    """The device returns one record cell; the verifier reads the
+    transcript off it."""
+
     def test_deterministic_given_seed(self, three_gadget):
         dev = SimulatedDevice(IDEAL)
-        a = dev.run_adaptive(three_gadget, 123)
-        b = dev.run_adaptive(three_gadget, 123)
+        a = run_computational(dev, three_gadget, 123)
+        b = run_computational(dev, three_gadget, 123)
         assert a == b
-        c = dev.run_adaptive(three_gadget, 124)
+        c = run_computational(dev, three_gadget, 124)
         assert a != c or a.gadget_outcomes == c.gadget_outcomes
 
+    def test_run_adaptive_returns_one_record_cell(self, three_gadget):
+        dev = SimulatedDevice(IDEAL)
+        cells = {dev.run_adaptive(three_gadget, seed) for seed in range(40)}
+        assert all(type(cell) is int for cell in cells)
+        assert cells <= set(range(1 << len(three_gadget.events)))
+        assert len(cells) > 1
+
     def test_resolved_matches_resolve(self, three_gadget):
-        tr = SimulatedDevice(IDEAL).run_adaptive(three_gadget, 5)
+        dev = SimulatedDevice(IDEAL)
+        tr = run_computational(dev, three_gadget, 5)
         assert tr.resolved == resolve(three_gadget, tr.gadget_outcomes)
+        assert frozen_outcomes(tr.resolved) == tr.gadget_outcomes
+        # the bits are the cell's gadget slots and the output its bit 0
+        cell, m = dev.run_adaptive(three_gadget, 5), len(three_gadget.events)
+        assert tr.gadget_outcomes == tuple(
+            (cell >> (m - 1 - slot)) & 1
+            for slot, ev in enumerate(three_gadget.events) if ev.is_gadget)
+        assert tr.final_output == cell & 1
 
     def test_circuit_id_is_content_hash(self, one_gadget):
         import hashlib
-        tr = SimulatedDevice(IDEAL).run_adaptive(one_gadget, 5)
+        tr = run_computational(SimulatedDevice(IDEAL), one_gadget, 5)
         want = hashlib.sha256(serialize(one_gadget).encode()).hexdigest()
         assert tr.circuit_id == want
 
     def test_json_fields(self, one_gadget):
-        tr = SimulatedDevice(IDEAL).run_adaptive(one_gadget, 5)
-        d = tr.to_json_dict()
-        assert set(d) == {"circuit_id", "seed", "gadget_outcomes",
-                          "final_output"}
+        report = verify_campaign(SimulatedDevice(IDEAL), one_gadget, 0.05,
+                                 0.05, 0.01, 5)
+        d = report_to_json_dict(report)["transcript"]
+        assert list(d) == ["circuit_id", "seed", "gadget_outcomes",
+                           "final_output"]
 
     def test_zero_gadget_circuit(self):
         c = circuit_from("qubits 1\nH 0\nMEASURE 0 out\n")
-        tr = SimulatedDevice(IDEAL).run_adaptive(c, 9)
+        tr = run_computational(SimulatedDevice(IDEAL), c, 9)
         assert tr.gadget_outcomes == ()
         assert tr.final_output in (0, 1)
 
@@ -176,7 +196,7 @@ class TestRunFixed:
         seq = resolve(c, ())
         dev = SimulatedDevice(IDEAL)
         for seed in range(5):
-            assert dev.run_adaptive(c, seed).final_output == \
+            assert run_computational(dev, c, seed).final_output == \
                 run_fixed(dev, seq, seed).final_output
 
     def test_frozen_corrections_applied_positionally(self, one_gadget):
@@ -273,10 +293,10 @@ class TestFaultModels:
     def test_liar_forces_final_output(self, one_gadget):
         dev = SimulatedDevice(Liar(1.0))
         for seed in range(10):
-            assert dev.run_adaptive(one_gadget, seed).final_output == 0
+            assert run_computational(dev, one_gadget, seed).final_output == 0
         dev = SimulatedDevice(Liar(0.0))
         for seed in range(10):
-            assert dev.run_adaptive(one_gadget, seed).final_output == 1
+            assert run_computational(dev, one_gadget, seed).final_output == 1
 
     def test_miscalibration_shifts_magic_phase(self):
         c = gadgetize(circuit_from(ONE_GADGET))
@@ -471,7 +491,8 @@ class TestReferenceRun:
             assert circuit.gadget_count
             for fault in faults:
                 seed = rng.getrandbits(32)
-                assert SimulatedDevice(fault).run_adaptive(circuit, seed) \
+                assert run_computational(SimulatedDevice(fault), circuit,
+                                         seed) \
                     == reference_transcript(circuit, fault, seed)
                 compared += 1
         assert compared == 400
@@ -490,10 +511,11 @@ class TestReferenceRun:
             [True, False, True, False]
         counts = Counter()
         for rep in range(1500):
-            record, resolved, _ = prover._sample_run(circuit, fault,
-                                                     derive_seed(47, rep))
-            assert resolved.frozen_outcomes == (record[0], record[2])
-            counts[cell_of(record)] += 1
+            cell, resolved, _ = prover._sample_run(circuit, fault,
+                                                   derive_seed(47, rep))
+            # slots 0 and 2 of four are the cell's bits 3 and 1
+            assert frozen_outcomes(resolved) == (cell >> 3 & 1, cell >> 1 & 1)
+            counts[cell] += 1
         assert_records_follow(counts, table)
 
 
@@ -523,9 +545,9 @@ class TestTableReuse:
         circuit = gadgetize(circuit_from(MID_MEASURE))
         for seed in range(8):
             del count_tables[:]
-            tr = SimulatedDevice(fault).run_adaptive(circuit, seed)
+            tr = run_computational(SimulatedDevice(fault), circuit, seed)
             assert len(count_tables) == 1
-            assert count_tables[0] is tr.resolved
+            assert count_tables[0] == tr.resolved
 
     def test_probe_campaign_builds_two_tables(self, count_tables):
         # the adaptive run's table serves the gate test; the one gadget
@@ -540,7 +562,8 @@ class TestTableReuse:
                                             count_tables):
         dev = SimulatedDevice(fault)
         for seed in range(4):
-            resolved = dev.run_adaptive(three_gadget, seed).resolved
+            # the verifier's own resolved sequence, equal to the device's
+            resolved = run_computational(dev, three_gadget, seed).resolved
             built = len(count_tables)
             batch = dev.run_fixed_batch(resolved, 3000, seed)
             assert len(count_tables) == built
@@ -550,14 +573,19 @@ class TestTableReuse:
 
     def test_other_sequences_build_their_own_tables(self, three_gadget,
                                                     count_tables):
+        # an equal twin has the equal table and reuses it; an unequal
+        # sequence builds its own
         dev = SimulatedDevice(Depolarizing(0.2))
-        resolved = dev.run_adaptive(three_gadget, 5).resolved
+        resolved = run_computational(dev, three_gadget, 5).resolved
         twin = dataclasses.replace(resolved)
         assert twin == resolved and twin is not resolved
-        dev.run_fixed_batch(twin, 100, 1)
-        assert count_tables[-1] is twin
-        other = resolve(three_gadget, (1 - resolved.frozen_outcomes[0],)
-                        + resolved.frozen_outcomes[1:])
+        built = len(count_tables)
+        assert dev.run_fixed_batch(twin, 100, 1) == SimulatedDevice(
+            Depolarizing(0.2)).run_fixed_batch(twin, 100, 1)
+        assert len(count_tables) == built + 1  # the fresh device's alone
+        assert dev._memo is None
+        bits = frozen_outcomes(resolved)
+        other = resolve(three_gadget, (1 - bits[0],) + bits[1:])
         dev.run_adaptive(three_gadget, 5)
         dev.run_fixed_batch(other, 100, 1)
         assert count_tables[-1] is other
@@ -600,7 +628,7 @@ class TestStageTables:
         # outcome among them) at 0..4 probes; stages with fewer probes than
         # asked and one-stage campaigns included
         resolved = [seq for seq in gadget_corpus
-                    if len(seq.frozen_outcomes) == len(seq.gadget_slots)]
+                    if len(frozen_outcomes(seq)) == len(seq.gadget_slots)]
         assert len(resolved) == 210
         capped = single = 0
         for seq in resolved:
@@ -732,8 +760,9 @@ class TestStageTables:
         assert liar._memo is not None and len(liar._memo[1]) == 2
         assert report_text(first) == report_text(
             campaign(PrefixDevice(Liar(0.5)), 11))
-        # the leftover tables belong to another sequence object: the next
-        # campaign on the same device rebuilds and draws as a fresh one
+        # the leftover tables are later stages' (seed 11's of an equal
+        # sequence, seed 12's of another): the next campaign's first stage
+        # is not among them, so it rebuilds and draws as a fresh device
         for seed in (11, 12):
             assert report_text(campaign(liar, seed)) == report_text(
                 campaign(SimulatedDevice(Liar(0.5)), seed))

@@ -6,9 +6,9 @@
 Both checkouts' `cliffcert` packages are imported side by side into one
 interpreter, each from its own `src/`, so both sides share the host's
 speed, the heap and numpy, and a difference of a few percent shows where
-separate benchmark processes cannot resolve it.  The library workloads
-(every workload but `cli_configs`) are built by PARENT's
-`perfbench/workloads.py`, which only reads its `--seed`.
+separate benchmark processes cannot resolve it.  Every workload is built
+by PARENT's `perfbench/workloads.py`, which only reads its `--seed`; with
+no `--workload`, every one runs, `cli_configs` last.
 
 Each round runs every campaign of a workload once on each side, parent
 first in even rounds and change first in odd ones, and checks each
@@ -17,6 +17,14 @@ its minimum over the rounds.  One line per workload gives the median over
 campaigns of the change / parent ratio of those minima, its quartiles,
 and each side's median minimum in ms.  The exit code is 1 when any verdict
 differs from its expectation.
+
+`cli_configs` has one campaign: a sweep of its five bundled configs, each
+through its side's own `cli.main(["verify", config])`, with the configs
+and circuits written to a temporary directory that holds the reports too,
+stdout discarded, and every exit code checked against the workload's.  Its
+ratio is that of the two sides' fastest sweeps, so one run is one noisy
+reading (a checkout against itself read 0.973-1.022 over eight runs of 20
+rounds on a 2-vCPU host): repeat the run and report the spread.
 """
 
 from __future__ import annotations
@@ -27,10 +35,12 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -50,6 +60,7 @@ def load_package(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "src"))
     try:
         importlib.import_module("cliffcert.protocol")
+        importlib.import_module("cliffcert.cli")
         return {name: sys.modules[name] for name in list(sys.modules)
                 if ours(name)}
     finally:
@@ -76,6 +87,7 @@ class Side:
         cc = modules["cliffcert"]
         self.verify = modules["cliffcert.protocol"].verify_campaign
         self.wl = wl
+        self.size = len(wl.campaigns)
         self.prepared = [(cc.gadgetize(cc.parse_circuit(c.circuit_text)),
                           cc.SimulatedDevice(cc.parse_fault(c.fault)))
                          for c in wl.campaigns]
@@ -93,6 +105,42 @@ class Side:
         return elapsed, reason and f"{c.name}: {reason}"
 
 
+class CliSide:
+    """One checkout's `verify` command over the `cli_configs` workload's
+    configs, written in the current directory: one campaign, the sweep."""
+
+    size = 1
+
+    def __init__(self, modules: dict, wl):
+        self.main = modules["cliffcert.cli"].main
+        self.wl = wl
+
+    def run(self, index: int) -> tuple[float, str | None]:
+        """(seconds for the sweep, the exit codes that differ or None)."""
+        with open(os.devnull, "w") as sink, \
+                contextlib.redirect_stdout(sink):
+            start = perf_counter()
+            codes = [self.main(["verify", f"configs/{c.name}.cfg"])
+                     for c in self.wl.campaigns]
+            elapsed = perf_counter() - start
+        return elapsed, "; ".join(
+            f"{c.name}: exit code {code}, expected {c.exit_code}"
+            for c, code in zip(self.wl.campaigns, codes)
+            if code != c.exit_code) or None
+
+
+def write_configs(wl, work: Path) -> None:
+    """The workload's configs under work/configs, each reading its circuit
+    at ../circuits/<campaign name>.circ."""
+    for folder in ("configs", "circuits"):
+        (work / folder).mkdir()
+    for name, text in wl.configs.items():
+        (work / "configs" / name).write_text(text, encoding="utf-8")
+    for c in wl.campaigns:
+        (work / "circuits" / f"{c.name}.circ").write_text(
+            c.circuit_text, encoding="utf-8")
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(first quartile, median, third quartile), inclusive method."""
     if len(values) < 2:
@@ -105,7 +153,7 @@ def compare(parent: Side, change: Side, rounds: int
             ) -> tuple[dict, list[str]]:
     """Alternating rounds of every campaign on both sides: the summary
     numbers of the per-campaign minima, and every verdict mismatch."""
-    size = len(parent.wl.campaigns)
+    size = parent.size
     best = {side: [float("inf")] * size for side in ("parent", "change")}
     problems = []
     for number in range(rounds):
@@ -129,16 +177,16 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload",
-                        help="one library workload (default: every one)")
+                        help="one workload (default: every one)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--rounds", type=int, default=12)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     workloads = load_workloads(args.parent.resolve())
-    library = tuple(workloads.BUILDERS)
-    if args.workload not in (None, *library):
-        parser.error(f"--workload must be one of {', '.join(library)}")
+    names = workloads.WORKLOADS
+    if args.workload not in (None, *names):
+        parser.error(f"--workload must be one of {', '.join(names)}")
     packages = [load_package(path.resolve())
                 for path in (args.parent, args.change)]
     for path, modules in zip((args.parent, args.change), packages):
@@ -148,10 +196,22 @@ def main(argv=None) -> int:
     for name in packages[0].keys() & packages[1].keys():
         assert packages[0][name] is not packages[1][name], name
     failed = False
-    for name in [args.workload] if args.workload else library:
+    for name in [args.workload] if args.workload else names:
         wl = workloads.build(name, args.seed, args.parent.resolve())
-        row, problems = compare(Side(packages[0], wl),
-                                Side(packages[1], wl), args.rounds)
+        if name == "cli_configs":
+            cwd = os.getcwd()
+            with tempfile.TemporaryDirectory() as work:
+                write_configs(wl, Path(work))
+                os.chdir(work)  # the configs write their reports under out/
+                try:
+                    row, problems = compare(CliSide(packages[0], wl),
+                                            CliSide(packages[1], wl),
+                                            args.rounds)
+                finally:
+                    os.chdir(cwd)
+        else:
+            row, problems = compare(Side(packages[0], wl),
+                                    Side(packages[1], wl), args.rounds)
         print(f"{name}: change/parent {row['ratio']:.4f} "
               f"[{row['q1']:.4f}, {row['q3']:.4f}] "
               f"parent {row['parent_ms']:.3f} ms change "
