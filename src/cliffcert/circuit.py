@@ -228,7 +228,8 @@ Circuit = Union[AdaptiveCircuit, FixedSequence]
 class Stage(NamedTuple):
     """A measurement-test stage, no prefix built: `sequence` cut after its
     slots-th record slot, a gadget readout, then MEASUREs of the unmeasured
-    `probes`, for (slots, probes) = cuts[index]; a campaign shares `cuts`."""
+    `probes`, for (slots, probes) = cuts[index]; a campaign shares `cuts`,
+    the one stage format of `pauli` and `prover` alike."""
 
     sequence: FixedSequence
     cuts: tuple[tuple[int, tuple[int, ...]], ...]

@@ -16,11 +16,12 @@ support of |U| lines in a fixed number of array passes, plus the k passes
 of one Walsh-Hadamard transform.  Groups of operators stack on one frame
 and share those passes, one table row per group, each packed at its own
 width.  A group enters a sweep at one MEASURE, its cut, a measured line
-being never touched again.  :func:`joint_output_probability` serves all t
-stage tables of a campaign this way, and the device's record tables of
-all t stages come the same way (`prover.record_tables`): one sweep of the
-recorded sequence, each stage entering at its cut, and one pass for every
-row, so a campaign pays the array passes' fixed cost once, not per stage.
+being never touched again.  A campaign's stages take one format, the
+(slots, probes) pairs of `circuit.Stage`, in the verifier's tables
+(:func:`joint_output_probability`) and the device's record tables
+(`prover.record_tables`) alike: one sweep of the recorded sequence, each
+stage entering at its cut as :func:`stage_entry` numbers it, and one
+pass for every row, so a campaign pays the array passes' fixed cost once.
 """
 
 from __future__ import annotations
@@ -159,50 +160,56 @@ def single_output_probability(seq: FixedSequence, outcome: int) -> float:
     return (1.0 + value) / 2.0
 
 
-def joint_output_probability(seq: FixedSequence, lines):
-    """Joint outcome table of up to K_MAX measured lines, or the tables of
-    several stage queries from one sweep.
-
-    With `lines` a sequence of measured lines: 2^k probabilities; bit
-    k-1-i of a cell's index is the outcome of lines[i], so lines[0] is the
-    most significant bit (the layout of `prover.record_table`).  With
-    `lines` a list of stage queries, each a tuple (line, *probes): one
-    table per query, in the same layout, of its lines read right after its
-    first line's MEASURE, the probes measured there, as on the prefix of
-    `seq` cut there with the probes appended.
-
-    One sweep enters each query's operators at one MEASURE, its cut: a
-    stage query's first line's, or a flat query's last-measured line's.
-    They commute, distinct measured lines never being reused, and one
-    :func:`outcome_table` pass packs every query's row at its own width,
-    so t stage tables cost one walk and one set of array passes.
-    """
-    stacked = len(lines) > 0 and isinstance(lines[0], tuple)
-    queries = list(lines) if stacked else [tuple(lines)]
-    slot = {event.line: i for i, event in enumerate(seq.events)}
-    widths = list(map(len, queries))
-    starts = list(accumulate(widths[:-1], initial=0))
-    enter: dict[int, list[tuple[int, int]]] = {}
-    for query, k, start in zip(queries, widths, starts):
-        if k > K_MAX:
-            raise ValueError(f"{k} lines exceed k_max={K_MAX}")
-        if stacked and not k:
-            raise ValueError("empty stage query: it needs a measured line")
-        if len(set(query)) != k:
-            raise ValueError("duplicate lines in joint query")
-        for i, line in enumerate(query):
-            if not 0 <= line < seq.n_lines:
-                raise ValueError(f"line {line} out of range")
-            if line not in slot and not (stacked and i):
-                raise ValueError(f"line {line} is not measured")
-        cut = query[0] if stacked else max(query, key=slot.get, default=-1)
+def stage_entry(groups) -> tuple[dict, list[int], list[int]]:
+    """The sweep's `enter` map and its rows' starts and widths for `groups`
+    of (cut line, lines): line i of a w-wide row at s enters at the cut's
+    MEASURE as frame operator s+w-1-i, bit w-1-i of the row's cells."""
+    enter, starts, widths = {}, [], []
+    for cut, lines in groups:
+        starts.append(sum(widths))
+        widths.append(len(lines))
         enter.setdefault(cut, []).extend(
-            zip(query, reversed(range(start, start + k))))
+            zip(lines, reversed(range(starts[-1], sum(widths)))))
+    return enter, starts, widths
+
+
+def joint_output_probability(seq: FixedSequence, cuts) -> list[np.ndarray]:
+    """One table per stage (slots, probes) of `seq` in `cuts`, the format
+    `circuit.Stage` carries: the joint outcome table of the readout, record
+    slot slots-1, then the probes, read right after the readout's MEASURE;
+    bit k-1-i of a cell is line i's outcome (`prover.record_table`'s
+    layout).  Each stage enters one sweep at its readout's MEASURE as
+    :func:`stage_entry` numbers it, the operators commuting as no measured
+    line is reused, and one :func:`outcome_table` pass packs every row at
+    its own width, so t stage tables cost one walk and one set of passes.
+    """
+    events, groups = seq.events, []
+    try:
+        for cut in cuts:
+            if len(cut) != 2:  # an empty cut names no readout
+                raise ValueError("cuts are (slots, probes) pairs")
+            slots, probes = cut
+            if not (isinstance(slots, int) and 1 <= slots <= len(events)):
+                raise ValueError(f"cut at slot {slots!r} outside "
+                                 f"1..{len(events)}")
+            for line in probes:
+                if not (isinstance(line, int) and 0 <= line < seq.n_lines):
+                    raise ValueError(f"line {line!r} out of range")
+            lines = (events[slots - 1].line, *probes)
+            if len(lines) > K_MAX:
+                raise ValueError(f"{len(lines)} lines exceed k_max={K_MAX}")
+            if len(set(lines)) != len(lines):
+                raise ValueError("duplicate lines in a stage")
+            groups.append((lines[0], lines))
+    except TypeError:  # a cut or its probes not iterable
+        raise ValueError("cuts are (slots, probes) pairs") from None
+    if not groups:
+        return []
+    enter, starts, widths = stage_entry(groups)
     frame = PauliFrame(seq.n_lines)
     for _ in frame.sweep(seq.instructions, enter):
         pass
-    tables = outcome_table(frame, starts, widths, seq.inputs)
-    return tables if stacked else tables[0]
+    return outcome_table(frame, starts, widths, seq.inputs)
 
 
 def walsh_hadamard(values: np.ndarray, sizes: list[int]) -> np.ndarray:

@@ -10,8 +10,8 @@ One verification campaign runs, in order:
    recorded outcomes) re-run to check the ancilla outcome frequency against
    1/2 and the joint distribution of a few extra probe lines against
    classically computed values; a stage is sent as the recorded sequence
-   with its cut and probe lines (`circuit.Stage`), and one sweep and table
-   pass compute every stage's classical table before the first batch,
+   with the campaign's (slots, probes) cuts (`circuit.Stage`), from which
+   one sweep and table pass compute every stage's table up front,
 4. error composition and an accept/reject verdict.
 
 Repetition counts come from the Hoeffding bound at failure probability
@@ -346,11 +346,11 @@ def campaign_table_sizes(circuit: AdaptiveCircuit,
 
 
 def run_measurement_stage(device, stage: Stage, theory: np.ndarray,
-                          test_plan: TestPlan, number: int,
+                          test_plan: TestPlan,
                           seed: int) -> MeasurementStageResult:
-    """Stage `number` of a campaign: its ancilla frequency versus 1/2 plus
-    the joint distribution of its probe lines versus `theory`, the
-    classical table of the ancilla and the probes."""
+    """One stage of a campaign: its ancilla frequency versus 1/2 plus the
+    joint distribution of its probe lines versus `theory`, the classical
+    table of the ancilla and the probes."""
     batch = device.run_fixed_batch(stage, test_plan.r_meas, seed)
     slots, extras = stage.cuts[stage.index]
     # the ancilla readout and the probes are a record's last slots
@@ -362,7 +362,7 @@ def run_measurement_stage(device, stage: Stage, theory: np.ndarray,
         abs(count / (runs or math.nan) - prob)
         for count, prob in zip(empirical.tolist(), theory.tolist()))
     return MeasurementStageResult(
-        stage=number,
+        stage=stage.index + 1,
         ancilla_line=stage.sequence.events[slots - 1].line,
         repetitions=runs,
         p_hat=p_hat,
@@ -384,16 +384,12 @@ def run_measurement_tests(device, transcript: Transcript,
     one joint-table call computes every stage's theory table first."""
     resolved = transcript.resolved
     cuts = _stage_layouts(resolved, test_plan.extra_check_lines)
-    queries = [(resolved.events[slots - 1].line,) + probes
-               for slots, probes in cuts]
-    # an empty list would ask for the table of no lines
-    theories = joint_output_probability(resolved, queries) if queries \
-        else []
     results: list[MeasurementStageResult] = []
-    for number, theory in enumerate(theories, 1):
+    for number, theory in enumerate(
+            joint_output_probability(resolved, cuts), 1):
         result = run_measurement_stage(
             device, Stage(resolved, cuts, number - 1), theory, test_plan,
-            number, derive_seed(seed, 1 + number))
+            derive_seed(seed, 1 + number))
         results.append(result)
         if result.impossible_observed:
             break

@@ -17,7 +17,8 @@ A record is a cell of that table, one layout from the frame to the
 verdict: the slots are the circuit's cached `events`, and bit m-1-i is
 slot i's outcome (slot i is frame operator m-1-i), so slot 0 is the most
 significant bit.  A batch counts the cells of one multinomial sample from
-the record table of a fixed sequence or of a `circuit.Stage` of one; a
+the record table of a fixed sequence or of a `circuit.Stage` of one (a
+(slots, probes) cut, entered as `pauli.stage_entry` numbers it); a
 campaign's first stage builds all its stages' tables from one sweep and
 one table pass.  Each fault model acts row by row as a channel on that
 table: miscalibration changes the prepared inputs, a liar replaces the
@@ -49,7 +50,7 @@ import numpy as np
 
 from .circuit import (AdaptiveCircuit, Circuit, FixedSequence,
                       MeasurementEvent, Stage, resolve)
-from .pauli import PauliFrame, outcome_table, walsh_hadamard
+from .pauli import PauliFrame, outcome_table, stage_entry, walsh_hadamard
 
 PROB_TOL = 1e-12
 
@@ -195,17 +196,14 @@ def record_tables(seq: FixedSequence, cuts, fault: FaultModel
     bit w-1-i): one sweep enters all of a stage's slots and probes at its
     cut, reading each gate's flip masks, then one outcome table pass
     (depolarizing noise folded in), a coin bias and a liar."""
-    events, enter, starts, widths = seq.events, {}, [], []
-    for slots, probes in cuts:
-        starts.append(sum(widths))
-        widths.append(slots + len(probes))
-        if widths[-1] > MAX_RECORD_SLOTS:
-            raise ValueError(f"{widths[-1]} measurement slots exceed the "
-                             f"device's maximum {MAX_RECORD_SLOTS}")
-        # slot i, a probe being a slot past `slots`, is operator start+w-1-i
-        lines = [event.line for event in events[:slots]] + list(probes)
-        enter.setdefault(lines[slots - 1], []).extend(
-            zip(lines, reversed(range(starts[-1], sum(widths)))))
+    events = seq.events
+    enter, starts, widths = stage_entry(
+        (events[slots - 1].line,
+         [event.line for event in events[:slots]] + list(probes))
+        for slots, probes in cuts)
+    if max(widths, default=0) > MAX_RECORD_SLOTS:
+        raise ValueError(f"{max(widths)} measurement slots exceed the "
+                         f"device's maximum {MAX_RECORD_SLOTS}")
     depolarizing = isinstance(fault, Depolarizing) and fault.p_err
     frame = PauliFrame(seq.n_lines)
     flips = ([], [])  # the flip masks of the one- and the two-line gates

@@ -9,7 +9,8 @@ result is checked against is computed with `cliffcert.statevector` or
 dense matrices, never with `cliffcert.pauli`.  The one exception checks a
 fault channel alone: `renormalised_record_table` applies the biased-coin
 and lying devices' sequential renormalisation to the device's own honest
-table."""
+table.  `measured_lines_table` is no oracle: it reads the table of a set
+of measured lines off `cliffcert.pauli`'s one-stage cut."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from cliffcert.circuit import (GENERAL, MAGIC, ONE, ZERO, AdaptiveCircuit,
                                Circuit, FixedSequence, InputState, Instruction,
                                MeasurementEvent, Stage, gadgetize,
                                parse_circuit, resolve)
-from cliffcert.pauli import PauliFrame
+from cliffcert.pauli import PauliFrame, joint_output_probability
 from cliffcert.protocol import Transcript, circuit_id
 from cliffcert.prover import (IDEAL, PROB_TOL, BatchResult, Depolarizing,
                               FaultModel, GadgetCoinBias, Ideal, Liar,
@@ -772,6 +773,20 @@ def adaptive_record_table(circuit: AdaptiveCircuit,
             mask &= bits == bit
         table[mask] = resolved[mask]
     return table
+
+
+def measured_lines_table(seq: FixedSequence, lines) -> np.ndarray:
+    """The joint outcome table of measured `lines` of `seq`, bit k-1-i of
+    a cell being lines[i]'s outcome: the cut at the last-measured of them,
+    (its slot + 1, the other lines), with that readout's bit, the cut
+    table's leading one, moved back to its place."""
+    lines = tuple(lines)
+    slot = {event.line: i for i, event in enumerate(seq.events)}
+    last = max(lines, key=slot.__getitem__)
+    table, = joint_output_probability(seq, [(slot[last] + 1, tuple(
+        line for line in lines if line != last))])
+    return np.moveaxis(table.reshape((2,) * len(lines)), 0,
+                       lines.index(last)).reshape(-1)
 
 
 def stage_prefixes(resolved: FixedSequence, extra_check_lines: int

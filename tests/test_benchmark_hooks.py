@@ -3,8 +3,12 @@
 `perfbench/tracing.py` wraps module attributes of the program (for example
 `circuit.validate`, `cli.validate`, `protocol.joint_output_probability`)
 and proxies the device.  A rename or a dropped import breaks
-`perfbench/run.py --trace 1` and `--smoke`; this test breaks first.
+`perfbench/run.py --trace 1` and `--smoke`; this test breaks first, and
+the smoke run itself is one of its tests.
 """
+
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +98,14 @@ def test_campaign_never_touches_the_statevector(monkeypatch, fault):
     report = cliffcert.protocol.verify_campaign(
         SimulatedDevice(fault), PROBE, 0.05, 0.05, 0.01, 3)
     assert report.gate is not None
+
+
+def test_smoke_run_prints_smoke_ok():
+    # every workload in both trace modes at tiny sizes, run from the repo
+    # root as `python3 perfbench/run.py --smoke`; it writes only the
+    # git-ignored .perfbench_out/
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
+                          cwd=REPO_ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "smoke ok"

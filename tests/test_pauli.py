@@ -12,13 +12,14 @@ from cliffcert.circuit import (FixedSequence, InputState, Instruction, MAGIC,
 from cliffcert.pauli import (K_MAX, PauliFrame, backpropagate,
                              joint_output_probability, outcome_table,
                              single_output_probability)
+from cliffcert import protocol
 from cliffcert.prover import IDEAL, _flip_masks
 
 from helpers import (CLIFFORD_1Q, PauliOperator, commutes,
                      dense_record_table, expectation, frame_holding,
                      frame_operators, from_label, gadget_sequences,
                      gate_matrix, label,
-                     measured_operators, multiply,
+                     measured_lines_table, measured_operators, multiply,
                      outcome_distribution, pauli_matrix, pull_back,
                      random_clifford_sequence, random_fixed_sequence,
                      random_inputs, random_pauli, random_t_circuit,
@@ -397,7 +398,7 @@ class TestJointProbability:
         for _ in range(30):
             seq = random_fixed_sequence(rng, rng.randint(1, 4),
                                         rng.randint(0, 15))
-            table = joint_output_probability(seq, (seq.output_line,))
+            table = measured_lines_table(seq, (seq.output_line,))
             for outcome in (0, 1):
                 single = single_output_probability(seq, outcome)
                 assert abs(table[outcome] - single) < 1e-12
@@ -409,44 +410,61 @@ class TestJointProbability:
              Instruction("CX", (0, 1)),
              Instruction("MEASURE", (0,), label="a"),
              Instruction("MEASURE", (1,), label="out")))
-        table = joint_output_probability(seq, (0, 1))
+        table = measured_lines_table(seq, (0, 1))
         for a, b in itertools.product((0, 1), repeat=2):
             want = 0.5 if a == b else 0.0
             assert abs(table[2 * a + b] - want) < 1e-12
 
-    def test_no_lines_gives_unit_table(self):
+    def test_empty_cut_list_gives_no_tables(self):
         seq = FixedSequence(
             1, (InputState(ZERO),),
             (Instruction("H", (0,)),
              Instruction("MEASURE", (0,), label="out")))
-        assert joint_output_probability(seq, ()).tolist() == [1.0]
+        for cuts in ([], ()):
+            assert joint_output_probability(seq, cuts) == []
+            assert type(joint_output_probability(seq, cuts)) is list
+
+    def test_no_lines_gives_unit_table(self):
+        # a cut with no probes tables its readout alone; summing the
+        # readout out leaves the unit table of no lines
+        seq = FixedSequence(
+            1, (InputState(ZERO),),
+            (Instruction("H", (0,)),
+             Instruction("MEASURE", (0,), label="out")))
+        table, = joint_output_probability(seq, [(1, ())])
+        assert np.allclose(table, [0.5, 0.5], atol=1e-12)
+        assert np.allclose(table.reshape(2, -1).sum(axis=0), [1.0],
+                           atol=1e-12)
+
+    def test_empty_stage_query_rejected(self):
+        # a cut has no stage without its readout slot
+        for cuts in ([()], [(2, ()), ()], [(1, ()), []]):
+            with pytest.raises(ValueError, match="cuts are .slots, probes"):
+                joint_output_probability(self.two_measured, cuts)
 
     def test_unmeasured_line_rejected(self):
+        # a readout is a record slot: a cut outside 1..m names no measured
+        # line
         seq = FixedSequence(
             2, (InputState(ZERO), InputState(ZERO)),
             (Instruction("MEASURE", (1,), label="out"),))
-        with pytest.raises(ValueError):
-            joint_output_probability(seq, (0,))
+        for slots in (0, 2):
+            with pytest.raises(ValueError, match="outside 1..1"):
+                joint_output_probability(seq, [(slots, ())])
 
     def test_duplicate_line_rejected(self):
-        with pytest.raises(ValueError):
-            joint_output_probability(self.two_measured, (0, 0))
-
-    def test_empty_stage_query_rejected(self):
-        # a stage query has no cut without its first line
-        for queries in ([()], [(0,), ()]):
-            with pytest.raises(ValueError, match="empty stage query"):
-                joint_output_probability(self.two_measured, queries)
+        for cut in ((1, (0,)), (1, (1, 1))):
+            with pytest.raises(ValueError, match="duplicate"):
+                joint_output_probability(self.two_measured, [cut])
 
     def test_k_max_enforced(self):
         seq = FixedSequence(
             K_MAX + 1, (InputState(ZERO),) * (K_MAX + 1),
             tuple(Instruction("MEASURE", (line,), label=f"m{line}")
                   for line in range(K_MAX + 1)))
-        assert len(joint_output_probability(seq, range(K_MAX))) == \
-            1 << K_MAX
+        assert len(measured_lines_table(seq, range(K_MAX))) == 1 << K_MAX
         with pytest.raises(ValueError, match="11 lines exceed k_max=10"):
-            joint_output_probability(seq, range(K_MAX + 1))
+            measured_lines_table(seq, range(K_MAX + 1))
 
     def test_normalization_and_tree_oracle(self):
         rng = random.Random(47)
@@ -459,7 +477,7 @@ class TestJointProbability:
             lines = tuple(measured[:min(3, len(measured))])
             events, dist = outcome_distribution(seq, IDEAL)
             positions = {ev.line: i for i, ev in enumerate(events)}
-            table = joint_output_probability(seq, lines)
+            table = measured_lines_table(seq, lines)
             total = 0.0
             for p, bits in zip(table,
                                itertools.product((0, 1), repeat=len(lines))):
@@ -483,16 +501,16 @@ class TestJointProbability:
             if len(lines) < 2:
                 continue
             want = dense_record_table(seq)
-            got = joint_output_probability(seq, lines)
+            got = measured_lines_table(seq, lines)
             assert np.max(np.abs(got - want)) <= 1e-10
             checked += 1
 
     def test_stage_queries_match_their_prefixes_exactly(self):
-        # every stage table of one stacked call, read off the recorded
-        # sequence, equals the table built on that stage's own prefix bit
-        # for bit: 1-130 lines (frames past 64 lines), up to 3 mid-circuit
-        # measurements, and late stages with fewer probes than asked, so
-        # one call mixes query widths
+        # every stage table of one call on the campaign's cuts, read off
+        # the recorded sequence, equals the table of that stage's own
+        # prefix at the prefix's own cut bit for bit: 1-130 lines (frames
+        # past 64 lines), up to 3 mid-circuit measurements, and late stages
+        # with fewer probes than asked, so one call mixes stage widths
         rng = random.Random(83)
         mixed = 0
         for i in range(60):
@@ -502,32 +520,63 @@ class TestJointProbability:
                 intermediate=3))
             resolved = resolve(circuit, [rng.randint(0, 1) for _ in range(
                 circuit.gadget_count)])
-            stages = stage_prefixes(resolved, rng.randint(0, 5))
-            queries = [(ancilla,) + extras for _, ancilla, extras in stages]
-            tables = joint_output_probability(resolved, queries)
+            extra = rng.randint(0, 5)
+            cuts = protocol._stage_layouts(resolved, extra)
+            stages = stage_prefixes(resolved, extra)
+            tables = joint_output_probability(resolved, cuts)
             assert len(tables) == len(stages)
             for (prefix, ancilla, extras), table in zip(stages, tables):
-                assert np.array_equal(
-                    table, joint_output_probability(prefix,
-                                                    (ancilla,) + extras))
-            mixed += len({len(q) for q in queries}) > 1
+                own = len(prefix.events) - len(extras)
+                assert prefix.events[own - 1].line == ancilla
+                assert np.array_equal(table, joint_output_probability(
+                    prefix, [(own, extras)])[0])
+            mixed += len({len(probes) for _, probes in cuts}) > 1
         assert mixed >= 5
 
     def test_stage_query_checks(self):
-        # a query's cut is its first line's MEASURE; its probes need not be
-        # measured, but must be lines of the sequence
+        # a cut's readout is its slots-th record slot; its probes need not
+        # be measured, but must be lines of the sequence
         seq = FixedSequence(
             2, (InputState(ZERO),) * 2,
             (Instruction("H", (0,)),
              Instruction("MEASURE", (1,), label="out")))
         assert [t.tolist() for t in joint_output_probability(
-            seq, [(1,), (1, 0)])] == [[1.0, 0.0], [0.5, 0.5, 0.0, 0.0]]
-        with pytest.raises(ValueError, match="line 0 is not measured"):
-            joint_output_probability(seq, [(1,), (0, 1)])
+            seq, [(1, ()), (1, (0,))])] == [[1.0, 0.0], [0.5, 0.5, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="slot 2 outside 1..1"):
+            joint_output_probability(seq, [(1, ()), (2, (1,))])
         with pytest.raises(ValueError, match="line 2 out of range"):
-            joint_output_probability(seq, [(1, 2)])
+            joint_output_probability(seq, [(1, (2,))])
         with pytest.raises(ValueError, match="duplicate"):
-            joint_output_probability(seq, [(1, 1)])
+            joint_output_probability(seq, [(1, (1,))])
+
+    def test_malformed_cuts_raise_value_error(self):
+        # library input: a malformed cut, first or not, is a ValueError;
+        # list-valued cuts read as tuples, and every call returns a list
+        seq = FixedSequence(
+            K_MAX + 1, random_inputs(random.Random(61), K_MAX + 1),
+            (Instruction("H", (0,)), Instruction("CX", (0, 2)),
+             Instruction("MEASURE", (1,), label="a"),
+             Instruction("MEASURE", (0,), label="out")))
+        m, n = len(seq.events), seq.n_lines
+        free = tuple(line for line in range(n) if line != 1)
+        assert len(free) == K_MAX
+        malformed = [(slots, ()) for slots in (0, m + 1, 1.5, "1")] + [
+            (1, (probe,)) for probe in (-1, n, 1.5)] + [
+            (1, (2, 2)), (1, (1,)), (2, (0,)), (1, free),
+            1, (1,), (1, 2), (1, (2,), ())]
+        for cut in malformed:
+            for cuts in ([cut], [(1, ()), cut]):
+                with pytest.raises(ValueError):
+                    joint_output_probability(seq, cuts)
+        cuts = ((1, (0,)), (2, (2,)), (1, free[:-1]))
+        tables = joint_output_probability(seq, cuts)
+        listed = joint_output_probability(
+            seq, [[slots, list(probes)] for slots, probes in cuts])
+        assert type(tables) is list and type(listed) is list
+        assert len(tables) == 3 and len(tables[2]) == 1 << K_MAX
+        assert [t.tolist() for t in listed] == [t.tolist() for t in tables]
+        one = joint_output_probability(seq, [[1, [0]]])
+        assert type(one) is list and one[0].tolist() == tables[0].tolist()
 
 
 def scalar_outcome_table(operators, inputs):

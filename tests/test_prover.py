@@ -644,6 +644,27 @@ class TestStageTables:
                 single += len(cuts) == 1
         assert capped > 100 and single > 100
 
+    def test_verifier_and_device_read_the_same_cut(self):
+        # every cut of a campaign at 0..4 probes: the verifier's table is
+        # the device's honest record table marginalised to the readout and
+        # the probes, its last 1 + len(probes) bits, within the cells under
+        # PROB_TOL that the device clips
+        checked = 0
+        for seq in gadget_sequences(60, 89):
+            for extra in range(5):
+                cuts = protocol._stage_layouts(seq, extra)
+                theories = pauli.joint_output_probability(seq, cuts)
+                records = prover.record_tables(seq, cuts, IDEAL)
+                assert len(theories) == len(records) == len(cuts)
+                for (slots, probes), theory, record in zip(cuts, theories,
+                                                           records):
+                    marginal = record.reshape(
+                        -1, 1 << 1 + len(probes)).sum(axis=0)
+                    assert np.max(np.abs(theory - marginal)) <= \
+                        (1 << slots + len(probes)) * prover.PROB_TOL
+                    checked += 1
+        assert checked == 2340
+
     @pytest.mark.parametrize("fault", FIVE_FAULTS, ids=fault_to_text)
     def test_wide_stages_split_into_passes(self, fault, monkeypatch):
         # 8 stages of 7..14 slots: 84 frame operators, past one 64-bit
