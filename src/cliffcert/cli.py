@@ -20,7 +20,9 @@ The verify command reads a flat key=value config ('#' comments allowed):
 
 `output_dir` falls back to $CLIFFCERT_OUTPUT_DIR, then the current directory.
 Reports are written as report.json and report.txt and are byte-identical for
-identical (config, seed).
+identical (config, seed).  A re-run into the same `output_dir` overwrites
+them in place with the same bytes, and a report path may be a symlink or a
+device such as /dev/null.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,9 +144,33 @@ def _load_gadgetized(path: Path):
         raise UsageError(f"{path}: {exc}") from None
 
 
+def write_file(path: str | os.PathLike, text: str) -> None:
+    """Write `text` to `path` as UTF-8, overwriting an existing file in
+    place: opening it with O_TRUNC would free its blocks only to allocate
+    them again.  A longer regular file is first cut to the text's length,
+    and a failed write cuts it to what was written, so no old byte is left
+    past the new text."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular, done = False, 0
+    try:
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
+        if regular and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+        while done < len(data):  # os.write may write short
+            done += os.write(fd, data[done:])
+    except BaseException:
+        if regular:
+            os.ftruncate(fd, done)
+        raise
+    finally:
+        os.close(fd)
+
+
 def cmd_gadgetize(in_path: str, out_path: str) -> int:
     compiled = _load_gadgetized(Path(in_path))
-    Path(out_path).write_text(serialize(compiled), encoding="utf-8")
+    write_file(out_path, serialize(compiled))
     print(f"t={compiled.gadget_count} lines={compiled.n_lines} -> {out_path}")
     return 0
 
@@ -193,9 +220,8 @@ def cmd_verify(config_path: str) -> int:
         extra_check_lines=config.extra_check_lines)
     json_text = json.dumps(report_to_json_dict(report), indent=2) + "\n"
     summary = report_summary(report)
-    (config.output_dir / "report.json").write_text(json_text,
-                                                   encoding="utf-8")
-    (config.output_dir / "report.txt").write_text(summary, encoding="utf-8")
+    write_file(config.output_dir / "report.json", json_text)
+    write_file(config.output_dir / "report.txt", summary)
     sys.stdout.write(summary)
     return 0 if report.accepted else 1
 

@@ -20,8 +20,9 @@ being never touched again.  A campaign's stages take one format, the
 (slots, probes) pairs of `circuit.Stage`, in the verifier's tables
 (:func:`joint_output_probability`) and the device's record tables
 (`prover.record_tables`) alike: one sweep of the recorded sequence, each
-stage entering at its cut as :func:`stage_entry` numbers it, and one
-pass for every row, so a campaign pays the array passes' fixed cost once.
+stage checked by :func:`stage_lines` and entering at its cut as
+:func:`stage_entry` numbers it, and one pass for every row, so a campaign
+pays the array passes' fixed cost once.
 """
 
 from __future__ import annotations
@@ -160,6 +161,30 @@ def single_output_probability(seq: FixedSequence, outcome: int) -> float:
     return (1.0 + value) / 2.0
 
 
+def stage_lines(seq: FixedSequence, cut) -> tuple[int, list[int]]:
+    """(slots, lines) of the stage cut = (slots, probes) of `seq`: the lines
+    of record slots 0..slots-1, the readout last, then the probes.  A
+    malformed cut is a ValueError: no (slots, probes) pair, a slot outside
+    1..m, a probe outside the lines, or a line twice, a probe on a line
+    measured up to the readout included."""
+    events, n = seq.events, seq.n_lines
+    try:
+        slots, probes = cut
+        probes = tuple(probes)
+    except (TypeError, ValueError):  # no pair, or probes not iterable
+        raise ValueError("cuts are (slots, probes) pairs") from None
+    if not (isinstance(slots, int) and 1 <= slots <= len(events)):
+        raise ValueError(f"cut at slot {slots!r} outside 1..{len(events)}")
+    for line in probes:
+        if not (isinstance(line, int) and 0 <= line < n):
+            raise ValueError(f"line {line!r} out of range")
+    lines = [event.line for event in events[:slots]]
+    lines += probes
+    if len(set(lines)) != len(lines):
+        raise ValueError("duplicate lines in a stage")
+    return slots, lines
+
+
 def stage_entry(groups) -> tuple[dict, list[int], list[int]]:
     """The sweep's `enter` map and its rows' starts and widths for `groups`
     of (cut line, lines): line i of a w-wide row at s enters at the cut's
@@ -178,34 +203,19 @@ def joint_output_probability(seq: FixedSequence, cuts) -> list[np.ndarray]:
     `circuit.Stage` carries: the joint outcome table of the readout, record
     slot slots-1, then the probes, read right after the readout's MEASURE;
     bit k-1-i of a cell is line i's outcome (`prover.record_table`'s
-    layout).  Each stage enters one sweep at its readout's MEASURE as
-    :func:`stage_entry` numbers it, the operators commuting as no measured
-    line is reused, and one :func:`outcome_table` pass packs every row at
-    its own width, so t stage tables cost one walk and one set of passes.
+    layout).  Each stage, checked by :func:`stage_lines`, enters one sweep
+    at its readout's MEASURE as :func:`stage_entry` numbers it, the
+    operators commuting as no measured line is reused, and one
+    :func:`outcome_table` pass packs every row at its own width, so t stage
+    tables cost one walk and one set of passes.
     """
-    events, groups = seq.events, []
-    try:
-        for cut in cuts:
-            if len(cut) != 2:  # an empty cut names no readout
-                raise ValueError("cuts are (slots, probes) pairs")
-            slots, probes = cut
-            if not (isinstance(slots, int) and 1 <= slots <= len(events)):
-                raise ValueError(f"cut at slot {slots!r} outside "
-                                 f"1..{len(events)}")
-            for line in probes:
-                if not (isinstance(line, int) and 0 <= line < seq.n_lines):
-                    raise ValueError(f"line {line!r} out of range")
-            lines = (events[slots - 1].line, *probes)
-            if len(lines) > K_MAX:
-                raise ValueError(f"{len(lines)} lines exceed k_max={K_MAX}")
-            if len(set(lines)) != len(lines):
-                raise ValueError("duplicate lines in a stage")
-            groups.append((lines[0], lines))
-    except TypeError:  # a cut or its probes not iterable
-        raise ValueError("cuts are (slots, probes) pairs") from None
-    if not groups:
+    enter, starts, widths = stage_entry(
+        (lines[slots - 1], lines[slots - 1:])
+        for slots, lines in [stage_lines(seq, cut) for cut in cuts])
+    if max(widths, default=0) > K_MAX:
+        raise ValueError(f"{max(widths)} lines exceed k_max={K_MAX}")
+    if not widths:
         return []
-    enter, starts, widths = stage_entry(groups)
     frame = PauliFrame(seq.n_lines)
     for _ in frame.sweep(seq.instructions, enter):
         pass

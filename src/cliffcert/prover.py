@@ -18,7 +18,7 @@ verdict: the slots are the circuit's cached `events`, and bit m-1-i is
 slot i's outcome (slot i is frame operator m-1-i), so slot 0 is the most
 significant bit.  A batch counts the cells of one multinomial sample from
 the record table of a fixed sequence or of a `circuit.Stage` of one (a
-(slots, probes) cut, entered as `pauli.stage_entry` numbers it); a
+(slots, probes) cut, checked by `pauli.stage_lines`); a
 campaign's first stage builds all its stages' tables from one sweep and
 one table pass.  Each fault model acts row by row as a channel on that
 table: miscalibration changes the prepared inputs, a liar replaces the
@@ -50,7 +50,8 @@ import numpy as np
 
 from .circuit import (AdaptiveCircuit, Circuit, FixedSequence,
                       MeasurementEvent, Stage, resolve)
-from .pauli import PauliFrame, outcome_table, stage_entry, walsh_hadamard
+from .pauli import (PauliFrame, outcome_table, stage_entry, stage_lines,
+                    walsh_hadamard)
 
 PROB_TOL = 1e-12
 
@@ -198,9 +199,8 @@ def record_tables(seq: FixedSequence, cuts, fault: FaultModel
     (depolarizing noise folded in), a coin bias and a liar."""
     events = seq.events
     enter, starts, widths = stage_entry(
-        (events[slots - 1].line,
-         [event.line for event in events[:slots]] + list(probes))
-        for slots, probes in cuts)
+        (lines[slots - 1], lines)
+        for slots, lines in [stage_lines(seq, cut) for cut in cuts])
     if max(widths, default=0) > MAX_RECORD_SLOTS:
         raise ValueError(f"{max(widths)} measurement slots exceed the "
                          f"device's maximum {MAX_RECORD_SLOTS}")

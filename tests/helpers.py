@@ -776,15 +776,22 @@ def adaptive_record_table(circuit: AdaptiveCircuit,
 
 
 def measured_lines_table(seq: FixedSequence, lines) -> np.ndarray:
-    """The joint outcome table of measured `lines` of `seq`, bit k-1-i of
-    a cell being lines[i]'s outcome: the cut at the last-measured of them,
-    (its slot + 1, the other lines), with that readout's bit, the cut
-    table's leading one, moved back to its place."""
+    """The joint outcome table of measured `lines` of a gadget-free `seq`,
+    bit k-1-i of a cell being lines[i]'s outcome: the cut at the
+    last-measured of them, (its slot + 1, the other lines), of `seq` with
+    the others' MEASUREs left out, which no later instruction touches, so
+    they are probes read at that readout; the readout's bit, the cut
+    table's leading one, is moved back to its place."""
+    assert not seq.gadget_slots
     lines = tuple(lines)
     slot = {event.line: i for i, event in enumerate(seq.events)}
     last = max(lines, key=slot.__getitem__)
-    table, = joint_output_probability(seq, [(slot[last] + 1, tuple(
-        line for line in lines if line != last))])
+    others = tuple(line for line in lines if line != last)
+    probed = FixedSequence(seq.n_lines, seq.inputs, tuple(
+        ins for ins in seq.instructions
+        if not (ins.op == "MEASURE" and ins.targets[0] in others)))
+    slots = [event.line for event in probed.events].index(last) + 1
+    table, = joint_output_probability(probed, [(slots, others)])
     return np.moveaxis(table.reshape((2,) * len(lines)), 0,
                        lines.index(last)).reshape(-1)
 

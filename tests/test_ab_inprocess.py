@@ -54,3 +54,19 @@ def test_unknown_workload_refused():
     assert proc.returncode == 2
     assert "--workload must be one of" in proc.stderr
     assert "cli_configs" in proc.stderr
+
+
+def test_fresh_sweeps_write_new_reports(tmp_path):
+    # every sweep deletes the reports' directories first, in the sweep's
+    # own temporary directory
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "ab_inprocess.py"),
+         str(REPO_ROOT), str(REPO_ROOT), "--workload", "cli_configs",
+         "--seed", "3", "--rounds", "2", "--fresh"],
+        cwd=tmp_path, capture_output=True, text=True, check=False,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("cli_configs: change/parent ")
+    assert proc.stdout.endswith("(1 campaigns, 2 rounds, seed 3, fresh)\n")
+    assert list(tmp_path.iterdir()) == []

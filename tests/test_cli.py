@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import stat
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcert.circuit import MAX_DECLARED_LINES
+from cliffcert.circuit import (MAX_DECLARED_LINES, gadgetize, parse_circuit,
+                               serialize)
 from cliffcert.cli import main
 
 from helpers import CIRCUITS
@@ -329,6 +332,142 @@ class TestVerify:
         code = main(["verify", str(cfg)])
         assert code in (0, 1)
         assert (tmp_path / "envout" / "report.json").exists()
+
+
+REPORTS = ("report.json", "report.txt")
+
+
+def verify_into(tmp_path, out):
+    """An honest deterministic_t3 campaign written into `out`; its exit
+    code."""
+    cfg = tmp_path / "run.cfg"
+    write_config(cfg, CIRCUITS / "deterministic_t3.circ", out=out)
+    return main(["verify", str(cfg)])
+
+
+def fresh_reports(tmp_path):
+    out = tmp_path / "fresh"
+    assert verify_into(tmp_path, out) == 0
+    return {name: (out / name).read_bytes() for name in REPORTS}
+
+
+class TestReportFiles:
+    """A report path that already exists is overwritten with the bytes a
+    fresh directory gets, whatever it held, and keeps what it is: a link
+    stays a link, a device a device, and a file its mode."""
+
+    def test_used_output_dir_gets_fresh_bytes(self, tmp_path):
+        fresh = fresh_reports(tmp_path)
+        used = tmp_path / "used"
+        assert verify_into(tmp_path, used) == 0
+        for junk in (bytes(range(256)) * 256, b"x"):
+            for name in REPORTS:
+                (used / name).write_bytes(junk)
+            assert verify_into(tmp_path, used) == 0
+            for name in REPORTS:
+                assert (used / name).read_bytes() == fresh[name]
+
+    def test_symlinked_report_writes_its_target(self, tmp_path):
+        fresh = fresh_reports(tmp_path)
+        out, target = tmp_path / "out", tmp_path / "elsewhere.json"
+        out.mkdir()
+        target.write_text("old")
+        (out / "report.json").symlink_to(target)
+        assert verify_into(tmp_path, out) == 0
+        assert (out / "report.json").is_symlink()
+        assert target.read_bytes() == fresh["report.json"]
+
+    def test_report_linked_to_devnull(self, tmp_path):
+        fresh = fresh_reports(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").symlink_to(os.devnull)
+        assert verify_into(tmp_path, out) == 0
+        assert (out / "report.txt").read_bytes() == fresh["report.txt"]
+
+    def test_report_path_a_directory_exits_2_naming_it(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert verify_into(tmp_path, out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(out / "report.json") in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_existing_report_keeps_its_mode(self, tmp_path):
+        # a new report is 0o666 under the umask, as `Path.write_text` makes
+        umask = os.umask(0o022)
+        os.umask(umask)
+        fresh_reports(tmp_path)
+        for name in REPORTS:
+            assert stat.S_IMODE((tmp_path / "fresh" / name).stat().st_mode) \
+                == 0o666 & ~umask
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in REPORTS:
+            (out / name).write_text("old")
+            (out / name).chmod(0o600)
+        assert verify_into(tmp_path, out) == 0
+        for name in REPORTS:
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o600
+
+    def reports_under(self, tmp_path, old):
+        """tmp_path/out holding `old` in both reports, and a test of
+        whether an fd is one of them."""
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in REPORTS:
+            (out / name).write_bytes(old)
+        held = [(out / name).stat() for name in REPORTS]
+        return out, lambda fd: any(os.path.samestat(os.fstat(fd), info)
+                                   for info in held)
+
+    def test_short_writes_write_every_byte(self, tmp_path, monkeypatch):
+        fresh = fresh_reports(tmp_path)
+        out, is_report = self.reports_under(tmp_path, b"old" * 9000)
+        real = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real(
+            fd, data[:7] if is_report(fd) else data))
+        assert verify_into(tmp_path, out) == 0
+        for name in REPORTS:
+            assert (out / name).read_bytes() == fresh[name]
+
+    @pytest.mark.parametrize("old_size", [500, 1 << 16])
+    def test_failed_write_leaves_no_old_bytes(self, tmp_path, monkeypatch,
+                                              capsys, old_size):
+        # a report shorter than the new text but longer than what was
+        # written before a write failed, and one longer than the text:
+        # either holds the written bytes and nothing of the old report
+        fresh = fresh_reports(tmp_path)
+        assert len(fresh["report.json"]) > old_size or old_size > 5000
+        out, is_report = self.reports_under(tmp_path, b"o" * old_size)
+        real, calls = os.write, []
+
+        def failing(fd, data):
+            if not is_report(fd):
+                return real(fd, data)
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return real(fd, data[:100])
+        monkeypatch.setattr(os, "write", failing)
+        assert verify_into(tmp_path, out) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out / "report.json").read_bytes() == \
+            fresh["report.json"][:100]
+        assert (out / "report.txt").read_bytes() == b"o" * old_size
+
+    def test_gadgetize_to_devnull_and_over_a_longer_file(self, tmp_path,
+                                                         capsys):
+        src = tmp_path / "c.circ"
+        src.write_text(GOOD_CIRCUIT)
+        text = serialize(gadgetize(parse_circuit(GOOD_CIRCUIT)))
+        assert main(["gadgetize", str(src), os.devnull]) == 0
+        dst = tmp_path / "g.circ"
+        dst.write_text(text * 3)
+        assert main(["gadgetize", str(src), str(dst)]) == 0
+        assert dst.read_bytes() == text.encode("utf-8")
 
 
 class TestUsage:

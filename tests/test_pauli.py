@@ -453,7 +453,8 @@ class TestJointProbability:
                 joint_output_probability(seq, [(slots, ())])
 
     def test_duplicate_line_rejected(self):
-        for cut in ((1, (0,)), (1, (1, 1))):
+        # a probe on a line measured up to the readout is one too
+        for cut in ((1, (0,)), (1, (1, 1)), (2, (0,))):
             with pytest.raises(ValueError, match="duplicate"):
                 joint_output_probability(self.two_measured, [cut])
 
@@ -562,7 +563,7 @@ class TestJointProbability:
         assert len(free) == K_MAX
         malformed = [(slots, ()) for slots in (0, m + 1, 1.5, "1")] + [
             (1, (probe,)) for probe in (-1, n, 1.5)] + [
-            (1, (2, 2)), (1, (1,)), (2, (0,)), (1, free),
+            (1, (2, 2)), (1, (1,)), (2, (0,)), (2, (1,)), (1, free),
             1, (1,), (1, 2), (1, (2,), ())]
         for cut in malformed:
             for cuts in ([cut], [(1, ()), cut]):

@@ -788,6 +788,38 @@ class TestStageTables:
             assert report_text(campaign(liar, seed)) == report_text(
                 campaign(SimulatedDevice(Liar(0.5)), seed))
 
+    def test_malformed_cuts_raise_value_error(self):
+        # `pauli.joint_output_probability`'s cut rules, `pauli.stage_lines`,
+        # with MAX_RECORD_SLOTS for K_MAX
+        seq = resolve(DET3, (0, 1, 1))
+        m, n = len(seq.events), seq.n_lines
+        assert m == 4
+        lines = [event.line for event in seq.events]
+        free = tuple(line for line in range(n) if line not in lines)
+        malformed = [(slots, ()) for slots in (0, m + 1, 1.5, "1")] + [
+            (1, (probe,)) for probe in (-1, n, 99, 1.5)] + [
+            (1, (free[0], free[0])), (1, (lines[0],)), (2, (lines[0],)),
+            (m, (lines[1],)), 1, (1,), (1, 2), (1, (free[0],), ())]
+        for cut in malformed:
+            for cuts in ([cut], [(1, ()), cut]):
+                with pytest.raises(ValueError):
+                    prover.record_tables(seq, cuts, IDEAL)
+                with pytest.raises(ValueError):
+                    pauli.joint_output_probability(seq, cuts)
+        wide = FixedSequence(
+            prover.MAX_RECORD_SLOTS + 1,
+            (InputState(ZERO),) * (prover.MAX_RECORD_SLOTS + 1),
+            (Instruction("MEASURE", (0,), label="out"),))
+        with pytest.raises(ValueError, match="21 measurement slots exceed"):
+            prover.record_tables(
+                wide, [(1, tuple(range(1, wide.n_lines)))], IDEAL)
+        cuts = ((1, (free[0],)), (3, free[:2]), (m, ()))
+        tables = prover.record_tables(seq, cuts, IDEAL)
+        listed = prover.record_tables(
+            seq, [[slots, list(probes)] for slots, probes in cuts], IDEAL)
+        assert [len(table) for table in tables] == [4, 32, 16]
+        assert [t.tolist() for t in listed] == [t.tolist() for t in tables]
+
 
 class TestSeedDerivation:
     def test_distinct_streams(self):

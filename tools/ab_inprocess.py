@@ -2,6 +2,8 @@
 
     python3 tools/ab_inprocess.py PARENT CHANGE --workload adaptive_tree \\
         --seed 11 --rounds 12
+    python3 tools/ab_inprocess.py PARENT CHANGE --workload cli_configs \\
+        --fresh
 
 Both checkouts' `cliffcert` packages are imported side by side into one
 interpreter, each from its own `src/`, so both sides share the host's
@@ -21,10 +23,15 @@ differs from its expectation.
 `cli_configs` has one campaign: a sweep of its five bundled configs, each
 through its side's own `cli.main(["verify", config])`, with the configs
 and circuits written to a temporary directory that holds the reports too,
-stdout discarded, and every exit code checked against the workload's.  Its
-ratio is that of the two sides' fastest sweeps, so one run is one noisy
-reading (a checkout against itself read 0.973-1.022 over eight runs of 20
-rounds on a 2-vCPU host): repeat the run and report the spread.
+stdout discarded, and every exit code checked against the workload's.
+From the second sweep on, each overwrites the reports its configs wrote
+before, as every re-run of a config does, since a config names its
+`output_dir`; with `--fresh`, the reports' directories are deleted before
+each sweep, out of its time, so every sweep writes new files, as a
+config's first run does.  Its ratio is that of the two sides' fastest
+sweeps, so one run is one noisy reading (a checkout against itself read
+0.973-1.022 over eight runs of 20 rounds on a 2-vCPU host): repeat the
+run and report the spread.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import shutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -111,12 +119,15 @@ class CliSide:
 
     size = 1
 
-    def __init__(self, modules: dict, wl):
+    def __init__(self, modules: dict, wl, fresh: bool = False):
         self.main = modules["cliffcert.cli"].main
         self.wl = wl
+        self.fresh = fresh
 
     def run(self, index: int) -> tuple[float, str | None]:
         """(seconds for the sweep, the exit codes that differ or None)."""
+        if self.fresh:
+            shutil.rmtree("out", ignore_errors=True)
         with open(os.devnull, "w") as sink, \
                 contextlib.redirect_stdout(sink):
             start = perf_counter()
@@ -180,6 +191,9 @@ def main(argv=None) -> int:
                         help="one workload (default: every one)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument("--fresh", action="store_true",
+                        help="cli_configs: write every sweep's reports "
+                             "into new directories")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -204,9 +218,9 @@ def main(argv=None) -> int:
                 write_configs(wl, Path(work))
                 os.chdir(work)  # the configs write their reports under out/
                 try:
-                    row, problems = compare(CliSide(packages[0], wl),
-                                            CliSide(packages[1], wl),
-                                            args.rounds)
+                    row, problems = compare(
+                        CliSide(packages[0], wl, args.fresh),
+                        CliSide(packages[1], wl, args.fresh), args.rounds)
                 finally:
                     os.chdir(cwd)
         else:
@@ -216,7 +230,9 @@ def main(argv=None) -> int:
               f"[{row['q1']:.4f}, {row['q3']:.4f}] "
               f"parent {row['parent_ms']:.3f} ms change "
               f"{row['change_ms']:.3f} ms ({row['campaigns']} campaigns, "
-              f"{row['rounds']} rounds, seed {args.seed})", flush=True)
+              f"{row['rounds']} rounds, seed {args.seed}"
+              f"{', fresh' if name == 'cli_configs' and args.fresh else ''})",
+              flush=True)
         for problem in problems:
             sys.stderr.write(f"{name}: {problem}\n")
         failed |= bool(problems)
